@@ -13,6 +13,8 @@ user-supplied maps must guarantee it themselves.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..errors import CapabilityError, InputError
@@ -122,6 +124,7 @@ class PthPowerMap(MirrorMap):
         self.dimension = None if self.anchor is None else self.anchor.size
         self.name = f"pth_power({p:g})"
         self.uniform_convexity = (self.p, 2.0 ** (2.0 - self.p))
+        self._dual_power = (2.0 - self.p) / (self.p - 1.0)
 
     def _shift(self, x):
         x = np.asarray(x, dtype=np.float64)
@@ -139,12 +142,15 @@ class PthPowerMap(MirrorMap):
         return r ** (self.p - 2.0) * d
 
     def dual_gradient(self, w):
+        # math.sqrt(w @ w) is bitwise what np.linalg.norm computes for a
+        # 1-D float vector, without its dispatch; the scalar base 0.0 turns
+        # -0.0 into 0.0, as adding a zero vector does
         w = np.asarray(w, dtype=np.float64)
-        base = np.zeros_like(w) if self.anchor is None else self.anchor
-        u = float(np.linalg.norm(w))
+        u = math.sqrt(w.dot(w))
         if u == 0.0:
-            return base.copy()
-        return base + u ** ((2.0 - self.p) / (self.p - 1.0)) * w
+            return np.zeros_like(w) if self.anchor is None else self.anchor.copy()
+        base = 0.0 if self.anchor is None else self.anchor
+        return base + u ** self._dual_power * w
 
     def hessian_dense(self, x):
         d = self._shift(x)

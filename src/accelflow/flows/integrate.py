@@ -8,6 +8,9 @@ field value so cubic Hermite interpolation matches the integrator's order
 
 from __future__ import annotations
 
+import math
+import numbers
+
 import numpy as np
 
 from ..core.points import as_point
@@ -143,21 +146,54 @@ class _Recorder:
         )
 
 
+def _real(key: str, value) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise InputError(f"{key} must be a number, got {value!r}") from None
+
+
+def _integer(key: str, value) -> int:
+    """An integer control; integral floats (1e4 from JSON) are admitted."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InputError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
 def integrate(sys, x0, t0: float, t_end: float, controls: dict,
               initial_state=None,
               divergence_threshold: float = DIVERGENCE_THRESHOLD) -> Trajectory:
-    """Integrate a FlowSystem from t0 to t_end.
+    """Integrate a FlowSystem from t0 to t_end (finite, t_end > t0).
 
-    controls: {"method": "rk4", "steps": n, "record_every": k (optional)}
-    or {"method": "rk4_adaptive", "rel_tol": ..., "abs_tol": ...,
-    "initial_step": ..., "record_every": ...}. Deterministic given controls.
+    controls is one of
+      {"method": "rk4", "steps": n, "record_every": k}
+      {"method": "rk4_adaptive", "rel_tol": 1e-8, "abs_tol": 1e-12,
+       "initial_step": (t_end - t0) / 100, "max_steps": 2_000_000,
+       "record_every": k}
+    with the defaults shown; record_every defaults to 1. steps, record_every
+    and max_steps are integers >= 1; initial_step and abs_tol are finite and
+    positive, rel_tol finite and nonnegative. A violation raises InputError,
+    as does t0 before the system's domain. Deterministic given controls.
+
+    rk4 takes steps fixed steps of 4 field evaluations. rk4_adaptive is step
+    doubling: each attempt compares one step of size h with two of size h/2,
+    sharing k1 = field(t, y) between the full and first half step and across
+    retries, for 10 evaluations per attempt. The derivative at an accepted
+    state is both its recorded value and the next step's k1, so
+    step_stats["field_evals"] is 10 * (accepted + rejected) + accepted + 1.
 
     initial_state overrides the system's standard initial state (used by
     force-free oracle checks that start with nonzero velocity). Divergence
     (state norm above the threshold) raises DivergenceError carrying the
-    partial trajectory; NaN/Inf in the state raises NumericalError.
+    partial trajectory, whose step_stats count the steps and field
+    evaluations so far; NaN/Inf in the state raises NumericalError, as does
+    exceeding max_steps attempts.
     """
     t0, t_end = float(t0), float(t_end)
+    if not (math.isfinite(t0) and math.isfinite(t_end)):
+        raise InputError(f"t0 and t_end must be finite, got [{t0}, {t_end}]")
     if t0 < sys.valid_from - 1e-12:
         raise InputError(f"t0 = {t0} precedes the system's domain [{sys.valid_from}, inf)")
     if t_end <= t0:
@@ -165,6 +201,26 @@ def integrate(sys, x0, t0: float, t_end: float, controls: dict,
     method = controls.get("method")
     if method not in ("rk4", "rk4_adaptive"):
         raise InputError(f"unknown integration method {method!r}")
+    record_every = _integer("record_every", controls.get("record_every", 1))
+    if record_every < 1:
+        raise InputError("record_every must be >= 1")
+    if method == "rk4":
+        steps = _integer("steps", controls.get("steps"))
+        if steps < 1:
+            raise InputError("rk4 needs steps >= 1")
+    else:
+        rel_tol = _real("rel_tol", controls.get("rel_tol", 1e-8))
+        abs_tol = _real("abs_tol", controls.get("abs_tol", 1e-12))
+        h = _real("initial_step", controls.get("initial_step", (t_end - t0) / 100.0))
+        max_steps = _integer("max_steps", controls.get("max_steps", 2_000_000))
+        if not (math.isfinite(rel_tol) and rel_tol >= 0.0):
+            raise InputError(f"rel_tol must be finite and >= 0, got {rel_tol}")
+        if not (math.isfinite(abs_tol) and abs_tol > 0.0):
+            raise InputError(f"abs_tol must be finite and > 0, got {abs_tol}")
+        if not (math.isfinite(h) and h > 0.0):
+            raise InputError(f"initial_step must be finite and > 0, got {h}")
+        if max_steps < 1:
+            raise InputError("max_steps must be >= 1")
 
     if initial_state is not None:
         y0 = np.array(initial_state, dtype=np.float64)
@@ -174,29 +230,30 @@ def integrate(sys, x0, t0: float, t_end: float, controls: dict,
         y0 = sys.initial_state_from(as_point(x0), t0)
     d = y0.size // len(sys.blocks)
     rec = _Recorder(sys, d)
-    record_every = int(controls.get("record_every", 1))
-    if record_every < 1:
-        raise InputError("record_every must be >= 1")
 
     field = sys.vector_field
 
-    def checked(t, y, partial_stats):
-        if not np.all(np.isfinite(y)):
+    def checked(t, y, progress):
+        """Raise on a non-finite or diverged state; progress() gives the
+        partial record's step_stats, built only when it is needed."""
+        if not np.isfinite(y).all():
             raise NumericalError(f"non-finite state during integration at t = {t}")
-        if float(np.linalg.norm(y)) > divergence_threshold:
+        if math.sqrt(y.dot(y)) > divergence_threshold:
             raise DivergenceError(
                 f"state norm exceeded {divergence_threshold:g} at t = {t}",
-                partial=rec.build(partial_stats), t=t,
+                partial=rec.build(progress()), t=t,
             )
 
     if method == "rk4":
-        steps = int(controls["steps"])
-        if steps < 1:
-            raise InputError("rk4 needs steps >= 1")
         h = (t_end - t0) / steps
         y = y0.copy()
         t = t0
         evals = 0
+
+        def progress():
+            return {"method": "rk4", "steps": steps, "completed": i + 1,
+                    "field_evals": evals}
+
         for i in range(steps):
             k1 = field(t, y)
             if i % record_every == 0:
@@ -207,52 +264,54 @@ def integrate(sys, x0, t0: float, t_end: float, controls: dict,
             y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             t = t0 + (i + 1) * h
             evals += 4
-            checked(t, y, {"method": "rk4", "steps": steps, "completed": i + 1})
+            checked(t, y, progress)
         rec.push(t_end, y, field(t_end, y))
         return rec.build(
             {"method": "rk4", "steps": steps, "completed": steps,
              "field_evals": evals + 1, "record_every": record_every}
         )
 
-    rel_tol = float(controls.get("rel_tol", 1e-8))
-    abs_tol = float(controls.get("abs_tol", 1e-12))
-    max_steps = int(controls.get("max_steps", 2_000_000))
-    h = float(controls.get("initial_step", (t_end - t0) / 100.0))
     y = y0.copy()
     t = t0
-    accepted = rejected = evals = 0
+    accepted = rejected = 0
     h_min_seen, h_max_seen = np.inf, 0.0
+    near_end = t_end - 1e-14 * max(1.0, abs(t_end))
 
-    def rk4_step(t, y, h):
-        k1 = field(t, y)
+    def progress():
+        return {"method": "rk4_adaptive", "accepted": accepted,
+                "rejected": rejected, "field_evals": evals}
+
+    def rk4_step(t, y, h, k1):
         k2 = field(t + 0.5 * h, y + (0.5 * h) * k1)
         k3 = field(t + 0.5 * h, y + (0.5 * h) * k2)
         k4 = field(t + h, y + h * k3)
-        return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), k1
+        return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
-    k_here = field(t, y)
-    rec.push(t, y, k_here)
-    while t < t_end - 1e-14 * max(1.0, abs(t_end)):
+    k1 = field(t, y)  # field at the current state, shared by every attempt
+    evals = 1
+    rec.push(t, y, k1)
+    while t < near_end:
         h = min(h, t_end - t)
         if h <= 0:
             break
-        y_full, k1 = rk4_step(t, y, h)
-        y_half, _ = rk4_step(t, y, 0.5 * h)
-        y_two, _ = rk4_step(t + 0.5 * h, y_half, 0.5 * h)
-        evals += 12
+        half = 0.5 * h
+        y_full = rk4_step(t, y, h, k1)
+        y_half = rk4_step(t, y, half, k1)
+        y_two = rk4_step(t + half, y_half, half, field(t + half, y_half))
+        evals += 10
         err_vec = (y_two - y_full) / 15.0
         scale = abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y_two))
-        err = float(np.max(np.abs(err_vec) / scale))
+        err = float((np.abs(err_vec) / scale).max())
         if err <= 1.0:
             t = t + h
             y = y_two + err_vec  # local extrapolation to 5th order
             accepted += 1
             h_min_seen, h_max_seen = min(h_min_seen, h), max(h_max_seen, h)
-            checked(t, y, {"method": "rk4_adaptive", "accepted": accepted})
-            at_end = t >= t_end - 1e-14 * max(1.0, abs(t_end))
-            if accepted % record_every == 0 or at_end:
-                rec.push(t, y, field(t, y))
-                evals += 1
+            checked(t, y, progress)
+            k1 = field(t, y)
+            evals += 1
+            if accepted % record_every == 0 or t >= near_end:
+                rec.push(t, y, k1)
         else:
             rejected += 1
         factor = 0.9 * err ** -0.2 if err > 0 else 5.0
@@ -263,8 +322,9 @@ def integrate(sys, x0, t0: float, t_end: float, controls: dict,
             )
     if rec.times[-1] < t_end - 1e-12 * max(1.0, abs(t_end)):
         rec.push(t_end, y, field(t_end, y))
+        evals += 1
     return rec.build(
         {"method": "rk4_adaptive", "accepted": accepted, "rejected": rejected,
-         "field_evals": evals + 1, "rel_tol": rel_tol, "abs_tol": abs_tol,
+         "field_evals": evals, "rel_tol": rel_tol, "abs_tol": abs_tol,
          "h_min": h_min_seen, "h_max": h_max_seen, "record_every": record_every}
     )

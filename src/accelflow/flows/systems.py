@@ -95,10 +95,13 @@ def build_el_system(h: MirrorMap, f: ObjectiveOracle, s: ScalingTriple,
     def field(t, y):
         d = y.size // 2
         x, w = y[:d], y[d:]
-        ea = math.exp(s.alpha(t))
-        dx = ea * (h.dual_gradient(w) - x)
-        dw = -math.exp(s.alpha(t) + s.beta(t)) * f.gradient(x)
-        return np.concatenate([dx, dw])
+        a = s.alpha(t)
+        out = np.empty(y.shape)
+        dx, dw = out[:d], out[d:]
+        np.subtract(h.dual_gradient(w), x, out=dx)
+        np.multiply(math.exp(a), dx, out=dx)
+        np.multiply(-math.exp(a + s.beta(t)), f.gradient(x), out=dw)
+        return out
 
     def init(x0, t0):
         x0 = as_point(x0)
@@ -198,7 +201,7 @@ def build_hamiltonian_system(h: MirrorMap, f: ObjectiveOracle,
     )
 
 
-def build_rescaled_gradient_flow(f: ObjectiveOracle, p: int,
+def build_rescaled_gradient_flow(f: ObjectiveOracle, p: float,
                                  gradient_floor: float = GRADIENT_FLOOR) -> FlowSystem:
     """X_dot = -grad f(X) / ||grad f(X)||^{(p-2)/(p-1)}.
 
@@ -227,7 +230,7 @@ def build_rescaled_gradient_flow(f: ObjectiveOracle, p: int,
     return FlowSystem(
         "rescaled_gradient", ("X",), field, lambda x0, t0: as_point(x0),
         valid_from=0.0, objective=f,
-        params={"p": int(p), "gradient_floor": gradient_floor}, gap=gap,
+        params={"p": float(p), "gradient_floor": gradient_floor}, gap=gap,
     )
 
 

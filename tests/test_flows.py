@@ -336,6 +336,56 @@ def test_integrate_input_validation():
                   {"method": "rk4", "steps": 10})
 
 
+@pytest.mark.parametrize("t0, t_end, controls", [
+    (0.1, math.nan, {"method": "rk4", "steps": 10}),
+    (math.inf, 1.0, {"method": "rk4", "steps": 10}),
+    (0.1, math.inf, {"method": "rk4_adaptive"}),
+    (0.1, 1.0, {"method": "rk4_adaptive", "initial_step": -1.0}),
+    (0.1, 1.0, {"method": "rk4_adaptive", "initial_step": 0.0}),
+    (0.1, 1.0, {"method": "rk4_adaptive", "initial_step": math.nan}),
+    (0.1, 1.0, {"method": "rk4_adaptive", "initial_step": math.inf}),
+    (0.1, 1.0, {"method": "rk4_adaptive", "rel_tol": -1.0}),
+    (0.1, 1.0, {"method": "rk4_adaptive", "rel_tol": math.nan}),
+    (0.1, 1.0, {"method": "rk4_adaptive", "rel_tol": math.inf}),
+    (0.1, 1.0, {"method": "rk4_adaptive", "abs_tol": 0.0}),
+    (0.1, 1.0, {"method": "rk4_adaptive", "abs_tol": -1e-12}),
+    (0.1, 1.0, {"method": "rk4_adaptive", "abs_tol": math.nan}),
+    (0.1, 1.0, {"method": "rk4_adaptive", "abs_tol": math.inf}),
+    (0.1, 1.0, {"method": "rk4_adaptive", "rel_tol": -1.0, "abs_tol": -1.0}),
+    (0.1, 1.0, {"method": "rk4_adaptive", "rel_tol": "tight"}),
+    (0.1, 1.0, {"method": "rk4_adaptive", "max_steps": 0}),
+    (0.1, 1.0, {"method": "rk4_adaptive", "max_steps": -5}),
+    (0.1, 1.0, {"method": "rk4"}),
+    (0.1, 1.0, {"method": "rk4", "steps": 10.5}),
+    (0.1, 1.0, {"method": "rk4", "steps": "10"}),
+    (0.1, 1.0, {"method": "rk4", "steps": None}),
+    (0.1, 1.0, {"method": "rk4", "steps": True}),
+], ids=[
+    "nan_t_end", "inf_t0", "inf_t_end",
+    "negative_initial_step", "zero_initial_step", "nan_initial_step",
+    "inf_initial_step",
+    "negative_rel_tol", "nan_rel_tol", "inf_rel_tol",
+    "zero_abs_tol", "negative_abs_tol", "nan_abs_tol", "inf_abs_tol",
+    "negative_tolerances", "string_rel_tol",
+    "zero_max_steps", "negative_max_steps",
+    "rk4_missing_steps", "rk4_fractional_steps", "rk4_string_steps",
+    "rk4_none_steps", "rk4_bool_steps",
+])
+def test_integrate_rejects_bad_controls(t0, t_end, controls):
+    sys = build_el_system(EuclideanMap(), quadratic_2d(), polynomial_triple(2, 1.0))
+    with pytest.raises(InputError):
+        integrate(sys, np.array([1.0, 1.0]), t0, t_end, controls)
+
+
+def test_integrate_admits_integral_float_counts():
+    sys = _growth_system()
+    a = integrate(sys, np.array([1.0]), 0.0, 1.0,
+                  {"method": "rk4", "steps": 100.0, "record_every": 10.0})
+    b = integrate(sys, np.array([1.0]), 0.0, 1.0,
+                  {"method": "rk4", "steps": 100, "record_every": 10})
+    assert np.array_equal(a.states, b.states) and len(a) == 11
+
+
 def test_record_every_thins_samples():
     sys = _growth_system()
     traj = integrate(sys, np.array([1.0]), 0.0, 1.0,
@@ -365,6 +415,111 @@ def test_adaptive_step_budget_guard():
     with pytest.raises(NumericalError):
         integrate(sys, np.array([1.0, 1.0]), 0.1, 50.0,
                   {"method": "rk4_adaptive", "max_steps": 5})
+
+
+def _counting(sys):
+    """sys with its field wrapped to count calls; returns (sys, calls)."""
+    calls = [0]
+    field = sys.vector_field
+
+    def counted(t, y):
+        calls[0] += 1
+        return field(t, y)
+
+    sys.vector_field = counted
+    return sys, calls
+
+
+@pytest.mark.parametrize("controls", [
+    {"method": "rk4", "steps": 2500},
+    {"method": "rk4_adaptive", "rel_tol": 1e-8},
+], ids=["rk4", "rk4_adaptive"])
+def test_divergence_partial_stats_count_field_evals(controls):
+    sys, calls = _counting(_growth_system())
+    with pytest.raises(DivergenceError) as info:
+        integrate(sys, np.array([1.0]), 0.0, 25.0, controls,
+                  divergence_threshold=10.0)
+    err = info.value
+    assert 2.0 < err.t < 2.6  # e^t crosses 10 at t = 2.30
+    stats = err.partial.step_stats
+    assert stats["method"] == controls["method"]
+    assert stats["field_evals"] == calls[0]
+    if controls["method"] == "rk4":
+        assert stats["field_evals"] == 4 * stats["completed"]
+    else:
+        assert stats["accepted"] > 0 and "rejected" in stats
+        # the diverged state's own field is never evaluated
+        assert stats["field_evals"] == (
+            10 * (stats["accepted"] + stats["rejected"]) + stats["accepted"]
+        )
+
+
+def _reference_step_doubling(field, y0, t0, t_end, rel_tol, abs_tol, h,
+                             record_every):
+    """Step-doubling RK4 written out in full: three independent RK4 steps
+    per attempt, each with its own k1, and a fresh field evaluation for
+    every recorded sample. The integrator shares those evaluations; it must
+    reproduce this loop bit for bit."""
+
+    def rk4_step(t, y, h):
+        k1 = field(t, y)
+        k2 = field(t + 0.5 * h, y + (0.5 * h) * k1)
+        k3 = field(t + 0.5 * h, y + (0.5 * h) * k2)
+        k4 = field(t + h, y + h * k3)
+        return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+    y, t = y0.copy(), t0
+    times, states, derivs = [t], [y.copy()], [field(t, y)]
+    accepted = rejected = 0
+    while t < t_end - 1e-14 * max(1.0, abs(t_end)):
+        h = min(h, t_end - t)
+        y_full = rk4_step(t, y, h)
+        y_half = rk4_step(t, y, 0.5 * h)
+        y_two = rk4_step(t + 0.5 * h, y_half, 0.5 * h)
+        err_vec = (y_two - y_full) / 15.0
+        scale = abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y_two))
+        err = float(np.max(np.abs(err_vec) / scale))
+        if err <= 1.0:
+            t = t + h
+            y = y_two + err_vec
+            accepted += 1
+            at_end = t >= t_end - 1e-14 * max(1.0, abs(t_end))
+            if accepted % record_every == 0 or at_end:
+                times.append(t)
+                states.append(y.copy())
+                derivs.append(field(t, y))
+        else:
+            rejected += 1
+        factor = 0.9 * err ** -0.2 if err > 0 else 5.0
+        h *= min(5.0, max(0.2, factor))
+    return (np.array(times), np.array(states), np.array(derivs),
+            accepted, rejected)
+
+
+@pytest.mark.parametrize("mirror, p, every", [
+    (PthPowerMap(4), 4, 16),
+    (EuclideanMap(), 3, 4),
+], ids=["pth_power_4", "euclidean"])
+def test_adaptive_matches_reference_step_doubling_bitwise(mirror, p, every):
+    sys = build_el_system(mirror, quadratic_2d(), polynomial_triple(p, 1.0))
+    x0 = np.array([1.0, -1.0])
+    t0, t_end, rel_tol, abs_tol = 0.1, 3.0, 1e-7, 1e-11
+    h0 = (t_end - t0) / 100.0
+    times, states, derivs, accepted, rejected = _reference_step_doubling(
+        sys.vector_field, sys.initial_state_from(x0, t0), t0, t_end,
+        rel_tol, abs_tol, h0, every)
+    sys, calls = _counting(sys)
+    traj = integrate(sys, x0, t0, t_end,
+                     {"method": "rk4_adaptive", "rel_tol": rel_tol,
+                      "abs_tol": abs_tol, "record_every": every})
+    stats = traj.step_stats
+    assert rejected > 0 and accepted > every
+    assert (stats["accepted"], stats["rejected"]) == (accepted, rejected)
+    assert traj.times.tobytes() == times.tobytes()
+    assert traj.states.tobytes() == states.tobytes()
+    assert traj.derivs.tobytes() == derivs.tobytes()
+    assert stats["field_evals"] == calls[0]
+    assert stats["field_evals"] == 10 * (accepted + rejected) + accepted + 1
 
 
 def test_trajectory_interpolation_nodes_and_range():
@@ -503,6 +658,16 @@ def test_rescaled_flow_floor_freezes_critical_point():
     sys = build_rescaled_gradient_flow(quadratic_2d(), 3)
     traj = integrate(sys, np.zeros(2), 0.0, 1.0, {"method": "rk4", "steps": 50})
     np.testing.assert_array_equal(traj.states, np.zeros_like(traj.states))
+
+
+def test_rescaled_flow_records_fractional_p():
+    sys = build_rescaled_gradient_flow(quadratic_2d(), 2.5)
+    assert sys.params["p"] == 2.5
+    # the field integrates with the same p: ||grad f||^{(p-2)/(p-1)} scaling
+    x = np.array([1.0, 1.0])
+    g = quadratic_2d().gradient(x)
+    expected = -g / np.linalg.norm(g) ** (0.5 / 1.5)
+    np.testing.assert_allclose(sys.vector_field(0.0, x), expected, rtol=1e-15)
 
 
 def test_rescaled_flow_rejects_p_below_two():

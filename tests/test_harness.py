@@ -428,6 +428,18 @@ def test_cli_config_error_is_exit_two(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("integration", [
+    {"method": "rk4"},
+    {"method": "rk4_adaptive", "initial_step": -1},
+    {"method": "rk4_adaptive", "abs_tol": 0},
+], ids=["rk4_without_steps", "negative_initial_step", "zero_abs_tol"])
+def test_cli_bad_integrator_controls_are_exit_two(tmp_path, capsys, integration):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"integration": integration}))
+    assert main(["flow", "--config", str(path)]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_cli_usage_error_is_exit_two(capsys):
     assert main(["flow", "--scale", "gigantic"]) == 2
     capsys.readouterr()
