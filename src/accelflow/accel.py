@@ -71,36 +71,6 @@ def _blown(v: np.ndarray) -> bool:
     return not np.all(np.isfinite(v)) or float(np.linalg.norm(v)) > DIVERGENCE_THRESHOLD
 
 
-def _json_safe(value):
-    """Recursively convert a value into something json.dumps accepts.
-
-    Long arrays are reduced to summary statistics so summaries stay small.
-    """
-    if isinstance(value, np.ndarray):
-        if value.size <= 64:
-            return [_json_safe(v) for v in value.tolist()]
-        flat = value.ravel()
-        finite = flat[np.isfinite(flat)]
-        return {
-            "n": int(flat.size),
-            "min": float(np.min(finite)) if finite.size else None,
-            "max": float(np.max(finite)) if finite.size else None,
-            "final": _json_safe(flat[-1]),
-        }
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (np.floating, float)):
-        value = float(value)
-        return value if math.isfinite(value) else None
-    if isinstance(value, (np.integer, int)):
-        return int(value)
-    if isinstance(value, dict):
-        return {str(k): _json_safe(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_json_safe(v) for v in value]
-    return value
-
-
 @dataclass
 class RunRecord:
     """Everything a discrete-time run produced, aligned by iteration index.
@@ -225,8 +195,11 @@ class RunRecord:
 
     def summary(self) -> dict:
         """JSON-able digest: config, termination, final gaps, invariants."""
+        # a module-level import would be circular: harness imports this module
+        from .harness.reporting import jsonable
+
         report = self.invariant_report()
-        return _json_safe(
+        return jsonable(
             {
                 "algorithm": self.algorithm,
                 "config": self.config,
@@ -589,7 +562,7 @@ def accelerated(f: ObjectiveOracle, cfg: AccelConfig, K: int) -> RunRecord:
         except SolverError:
             termination = {"status": "solver_error", "k": k}
             break
-        g = f.gradient(y)
+        g = cert.grad_y
         weight = rising_factorial(k, p - 1)
         w = w - (eps * C * p * weight) * g
         z = h.dual_gradient(w)

@@ -27,12 +27,14 @@ class FlowSystem:
 
     The state dimension is len(blocks) * d where d is fixed by the initial
     point; layout(d) maps block names to slices. Systems are immutable and
-    the field is pure, so integrations may run concurrently.
+    the field is pure, so integrations may run concurrently. The f-gap of a
+    state is that of its first block, available when the objective declares
+    its minimum value.
     """
 
     def __init__(self, kind, blocks, vector_field, initial_state_from,
                  valid_from=0.0, objective=None, mirror=None, scaling=None,
-                 params=None, energy=None, gap=None):
+                 params=None, energy=None):
         self.kind = kind
         self.blocks = tuple(blocks)
         self.vector_field = vector_field
@@ -43,7 +45,6 @@ class FlowSystem:
         self.scaling = scaling
         self.params = dict(params or {})
         self._energy = energy
-        self._gap = gap
 
     def layout(self, d: int) -> dict[str, slice]:
         return {name: slice(i * d, (i + 1) * d) for i, name in enumerate(self.blocks)}
@@ -57,7 +58,7 @@ class FlowSystem:
 
     @property
     def has_gap(self) -> bool:
-        return self._gap is not None
+        return self.objective is not None and self.objective.min_value is not None
 
     def energy_value(self, t: float, state: np.ndarray) -> float:
         if self._energy is None:
@@ -65,9 +66,10 @@ class FlowSystem:
         return self._energy(t, state)
 
     def gap_value(self, t: float, state: np.ndarray) -> float:
-        if self._gap is None:
+        if not self.has_gap:
             raise CapabilityError(f"{self.kind} system has no known optimum")
-        return self._gap(t, state)
+        d = state.size // len(self.blocks)
+        return self.objective.value(state[:d]) - self.objective.min_value
 
 
 def _probe_grid(valid_from: float):
@@ -115,17 +117,10 @@ def build_el_system(h: MirrorMap, f: ObjectiveOracle, s: ScalingTriple,
             d = y.size // 2
             return energy_at(h, f, s, t, y[:d], y[d:], x_star)
 
-    gap = None
-    if f.min_value is not None:
-        fmin = f.min_value
-
-        def gap(t, y):
-            return f.value(y[: y.size // 2]) - fmin
-
     return FlowSystem(
         kind, ("X", "W"), field, init,
         valid_from=s.valid_from, objective=f, mirror=h, scaling=s,
-        params={"family": s.family}, energy=energy, gap=gap,
+        params={"family": s.family}, energy=energy,
     )
 
 
@@ -187,17 +182,10 @@ def build_hamiltonian_system(h: MirrorMap, f: ObjectiveOracle,
             w = h.gradient(x) + math.exp(-s.gamma(t)) * pp
             return energy_at(h, f, s, t, x, w, x_star)
 
-    gap = None
-    if f.min_value is not None:
-        fmin = f.min_value
-
-        def gap(t, y):
-            return f.value(y[: y.size // 2]) - fmin
-
     return FlowSystem(
         "hamiltonian", ("X", "P"), field, init,
         valid_from=s.valid_from, objective=f, mirror=h, scaling=s,
-        params={"family": s.family}, energy=energy, gap=gap,
+        params={"family": s.family}, energy=energy,
     )
 
 
@@ -220,17 +208,10 @@ def build_rescaled_gradient_flow(f: ObjectiveOracle, p: float,
             return np.zeros_like(y)
         return -g / n ** expo
 
-    gap = None
-    if f.min_value is not None:
-        fmin = f.min_value
-
-        def gap(t, y):
-            return f.value(y) - fmin
-
     return FlowSystem(
         "rescaled_gradient", ("X",), field, lambda x0, t0: as_point(x0),
         valid_from=0.0, objective=f,
-        params={"p": float(p), "gradient_floor": gradient_floor}, gap=gap,
+        params={"p": float(p), "gradient_floor": gradient_floor},
     )
 
 
@@ -249,16 +230,9 @@ def build_natural_gradient_flow(h: MirrorMap, f: ObjectiveOracle) -> FlowSystem:
                 f"singular mirror Hessian on the trajectory at state {y}"
             ) from None
 
-    gap = None
-    if f.min_value is not None:
-        fmin = f.min_value
-
-        def gap(t, y):
-            return f.value(y) - fmin
-
     return FlowSystem(
         "natural_gradient", ("X",), field, lambda x0, t0: as_point(x0),
-        valid_from=0.0, objective=f, mirror=h, gap=gap,
+        valid_from=0.0, objective=f, mirror=h,
     )
 
 
@@ -302,15 +276,8 @@ def build_euclidean_r_system(f: ObjectiveOracle, r: float,
         x0 = as_point(x0)
         return np.concatenate([x0, np.zeros_like(x0)])
 
-    gap = None
-    if f.min_value is not None:
-        fmin = f.min_value
-
-        def gap(t, y):
-            return f.value(y[: y.size // 2]) - fmin
-
     return FlowSystem(
         "euclidean_r", ("X", "V"), field, init,
         valid_from=t_min, objective=f,
-        params={"r": float(r), "force_scaling": tag}, gap=gap,
+        params={"r": float(r), "force_scaling": tag},
     )

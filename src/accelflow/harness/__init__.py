@@ -1,7 +1,10 @@
-"""Experiment harness: configs, runners, the acceptance suite, and the CLI."""
+"""Experiment harness: configs, runners, the check library and the acceptance suite.
+
+The command-line front end lives in accelflow.harness.cli and is not
+imported here, so `python -m accelflow.harness.cli` runs it cleanly.
+"""
 
 from .acceptance import CHECKS, DEFAULT_SUITE_SEED, acceptance_suite
-from .cli import build_parser, main
 from .config import (
     CONFIG_FIELDS,
     FLOW_FAMILIES,
@@ -35,11 +38,9 @@ __all__ = [
     "ExperimentConfig",
     "ReportSummary",
     "acceptance_suite",
-    "build_parser",
     "config_from",
     "load_config",
     "log_gap_columns",
-    "main",
     "run_experiment",
     "validate_summary",
     "write_plot_data",

@@ -14,6 +14,11 @@ polynomial-flow integrations feed both the rate check and the energy check;
 the five accelerated runs feed three checks), and each check writes its
 trajectory/iterate CSVs plus log-log plot data under its own subdirectory,
 so independent checks could run concurrently without file collisions.
+
+The tolerances, the artifact writer and every measurement a verdict is built
+from live in checks.py, which the experiment kinds share; this module holds
+the registry, the context cache, each check's run parameters, and its
+verdict and detail strings.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from ..accel import (
+    ESTIMATE_TOL,
     AccelConfig,
     accelerated,
     higher_order_descent,
@@ -42,43 +48,43 @@ from ..core import (
 )
 from ..errors import InputError
 from ..flows import (
-    TimeDilation,
     build_el_system,
     build_euclidean_r_system,
     build_hamiltonian_system,
     build_massless_system,
     build_natural_gradient_flow,
     build_rescaled_gradient_flow,
-    dilate_trajectory,
-    dilate_triple,
-    fit_rate,
     integrate,
-    rescaled_flow_energy,
 )
 from ..taylorstep import StepConfig, g_step, smoothness_epsilon
-from .reporting import CheckResult, ReportSummary, log_gap_columns, write_plot_data
+from .checks import (
+    CORRESPONDENCE_FACTOR,
+    DILATION_SUP_TOL,
+    DUAL_NORM_TOL,
+    ENERGY_REL_SLACK,
+    HAMILTONIAN_SUP_TOL,
+    NAIVE_STEP_BUDGET,
+    NATURAL_MOTION_SUP_TOL,
+    PRIMARY_MONITOR_FLOOR,
+    RESCALED_EXACT_SUP_TOL,
+    SLOPE_SLACK,
+    TRIPLE_GRID_TOL,
+    UC_FLOW_REL_SLACK,
+    UNIT_FORCE_SLOPE_SLACK,
+    ArtifactWriter,
+    dilation_mismatch,
+    gap_ratios,
+    limit_distance,
+    masked_slope,
+    max_relative_energy_rise,
+    rescaled_monitor_margins,
+    triple_grid_defect,
+    worst_bound_ratio,
+    worst_gap_over_certificate,
+)
+from .reporting import CheckResult, ReportSummary
 
 DEFAULT_SUITE_SEED = 20260819
-
-# ---------------------------------------------------------------------------
-# pinned tolerances
-
-SLOPE_SLACK = 0.3  # fitted log-log slope may sit this far above the ideal
-UNIT_FORCE_SLOPE_SLACK = 0.2  # tighter pin for the classical damped oscillator
-ENERGY_REL_SLACK = 1e-6  # sampled energies may tick up by this relative amount
-POINTWISE_REL_SLACK = 1e-6  # f-gap vs its certificate, relative
-DILATION_SUP_TOL = 1e-3  # relabeled vs directly integrated X
-TRIPLE_GRID_TOL = 1e-12  # symbolic triple identity on a grid
-ESTIMATE_FLOOR = 1e-9  # psi(z_k) may undershoot C k^(p) f(y_k) by this
-DUAL_NORM_TOL = 1e-8  # absolute bound on ||grad psi_k(z_k)||
-HAMILTONIAN_SUP_TOL = 1e-4
-NATURAL_MOTION_SUP_TOL = 1e-6
-RESCALED_EXACT_SUP_TOL = 1e-5
-UC_FLOW_REL_SLACK = 1e-4
-CORRESPONDENCE_FACTOR = 10.0
-NAIVE_STEP_BUDGET = 100_000
-GAP_FLOOR = 1e-10  # rate fits exclude samples at the numerical floor
-MONITOR_ABS_SLACK = 1e-6  # additive slack on the alternative-monitor increments
 
 
 @dataclass
@@ -94,51 +100,9 @@ class SuiteContext:
     def full(self) -> bool:
         return self.scale == "full"
 
-    def dir(self, check: str) -> Path:
-        path = self.root / check
-        path.mkdir(parents=True, exist_ok=True)
-        return path
-
-    def add_file(self, check: str, name: str) -> None:
-        self.files.append(f"{check}/{name}")
-
-
-def _emit_trajectory(ctx: SuiteContext, check: str, label: str, traj) -> None:
-    """Trajectory CSV plus, when a gap series exists, log-log plot data."""
-    traj.to_csv(ctx.dir(check) / f"{label}.csv")
-    ctx.add_file(check, f"{label}.csv")
-    if traj.f_gap is not None:
-        lx, ly = log_gap_columns(traj.times, traj.f_gap)
-        write_plot_data(
-            ctx.dir(check) / f"{label}_gap_loglog.dat",
-            lx, ly, "log10 t   log10 f-gap",
-        )
-        ctx.add_file(check, f"{label}_gap_loglog.dat")
-
-
-def _emit_record(ctx: SuiteContext, check: str, label: str, rec) -> None:
-    """Iterate CSV plus log-log gap-vs-iteration plot data."""
-    rec.to_csv(ctx.dir(check) / f"{label}.csv")
-    ctx.add_file(check, f"{label}.csv")
-    gaps = rec.f_gaps_y if rec.f_gaps_y is not None else rec.f_gaps_x
-    if gaps is not None:
-        lx, ly = log_gap_columns(np.asarray(rec.ks, dtype=np.float64), gaps)
-        write_plot_data(
-            ctx.dir(check) / f"{label}_gap_loglog.dat",
-            lx, ly, "log10 k   log10 f-gap",
-        )
-        ctx.add_file(check, f"{label}_gap_loglog.dat")
-
-
-def _masked_slope(traj, window) -> float:
-    """Rate fit excluding samples at the numerical gap floor."""
-    gaps = np.where(traj.f_gap < GAP_FLOOR, 0.0, traj.f_gap)
-    return fit_rate(traj.times, gaps, window)
-
-
-def _max_relative_energy_rise(traj) -> float:
-    e = traj.energy
-    return float(np.max(np.diff(e) / np.maximum(e[:-1], 1e-300)))
+    def artifacts(self, check: str) -> ArtifactWriter:
+        """Writer for one check's own subdirectory, listing into files."""
+        return ArtifactWriter(self.root / check, f"{check}/", self.files)
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +147,7 @@ def _polynomial_flow_runs(ctx: SuiteContext) -> list[dict]:
             traj = integrate(build_el_system(maps[mirror_id], f, triple),
                              x0, 0.1, t_end, controls)
             runs.append({"p": p, "mirror": mirror_id, "triple": triple, "traj": traj})
-            _emit_trajectory(ctx, "polynomial_flow_rate", f"p{p}_{mirror_id}", traj)
+            ctx.artifacts("polynomial_flow_rate").trajectory(f"p{p}_{mirror_id}", traj)
     ctx.cache["poly_flows"] = runs
     return runs
 
@@ -198,7 +162,7 @@ def _exponential_flow_run(ctx: SuiteContext):
             np.array([1.0, 1.0]), 0.0, t_end,
             {"method": "rk4_adaptive", "rel_tol": rel, "abs_tol": ab},
         )
-        _emit_trajectory(ctx, "energy_monotonicity", "exponential_c1", traj)
+        ctx.artifacts("energy_monotonicity").trajectory("exponential_c1", traj)
         ctx.cache["exp_flow"] = traj
     return ctx.cache["exp_flow"]
 
@@ -225,7 +189,7 @@ def _accelerated_runs(ctx: SuiteContext) -> list[dict]:
         eps = smoothness_epsilon(f, p)
         rec = accelerated(f, AccelConfig(p=p, epsilon=eps, x0=np.ones(f.dimension)), K)
         runs.append({"problem": name, "p": p, "K": K, "epsilon": eps, "record": rec})
-        _emit_record(ctx, "accelerated_gap_bound", f"{name}_p{p}", rec)
+        ctx.artifacts("accelerated_gap_bound").record(f"{name}_p{p}", rec)
     ctx.cache["accel_runs"] = runs
     return runs
 
@@ -249,11 +213,9 @@ def _check_polynomial_flow_rate(ctx: SuiteContext) -> CheckResult:
     parts = []
     for run in runs:
         traj, triple, p = run["traj"], run["triple"], run["p"]
-        slope = _masked_slope(traj, window)
+        slope = masked_slope(traj, window)
         excess = slope + p
-        beta = np.array([triple.beta(t) for t in traj.times])
-        certificate = traj.energy[0] * np.exp(-beta)
-        point = float(np.max(traj.f_gap / (certificate * (1.0 + POINTWISE_REL_SLACK))))
+        point = worst_gap_over_certificate(traj, triple)
         worst_excess = max(worst_excess, excess)
         worst_point = max(worst_point, point)
         parts.append(f"p={p} {run['mirror']}: slope {slope:+.3f}, gap/cert {point:.3f}")
@@ -278,10 +240,10 @@ def _check_energy_monotonicity(ctx: SuiteContext) -> CheckResult:
     rises = []
     parts = []
     for run in _polynomial_flow_runs(ctx):
-        rise = _max_relative_energy_rise(run["traj"])
+        rise = max_relative_energy_rise(run["traj"])
         rises.append(rise)
         parts.append(f"p={run['p']} {run['mirror']}: {rise:+.2e}")
-    rise = _max_relative_energy_rise(_exponential_flow_run(ctx))
+    rise = max_relative_energy_rise(_exponential_flow_run(ctx))
     rises.append(rise)
     parts.append(f"exponential c=1: {rise:+.2e}")
     worst = max(rises)
@@ -308,45 +270,17 @@ def _check_time_dilation(ctx: SuiteContext) -> CheckResult:
     steps = 20000 if ctx.full() else 6000
     worst_sup = 0.0
     parts = []
+    out = ctx.artifacts("time_dilation_match")
     for p in (3, 4):
-        a = p / 2.0
-        dil = TimeDilation.power(a)
-        source = integrate(
-            build_el_system(EuclideanMap(), f, polynomial_triple(2, 1.0, t_min=0.05)),
-            x0, 0.5**a, hi**a,
-            {"method": "rk4", "steps": steps, "record_every": 2},
-        )
-        direct = integrate(
-            build_el_system(EuclideanMap(), f, polynomial_triple(p, 1.0)),
-            x0, 0.5, hi,
-            {"method": "rk4", "steps": steps, "record_every": 2},
-        )
-        check_times = np.linspace(0.5, hi, 200)
-        relabeled = dilate_trajectory(source, check_times, dil)
-        direct_x = np.array([direct.interp_state(t)[: direct.d] for t in check_times])
-        diff = np.abs(relabeled.block("X") - direct_x)
+        direct, check_times, diff = dilation_mismatch(f, x0, p, 1.0, hi, steps)
         sup = float(np.max(diff))
         worst_sup = max(worst_sup, sup)
         parts.append(f"p=2 -> {p}: sup|dX| = {sup:.2e}")
-        _emit_trajectory(ctx, "time_dilation_match", f"direct_p{p}", direct)
-        write_plot_data(
-            ctx.dir("time_dilation_match") / f"mismatch_p{p}.dat",
-            check_times, np.max(diff, axis=1), "t   sup|X_dilated - X_direct|",
-        )
-        ctx.add_file("time_dilation_match", f"mismatch_p{p}.dat")
-
+        out.trajectory(f"direct_p{p}", direct)
+        out.plot(f"mismatch_p{p}.dat", check_times, np.max(diff, axis=1),
+                 "t   sup|X_dilated - X_direct|")
     # symbolic identity of the relabeled triple, checked on a fixed grid
-    grid = np.linspace(0.5, 10.0, 20)
-    grid_defect = 0.0
-    for p in (3, 4):
-        relabeled = dilate_triple(
-            polynomial_triple(2, 1.0, t_min=0.05), TimeDilation.power(p / 2.0)
-        )
-        target = polynomial_triple(p, 1.0)
-        for t in grid:
-            for fn in ("alpha", "beta", "gamma", "alpha_dot", "beta_dot", "gamma_dot"):
-                defect = abs(getattr(relabeled, fn)(t) - getattr(target, fn)(t))
-                grid_defect = max(grid_defect, defect)
+    grid_defect = max(triple_grid_defect(p, 1.0) for p in (3, 4))
     parts.append(f"triple identity grid defect {grid_defect:.2e}")
     ok = worst_sup <= DILATION_SUP_TOL and grid_defect <= TRIPLE_GRID_TOL
     return CheckResult(
@@ -371,7 +305,7 @@ def _check_accelerated_gap_bound(ctx: SuiteContext) -> CheckResult:
     for run in _accelerated_runs(ctx):
         rec = run["record"]
         report = rec.invariant_report()["rate_bound"]
-        ratio = float(np.max(rec.f_gaps_y[1:] / rec.bound_values[1:]))
+        ratio = worst_bound_ratio(rec)
         worst = max(worst, ratio)
         parts.append(
             f"{run['problem']} p={run['p']} K={run['K']}: worst ratio {ratio:.4f}"
@@ -405,14 +339,14 @@ def _check_estimate_sequence(ctx: SuiteContext) -> CheckResult:
         parts.append(
             f"{run['problem']} p={run['p']}: margin {margin:+.2e}, |grad| {grad:.2e}"
         )
-    ok = margin_min >= -ESTIMATE_FLOOR and grad_max <= DUAL_NORM_TOL
+    ok = margin_min >= -ESTIMATE_TOL and grad_max <= DUAL_NORM_TOL
     return CheckResult(
         name="estimate_sequence_invariants",
         status="pass" if ok else "fail",
         measured=grad_max,
         bound=DUAL_NORM_TOL,
         detail="; ".join(parts),
-        extras={"min_lower_margin": margin_min, "lower_floor": -ESTIMATE_FLOOR},
+        extras={"min_lower_margin": margin_min, "lower_floor": -ESTIMATE_TOL},
     )
 
 
@@ -482,7 +416,7 @@ def _check_plain_method_rate(ctx: SuiteContext) -> CheckResult:
             f"p={p} K={K}: gap/bound {ratio:.4f}"
             + (f", failing: {bad}" if bad else ", all invariants hold")
         )
-        _emit_record(ctx, "plain_method_rate", f"quadratic_p{p}", rec)
+        ctx.artifacts("plain_method_rate").record(f"quadratic_p{p}", rec)
     return CheckResult(
         name="plain_method_rate",
         status="pass" if ok and worst_ratio <= 1.0 else "fail",
@@ -508,23 +442,12 @@ def _check_rescaled_flow(ctx: SuiteContext) -> CheckResult:
     t_end, steps = (30.0, 30000) if ctx.full() else (15.0, 10000)
     traj = integrate(build_rescaled_gradient_flow(f, p), x0, 0.0, t_end,
                      {"method": "rk4", "steps": steps, "record_every": 3})
-    slope = _masked_slope(traj, (1.0, t_end))
-    _emit_trajectory(ctx, "rescaled_flow_descent", "quadratic_p3", traj)
+    slope = masked_slope(traj, (1.0, t_end))
+    ctx.artifacts("rescaled_flow_descent").trajectory("quadratic_p3", traj)
 
-    R = f.level_set_radius(x0)
-    monitors = np.array([
-        rescaled_flow_energy(f, p, t, state[: traj.d], f.minimizer)
-        for t, state in zip(traj.times, traj.states)
-    ])
-    primary, alternative = monitors[:, 0], monitors[:, 1]
-    live = np.isfinite(primary) & (traj.f_gap > GAP_FLOOR)
-    required = (traj.times - traj.times[0]) / ((p - 1.0) * R ** (p / (p - 1.0)))
-    primary_ok = bool(np.all(
-        (primary - primary[0])[live] >= required[live] * (1.0 - 1e-9) - 1e-12
-    ))
-    increments = np.diff(alternative)
-    cap = (p - 1.0) ** (p - 1) * R**p * np.diff(traj.times) + MONITOR_ABS_SLACK
-    alternative_ok = bool(np.all(increments <= cap))
+    R, primary_margin, alternative_margin = rescaled_monitor_margins(f, p, traj)
+    primary_ok = primary_margin >= PRIMARY_MONITOR_FLOOR
+    alternative_ok = alternative_margin >= 0.0
 
     cube = builtin_problems()["power_3"]
     y0 = np.array([1.0, -0.5, 0.25])
@@ -533,7 +456,7 @@ def _check_rescaled_flow(ctx: SuiteContext) -> CheckResult:
                            {"method": "rk4", "steps": steps_exact, "record_every": 2})
     reference = y0[None, :] * np.exp(-exact_traj.times)[:, None]
     sup_exact = float(np.max(np.abs(exact_traj.block("X") - reference)))
-    _emit_trajectory(ctx, "rescaled_flow_descent", "power_3_exact", exact_traj)
+    ctx.artifacts("rescaled_flow_descent").trajectory("power_3_exact", exact_traj)
 
     ok = (
         slope <= -(p - 1) + SLOPE_SLACK
@@ -567,13 +490,13 @@ def _check_naive_vs_matched(ctx: SuiteContext) -> CheckResult:
     x0 = np.array([1.0, 1.0])
     naive = naive_discretization(f, EuclideanMap(), 3, 0.25, 0.01, x0, NAIVE_STEP_BUDGET)
     diverged = naive.termination["status"] == "diverged"
-    _emit_record(ctx, "naive_vs_matched", "naive_p3", naive)
+    ctx.artifacts("naive_vs_matched").record("naive_p3", naive)
 
     K = 2000 if ctx.full() else 300
     matched = accelerated(f, AccelConfig(p=3, epsilon=0.01, x0=x0), K)
     bound_ok = matched.invariant_report()["rate_bound"]["ok"]
-    ratio = float(np.max(matched.f_gaps_y[1:] / matched.bound_values[1:]))
-    _emit_record(ctx, "naive_vs_matched", "matched_p3", matched)
+    ratio = worst_bound_ratio(matched)
+    ctx.artifacts("naive_vs_matched").record("matched_p3", matched)
 
     ok = diverged and bound_ok
     return CheckResult(
@@ -605,8 +528,8 @@ def _check_hamiltonian_match(ctx: SuiteContext) -> CheckResult:
     hamiltonian = integrate(build_hamiltonian_system(EuclideanMap(), f, triple),
                             x0, 0.1, 10.0, controls)
     sup = float(np.max(np.abs(lagrangian.block("X") - hamiltonian.block("X"))))
-    _emit_trajectory(ctx, "hamiltonian_lagrangian_match", "euler_lagrange", lagrangian)
-    _emit_trajectory(ctx, "hamiltonian_lagrangian_match", "hamiltonian", hamiltonian)
+    ctx.artifacts("hamiltonian_lagrangian_match").trajectory("euler_lagrange", lagrangian)
+    ctx.artifacts("hamiltonian_lagrangian_match").trajectory("hamiltonian", hamiltonian)
     return CheckResult(
         name="hamiltonian_lagrangian_match",
         status="pass" if sup <= HAMILTONIAN_SUP_TOL else "fail",
@@ -646,7 +569,7 @@ def _check_force_free_motion(ctx: SuiteContext) -> CheckResult:
         sup = float(np.max(np.abs(traj.block("X") - reference)))
         worst = max(worst, sup)
         parts.append(f"{label}: sup {sup:.2e}")
-        _emit_trajectory(ctx, "force_free_motion", label, traj)
+        ctx.artifacts("force_free_motion").trajectory(label, traj)
     return CheckResult(
         name="force_free_motion",
         status="pass" if worst <= NATURAL_MOTION_SUP_TOL else "fail",
@@ -679,16 +602,14 @@ def _check_small_mass_limit(ctx: SuiteContext) -> CheckResult:
             limit_system = build_natural_gradient_flow(mirror, f)
         limit = integrate(limit_system, x0, 0.0, 2.0,
                           {"method": "rk4", "steps": base_steps, "record_every": 10})
-        limit_states = np.array([limit.interp_state(t) for t in check_times])
-        _emit_trajectory(ctx, "small_mass_limit", f"{label}_limit", limit)
+        ctx.artifacts("small_mass_limit").trajectory(f"{label}_limit", limit)
         sups = []
         for m in masses:
             traj = integrate(build_massless_system(mirror, f, m), x0, 0.0, 2.0,
                              {"method": "rk4", "steps": 2 * base_steps,
                               "record_every": 20})
-            states = np.array([traj.interp_state(t)[: traj.d] for t in check_times])
-            sups.append(float(np.max(np.linalg.norm(states - limit_states, axis=1))))
-            _emit_trajectory(ctx, "small_mass_limit", f"{label}_m{m:g}", traj)
+            sups.append(limit_distance(traj, limit, check_times))
+            ctx.artifacts("small_mass_limit").trajectory(f"{label}_m{m:g}", traj)
         chains[label] = sups
         parts.append(f"{label}: " + " > ".join(f"{v:.3g}" for v in sups))
     ok = all(s[0] > s[1] > s[2] for s in chains.values())
@@ -720,11 +641,11 @@ def _check_damped_oscillator_threshold(ctx: SuiteContext) -> CheckResult:
     for force, r, limit in cases:
         traj = integrate(build_euclidean_r_system(f, r, force), x0, 0.1, t_end,
                          {"method": "rk4", "steps": steps, "record_every": 3})
-        slope = _masked_slope(traj, (1.0, t_end))
+        slope = masked_slope(traj, (1.0, t_end))
         worst_excess = max(worst_excess, slope - limit)
         tag = "unit" if force == "unit" else "matched"
         parts.append(f"{tag} r={r}: slope {slope:+.3f} (limit {limit:+.1f})")
-        _emit_trajectory(ctx, "damped_oscillator_threshold", f"{tag}_r{r}", traj)
+        ctx.artifacts("damped_oscillator_threshold").trajectory(f"{tag}_r{r}", traj)
     return CheckResult(
         name="damped_oscillator_threshold",
         status="pass" if worst_excess <= 0.0 else "fail",
@@ -749,7 +670,7 @@ def _check_uniformly_convex_discrete(ctx: SuiteContext) -> CheckResult:
     K = 500 if ctx.full() else 200
     rec = higher_order_descent(quad, StepConfig(2, 0.1, 2.0), np.array([1.0, 1.0]), K)
     linear = uniformly_convex_descent_rate_check(rec, quad)
-    _emit_record(ctx, "uniformly_convex_discrete", "geometric_descent", rec)
+    ctx.artifacts("uniformly_convex_discrete").record("geometric_descent", rec)
     parts = [
         f"geometric bound {'ok' if linear['bound_ok'] else 'VIOLATED'} "
         f"(rate {linear['rate']:.4f}), increments "
@@ -770,7 +691,7 @@ def _check_uniformly_convex_discrete(ctx: SuiteContext) -> CheckResult:
             f"restart {name} (m={restart.extras['m']}): worst epoch ratio {ratio:.3f}"
             + (f", failing: {bad}" if bad else "")
         )
-        _emit_record(ctx, "uniformly_convex_discrete", f"restart_{name}", restart)
+        ctx.artifacts("uniformly_convex_discrete").record(f"restart_{name}", restart)
     ok = linear["bound_ok"] and linear["increment_ok"] and restarts_ok \
         and worst_ratio <= math.exp(-1.0)
     return CheckResult(
@@ -803,7 +724,7 @@ def _check_uniformly_convex_flow(ctx: SuiteContext) -> CheckResult:
         ratio = float(np.max(traj.f_gap / (envelope * (1.0 + UC_FLOW_REL_SLACK))))
         worst = max(worst, ratio)
         parts.append(f"p={p} (sigma={sigma:g}): worst gap/envelope {ratio:.4f}")
-        _emit_trajectory(ctx, "uniformly_convex_flow", f"power_{p}", traj)
+        ctx.artifacts("uniformly_convex_flow").trajectory(f"power_{p}", traj)
     return CheckResult(
         name="uniformly_convex_flow",
         status="pass" if worst <= 1.0 else "fail",
@@ -832,21 +753,11 @@ def _check_flow_method_correspondence(ctx: SuiteContext) -> CheckResult:
         x0, 0.1, 10.5,
         {"method": "rk4_adaptive", "rel_tol": 1e-9, "abs_tol": 1e-12},
     )
-    _emit_record(ctx, "flow_method_correspondence", "accelerated_p2", rec)
-    _emit_trajectory(ctx, "flow_method_correspondence", "flow_p2", flow)
-    times = []
-    ratios = []
-    for k, gap in zip(rec.ks, rec.f_gaps_x):
-        t = delta * k
-        if 1.0 <= t <= 10.0:
-            flow_gap = f.value(flow.interp_state(t)[: flow.d]) - f.min_value
-            times.append(t)
-            ratios.append(gap / flow_gap)
-    ratios = np.asarray(ratios)
-    worst = float(np.max(np.maximum(ratios, 1.0 / ratios)))
-    write_plot_data(ctx.dir("flow_method_correspondence") / "gap_ratio.dat",
-                    np.asarray(times), ratios, "t = delta k   method-gap / flow-gap")
-    ctx.add_file("flow_method_correspondence", "gap_ratio.dat")
+    out = ctx.artifacts("flow_method_correspondence")
+    out.record("accelerated_p2", rec)
+    out.trajectory("flow_p2", flow)
+    times, ratios, worst = gap_ratios(f, rec, flow, delta, 1.0, 10.0)
+    out.plot("gap_ratio.dat", times, ratios, "t = delta k   method-gap / flow-gap")
     return CheckResult(
         name="flow_method_correspondence",
         status="pass" if worst <= CORRESPONDENCE_FACTOR else "fail",
@@ -870,7 +781,7 @@ def _check_rerun_determinism(ctx: SuiteContext) -> CheckResult:
     roots = []
     for tag in ("run_a", "run_b"):
         sub = SuiteContext(scale="quick", seed=ctx.seed,
-                           root=ctx.dir("rerun_determinism") / tag)
+                           root=ctx.root / "rerun_determinism" / tag)
         for spec in CHECKS:
             if spec.name == "rerun_determinism":
                 continue

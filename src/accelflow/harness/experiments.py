@@ -3,8 +3,9 @@
 Every kind runs deterministically from its config (the seed is recorded even
 where nothing draws random numbers), evaluates the checks that the chosen
 dynamics certify, and — when an output directory is configured — emits the
-trace CSV, log-log plot data, and a schema-valid summary.json. Tolerances are
-the pinned suite constants, so an experiment and the acceptance check it
+trace CSV, log-log plot data, and a schema-valid summary.json. Tolerances,
+the artifact writer and the measurements come from checks.py, the module the
+acceptance suite uses too, so an experiment and the acceptance check it
 mirrors can never drift apart.
 """
 
@@ -12,7 +13,6 @@ from __future__ import annotations
 
 import math
 import time
-from pathlib import Path
 
 import numpy as np
 
@@ -27,70 +27,35 @@ from ..accel import (
 from ..core import EuclideanMap, exponential_triple, polynomial_triple
 from ..errors import InputError
 from ..flows import (
-    TimeDilation,
     build_el_system,
     build_massless_system,
     build_natural_gradient_flow,
     build_rescaled_gradient_flow,
-    dilate_trajectory,
-    dilate_triple,
-    fit_rate,
     integrate,
-    rescaled_flow_energy,
 )
 from ..taylorstep import StepConfig, smoothness_epsilon
-from .acceptance import (
+from .acceptance import acceptance_suite
+from .checks import (
     CORRESPONDENCE_FACTOR,
     DILATION_SUP_TOL,
     ENERGY_REL_SLACK,
-    GAP_FLOOR,
-    MONITOR_ABS_SLACK,
-    POINTWISE_REL_SLACK,
+    PRIMARY_MONITOR_FLOOR,
     SLOPE_SLACK,
     TRIPLE_GRID_TOL,
-    acceptance_suite,
+    ArtifactWriter,
+    dilation_mismatch,
+    gap_ratios,
+    limit_distance,
+    masked_slope,
+    max_relative_energy_rise,
+    report_checks,
+    rescaled_monitor_margins,
+    triple_grid_defect,
+    worst_bound_ratio,
+    worst_gap_over_certificate,
 )
 from .config import ExperimentConfig
-from .reporting import CheckResult, ReportSummary, log_gap_columns, write_plot_data
-
-
-class _Emitter:
-    """Collects artifacts for one experiment; writes only when out is set."""
-
-    def __init__(self, out: str | None):
-        self.root = None if out is None else Path(out)
-        if self.root is not None:
-            self.root.mkdir(parents=True, exist_ok=True)
-        self.files: list[str] = []
-
-    def trajectory(self, label: str, traj) -> None:
-        if self.root is None:
-            return
-        traj.to_csv(self.root / f"{label}.csv")
-        self.files.append(f"{label}.csv")
-        if traj.f_gap is not None:
-            lx, ly = log_gap_columns(traj.times, traj.f_gap)
-            write_plot_data(self.root / f"{label}_gap_loglog.dat",
-                            lx, ly, "log10 t   log10 f-gap")
-            self.files.append(f"{label}_gap_loglog.dat")
-
-    def record(self, label: str, rec) -> None:
-        if self.root is None:
-            return
-        rec.to_csv(self.root / f"{label}.csv")
-        self.files.append(f"{label}.csv")
-        gaps = rec.f_gaps_y if rec.f_gaps_y is not None else rec.f_gaps_x
-        if gaps is not None:
-            lx, ly = log_gap_columns(np.asarray(rec.ks, dtype=np.float64), gaps)
-            write_plot_data(self.root / f"{label}_gap_loglog.dat",
-                            lx, ly, "log10 k   log10 f-gap")
-            self.files.append(f"{label}_gap_loglog.dat")
-
-    def plot(self, name: str, xs, ys, comment: str) -> None:
-        if self.root is None:
-            return
-        write_plot_data(self.root / name, xs, ys, comment)
-        self.files.append(name)
+from .reporting import CheckResult, ReportSummary
 
 
 def _merge_controls(cfg: ExperimentConfig, defaults: dict) -> tuple[float, float, dict]:
@@ -115,8 +80,7 @@ def _default_window(t0: float, t_end: float) -> tuple[float, float]:
 
 
 def _slope_check(traj, window, limit) -> CheckResult:
-    gaps = np.where(traj.f_gap < GAP_FLOOR, 0.0, traj.f_gap)
-    slope = fit_rate(traj.times, gaps, window)
+    slope = masked_slope(traj, window)
     return CheckResult(
         name="rate_slope",
         status="pass" if slope <= limit else "fail",
@@ -127,7 +91,7 @@ def _slope_check(traj, window, limit) -> CheckResult:
 
 
 def _energy_check(traj) -> CheckResult:
-    rise = float(np.max(np.diff(traj.energy) / np.maximum(traj.energy[:-1], 1e-300)))
+    rise = max_relative_energy_rise(traj)
     return CheckResult(
         name="energy_monotone",
         status="pass" if rise <= ENERGY_REL_SLACK else "fail",
@@ -138,9 +102,7 @@ def _energy_check(traj) -> CheckResult:
 
 
 def _pointwise_check(traj, triple) -> CheckResult:
-    beta = np.array([triple.beta(t) for t in traj.times])
-    certificate = traj.energy[0] * np.exp(-beta)
-    worst = float(np.max(traj.f_gap / (certificate * (1.0 + POINTWISE_REL_SLACK))))
+    worst = worst_gap_over_certificate(traj, triple)
     return CheckResult(
         name="pointwise_certificate",
         status="pass" if worst <= 1.0 else "fail",
@@ -150,27 +112,11 @@ def _pointwise_check(traj, triple) -> CheckResult:
     )
 
 
-def _report_checks(report: dict) -> list[CheckResult]:
-    """One CheckResult per invariant-report entry (worst margin as measured)."""
-    out = []
-    for name, entry in report.items():
-        worst = entry.get("worst")
-        out.append(CheckResult(
-            name=name,
-            status="pass" if entry["ok"] else "fail",
-            measured=None if worst is None else float(worst),
-            bound=0.0 if worst is not None else None,
-            detail=f"{entry.get('checked', 0)} inequalities checked; "
-                   "measured is the worst margin (nonnegative is satisfied)",
-        ))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # per-kind runners
 
 
-def _run_flow(cfg: ExperimentConfig, emit: _Emitter) -> list[CheckResult]:
+def _run_flow(cfg: ExperimentConfig, emit: ArtifactWriter) -> list[CheckResult]:
     f = cfg.problem_oracle()
     x0 = cfg.resolved_x0()
     family = cfg.method.get("family", "polynomial")
@@ -232,10 +178,7 @@ def _run_flow(cfg: ExperimentConfig, emit: _Emitter) -> list[CheckResult]:
                        "steps": max(int(controls.get("steps", 40000)) // 2, 1000),
                        "record_every": 10})
     emit.trajectory("limit_flow", limit)
-    check_times = np.linspace(t0, t_end, 101)
-    states = np.array([traj.interp_state(t)[: traj.d] for t in check_times])
-    limit_states = np.array([limit.interp_state(t) for t in check_times])
-    sup = float(np.max(np.linalg.norm(states - limit_states, axis=1)))
+    sup = limit_distance(traj, limit, np.linspace(t0, t_end, 101))
     finite = bool(np.all(np.isfinite(traj.states)))
     return [
         CheckResult(
@@ -265,24 +208,11 @@ def _rescaled_monitor_checks(f, p: int, traj) -> list[CheckResult]:
         )
         return [skip, CheckResult(name="alternative_monitor", status="skip",
                                   detail=skip.detail)]
-    R = f.level_set_radius(traj.states[0][: traj.d])
-    monitors = np.array([
-        rescaled_flow_energy(f, p, t, state[: traj.d], f.minimizer)
-        for t, state in zip(traj.times, traj.states)
-    ])
-    primary, alternative = monitors[:, 0], monitors[:, 1]
-    live = np.isfinite(primary) & (traj.f_gap > GAP_FLOOR)
-    required = (traj.times - traj.times[0]) / ((p - 1.0) * R ** (p / (p - 1.0)))
-    margin = float(np.min(
-        ((primary - primary[0]) - required * (1.0 - 1e-9))[live]
-    )) if np.any(live) else 0.0
-    increments = np.diff(alternative)
-    cap = (p - 1.0) ** (p - 1) * R**p * np.diff(traj.times) + MONITOR_ABS_SLACK
-    alt_margin = float(np.min(cap - increments))
+    _, margin, alt_margin = rescaled_monitor_margins(f, p, traj)
     return [
         CheckResult(
             name="primary_monitor",
-            status="pass" if margin >= -1e-12 else "fail",
+            status="pass" if margin >= PRIMARY_MONITOR_FLOOR else "fail",
             measured=margin,
             bound=0.0,
             detail="inverse-gap growth vs its guaranteed linear rate "
@@ -298,7 +228,7 @@ def _rescaled_monitor_checks(f, p: int, traj) -> list[CheckResult]:
     ]
 
 
-def _run_optimize(cfg: ExperimentConfig, emit: _Emitter) -> list[CheckResult]:
+def _run_optimize(cfg: ExperimentConfig, emit: ArtifactWriter) -> list[CheckResult]:
     f = cfg.problem_oracle()
     x0 = cfg.resolved_x0()
     algorithm = cfg.method.get("algorithm", "accelerated")
@@ -345,10 +275,10 @@ def _run_optimize(cfg: ExperimentConfig, emit: _Emitter) -> list[CheckResult]:
             f, StepConfig(p, epsilon, float(cfg.method.get("N", 2.0))), x0, K
         )
     emit.record("iterates", rec)
-    return _report_checks(rec.invariant_report())
+    return report_checks(rec.invariant_report())
 
 
-def _run_compare(cfg: ExperimentConfig, emit: _Emitter) -> list[CheckResult]:
+def _run_compare(cfg: ExperimentConfig, emit: ArtifactWriter) -> list[CheckResult]:
     f = cfg.problem_oracle()
     x0 = cfg.resolved_x0()
     p = int(cfg.method.get("p", 2))
@@ -371,17 +301,8 @@ def _run_compare(cfg: ExperimentConfig, emit: _Emitter) -> list[CheckResult]:
     )
     emit.record("iterates", rec)
     emit.trajectory("flow", flow)
-    times, ratios = [], []
-    for k, gap in zip(rec.ks, rec.f_gaps_x):
-        t = delta * k
-        if lo <= t <= hi:
-            flow_gap = f.value(flow.interp_state(t)[: flow.d]) - f.min_value
-            times.append(t)
-            ratios.append(gap / flow_gap)
-    ratios = np.asarray(ratios)
-    worst = float(np.max(np.maximum(ratios, 1.0 / ratios)))
-    emit.plot("gap_ratio.dat", np.asarray(times), ratios,
-              "t = delta k   method-gap / flow-gap")
+    times, ratios, worst = gap_ratios(f, rec, flow, delta, lo, hi)
+    emit.plot("gap_ratio.dat", times, ratios, "t = delta k   method-gap / flow-gap")
     return [CheckResult(
         name="within_factor",
         status="pass" if worst <= factor else "fail",
@@ -392,41 +313,19 @@ def _run_compare(cfg: ExperimentConfig, emit: _Emitter) -> list[CheckResult]:
     )]
 
 
-def _run_dilation_check(cfg: ExperimentConfig, emit: _Emitter) -> list[CheckResult]:
+def _run_dilation_check(cfg: ExperimentConfig, emit: ArtifactWriter) -> list[CheckResult]:
     f = cfg.problem_oracle()
     x0 = cfg.resolved_x0()
     p = int(cfg.method.get("p", 4))
     if p not in (3, 4):
         raise InputError("dilation_check relabels the order-2 flow; p must be 3 or 4")
     C = float(cfg.method.get("C", 1.0))
-    a = p / 2.0
-    dilation = TimeDilation.power(a)
-    controls = {"method": "rk4", "steps": 20000, "record_every": 2}
-    source = integrate(
-        build_el_system(EuclideanMap(), f, polynomial_triple(2, C, t_min=0.05)),
-        x0, 0.5**a, 10.0**a, controls,
-    )
-    direct = integrate(
-        build_el_system(EuclideanMap(), f, polynomial_triple(p, C)),
-        x0, 0.5, 10.0, controls,
-    )
-    check_times = np.linspace(0.5, 10.0, 200)
-    relabeled = dilate_trajectory(source, check_times, dilation)
-    direct_x = np.array([direct.interp_state(t)[: direct.d] for t in check_times])
-    diff = np.abs(relabeled.block("X") - direct_x)
+    direct, check_times, diff = dilation_mismatch(f, x0, p, C, 10.0, 20000)
     sup = float(np.max(diff))
     emit.trajectory("direct", direct)
     emit.plot("mismatch.dat", check_times, np.max(diff, axis=1),
               "t   sup|X_dilated - X_direct|")
-
-    grid = np.linspace(0.5, 10.0, 20)
-    target = polynomial_triple(p, C)
-    relabeled_triple = dilate_triple(polynomial_triple(2, C, t_min=0.05), dilation)
-    defect = max(
-        abs(getattr(relabeled_triple, fn)(t) - getattr(target, fn)(t))
-        for t in grid
-        for fn in ("alpha", "beta", "gamma", "alpha_dot", "beta_dot", "gamma_dot")
-    )
+    defect = triple_grid_defect(p, C)
     return [
         CheckResult(
             name="trajectory_match",
@@ -445,7 +344,7 @@ def _run_dilation_check(cfg: ExperimentConfig, emit: _Emitter) -> list[CheckResu
     ]
 
 
-def _run_restart(cfg: ExperimentConfig, emit: _Emitter) -> list[CheckResult]:
+def _run_restart(cfg: ExperimentConfig, emit: ArtifactWriter) -> list[CheckResult]:
     f = cfg.problem_oracle()
     x0 = cfg.resolved_x0()
     epochs = int(cfg.method.get("epochs", 3))
@@ -460,10 +359,10 @@ def _run_restart(cfg: ExperimentConfig, emit: _Emitter) -> list[CheckResult]:
     emit.record("anchors", rec)
     for idx, inner in enumerate(rec.inner):
         emit.record(f"epoch_{idx}", inner)
-    return _report_checks(rec.invariant_report())
+    return report_checks(rec.invariant_report())
 
 
-def _run_naive_demo(cfg: ExperimentConfig, emit: _Emitter) -> list[CheckResult]:
+def _run_naive_demo(cfg: ExperimentConfig, emit: ArtifactWriter) -> list[CheckResult]:
     f = cfg.problem_oracle()
     x0 = cfg.resolved_x0()
     p = int(cfg.method.get("p", 3))
@@ -493,7 +392,7 @@ def _run_naive_demo(cfg: ExperimentConfig, emit: _Emitter) -> list[CheckResult]:
         CheckResult(
             name="accelerated_bound",
             status="pass" if bound_ok else "fail",
-            measured=float(np.max(matched.f_gaps_y[1:] / matched.bound_values[1:])),
+            measured=worst_bound_ratio(matched),
             bound=1.0,
             detail=f"rate-matching run, same epsilon={epsilon:g}, K={accel_K}",
             extras={"bound_ok": bound_ok},
@@ -522,7 +421,7 @@ def run_experiment(cfg: ExperimentConfig) -> ReportSummary:
     if cfg.kind == "acceptance":
         return acceptance_suite(scale=cfg.scale, out_dir=cfg.out, seed=cfg.seed)
     start = time.perf_counter()
-    emit = _Emitter(cfg.out)
+    emit = ArtifactWriter(cfg.out)
     checks = _RUNNERS[cfg.kind](cfg, emit)
     summary = ReportSummary(
         kind=cfg.kind,

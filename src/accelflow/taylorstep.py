@@ -53,12 +53,17 @@ class StepConfig:
             raise InputError(f"N must be positive, got {self.N}")
 
 
-@dataclass
+@dataclass(slots=True)
 class StepCertificate:
-    """Evaluated progress and move-norm inequalities for one update pair."""
+    """Evaluated progress and move-norm inequalities for one update pair.
+
+    grad_y is grad f(y), which callers reuse instead of evaluating it again.
+    Runs keep one certificate per iteration, so instances carry no __dict__.
+    """
 
     x: Point
     y: Point
+    grad_y: Point
     grad_y_norm: float
     progress: float
     progress_lower: float
@@ -87,9 +92,8 @@ def smoothness_epsilon(f, p: int) -> float:
     return math.factorial(p - 1) / f.smoothness_constant(p - 1)
 
 
-def _model_gradient(f, x: Point, u: Point, cfg: StepConfig) -> Point:
-    """Gradient of the regularized Taylor model at displacement u."""
-    g = f.gradient(x)
+def _model_gradient(f, x: Point, g: Point, u: Point, cfg: StepConfig) -> Point:
+    """Gradient of the regularized Taylor model at displacement u; g = grad f(x)."""
     s = cfg.N / cfg.epsilon
     r = float(np.linalg.norm(u))
     out = g + s * r ** (cfg.p - 2.0) * u
@@ -207,11 +211,11 @@ def g_step(f, x: Point, cfg: StepConfig) -> tuple[Point, StepCertificate]:
         # stationary point of the model (all benchmark objectives are convex
         # with their higher Taylor terms vanishing only alongside the
         # gradient at the minimizer)
-        return x.copy(), verify_step_progress(f, x, x.copy(), cfg)
+        return x.copy(), _certify(f, x, x.copy(), cfg, g)
 
     if cfg.p == 2:
         y = x - (cfg.epsilon / cfg.N) * g
-        return y, verify_step_progress(f, x, y, cfg)
+        return y, _certify(f, x, y, cfg, g)
 
     H = f.hessian_dense(x)
     eigvals, eigvecs = np.linalg.eigh(H)
@@ -226,7 +230,7 @@ def g_step(f, x: Point, cfg: StepConfig) -> tuple[Point, StepCertificate]:
         r_hi = math.sqrt(gnorm / s)
         u = _secular_displacement(eigvals, eigvecs, g, s, 1, r_hi)
         y = x + u
-        cert = verify_step_progress(f, x, y, cfg)
+        cert = _certify(f, x, y, cfg, g)
         if cert.residual > RESIDUAL_TARGET * (1.0 + gnorm):
             raise SolverError(
                 f"secular solve left residual {cert.residual:.3e}",
@@ -240,7 +244,7 @@ def g_step(f, x: Point, cfg: StepConfig) -> tuple[Point, StepCertificate]:
     target = 1e-10 * (1.0 + gnorm)
     u = _newton_polish_p4(f, x, g, H, u0, s, target)
     y = x + u
-    cert = verify_step_progress(f, x, y, cfg)
+    cert = _certify(f, x, y, cfg, g)
     if cert.residual > RESIDUAL_LIMIT_P4:
         raise SolverError(
             f"inner solve stalled at residual {cert.residual:.3e} "
@@ -258,6 +262,12 @@ def verify_step_progress(f, x: Point, y: Point, cfg: StepConfig) -> StepCertific
     with it.
     """
     x = as_point(x)
+    return _certify(f, x, y, cfg, f.gradient(x))
+
+
+def _certify(f, x: Point, y: Point, cfg: StepConfig, gx: Point) -> StepCertificate:
+    """verify_step_progress with gx = grad f(x) already evaluated."""
+    x = as_point(x)
     y = as_point(y, dim=x.size)
     gy = f.gradient(y)
     gy_norm = float(np.linalg.norm(gy))
@@ -274,13 +284,13 @@ def verify_step_progress(f, x: Point, y: Point, cfg: StepConfig) -> StepCertific
     else:
         move_hi = math.inf
 
-    residual = float(np.linalg.norm(_model_gradient(f, x, move, cfg)))
+    residual = float(np.linalg.norm(_model_gradient(f, x, gx, move, cfg)))
     ok = (
         progress >= lower - CERT_TOL
         and move_lo - CERT_TOL <= move_norm <= move_hi + CERT_TOL
     )
     return StepCertificate(
-        x=x.copy(), y=y.copy(), grad_y_norm=gy_norm, progress=progress,
+        x=x.copy(), y=y.copy(), grad_y=gy, grad_y_norm=gy_norm, progress=progress,
         progress_lower=lower, move_norm=move_norm,
         move_bounds=(move_lo, move_hi), residual=residual, ok=ok,
     )

@@ -44,7 +44,12 @@ from accelflow.accel import (
     uniformly_convex_descent_rate_check,
 )
 from accelflow.errors import CapabilityError, InputError
-from accelflow.taylorstep import StepConfig, progress_coefficient, smoothness_epsilon
+from accelflow.taylorstep import (
+    StepConfig,
+    progress_coefficient,
+    smoothness_epsilon,
+    verify_step_progress,
+)
 
 RNG_SEED = 20260819
 
@@ -235,6 +240,38 @@ def _quadratic_run(p, K=150, eps=None):
         eps = smoothness_epsilon(f, p)
     cfg = AccelConfig(p=p, epsilon=eps, x0=x0)
     return f, cfg, accelerated(f, cfg, K)
+
+
+class _CountingOracle:
+    """Delegates to an objective oracle and counts its gradient calls."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.gradient_calls = 0
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+    def gradient(self, x):
+        self.gradient_calls += 1
+        return self.inner.gradient(x)
+
+
+@pytest.mark.parametrize("p", [2, 3, 4])
+def test_accelerated_makes_two_gradient_calls_per_iteration(p):
+    # grad f(x_k) for the step and grad f(y_k) for its certificate; the
+    # accumulator and the step residual reuse them
+    f = _CountingOracle(builtin_problems()["quadratic"])
+    K = 20
+    cfg = AccelConfig(p=p, epsilon=smoothness_epsilon(f, p), x0=np.ones(2))
+    rec = accelerated(f, cfg, K)
+    assert rec.termination["status"] == "completed"
+    assert f.gradient_calls == 2 * (K + 1)
+    # the reused values are bit for bit what fresh evaluations give
+    for k, cert in enumerate(rec.certificates):
+        np.testing.assert_array_equal(rec.grad_ys[k], f.inner.gradient(rec.ys[k]))
+        fresh = verify_step_progress(f.inner, rec.xs[k], rec.ys[k], cfg.step_config())
+        assert cert.residual == fresh.residual
 
 
 def test_accelerated_first_coupling_keeps_x0():

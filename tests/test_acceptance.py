@@ -29,6 +29,20 @@ from accelflow.harness import (
 
 CRITERIA = tuple(spec.name for spec in CHECKS)
 
+# rerun_determinism replays the other checks into these two directories and
+# compares them byte for byte in place; the summary never lists the replays
+REPLAY_DIRS = ("rerun_determinism/run_a/", "rerun_determinism/run_b/")
+
+
+def _assert_emitted_exactly(summary, root):
+    """Every listed file exists and every file on disk is listed, the
+    rerun_determinism replays excepted."""
+    on_disk = sorted(str(p.relative_to(root)) for p in root.rglob("*") if p.is_file())
+    replays = [name for name in on_disk if name.startswith(REPLAY_DIRS)]
+    assert replays, "rerun_determinism left no replay files"
+    assert not any(name.startswith(REPLAY_DIRS) for name in summary.files)
+    assert sorted(summary.files) == [n for n in on_disk if n not in replays]
+
 
 @pytest.fixture(scope="session")
 def full_suite(tmp_path_factory):
@@ -67,8 +81,7 @@ def test_summary_document_and_artifacts_on_disk(full_suite):
     statuses = [c["status"] for c in doc["checks"]]
     assert doc["counts"] == {s: statuses.count(s) for s in ("pass", "fail", "skip")}
     assert doc["all_pass"] == (statuses.count("fail") == 0)
-    for name in summary.files:
-        assert (root / name).exists(), f"summary lists missing file {name}"
+    _assert_emitted_exactly(summary, root)
     # the gap curves behind the rate criteria were actually emitted
     assert any(name.endswith("_gap_loglog.dat") for name in summary.files)
 
@@ -81,3 +94,4 @@ def test_quick_suite_through_experiment_config(tmp_path):
     assert summary.all_pass, f"quick-scale failures: {summary.failing()}"
     assert [c.name for c in summary.checks] == list(CRITERIA)
     validate_summary(json.loads((tmp_path / "quick" / "summary.json").read_text()))
+    _assert_emitted_exactly(summary, tmp_path / "quick")

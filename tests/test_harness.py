@@ -19,11 +19,15 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import accelflow
 from accelflow.errors import CapabilityError, InputError
 from accelflow.harness import (
     CHECKS,
@@ -36,11 +40,11 @@ from accelflow.harness import (
     config_from,
     load_config,
     log_gap_columns,
-    main,
     run_experiment,
     validate_summary,
     write_plot_data,
 )
+from accelflow.harness.cli import main
 from accelflow.harness.reporting import jsonable
 
 SCHEMA_PATH = Path(__file__).resolve().parents[1] / "schemas" / "summary.json"
@@ -207,6 +211,14 @@ def test_schema_file_matches_inline_schema():
 # experiment kinds
 
 
+def _assert_emitted_exactly(summary, root, expected):
+    """The files under root and the summary's file list agree both ways, and
+    they are exactly the expected data files plus the summary."""
+    on_disk = sorted(str(p.relative_to(root)) for p in Path(root).rglob("*") if p.is_file())
+    assert sorted(summary.files) == on_disk
+    assert on_disk == sorted([*expected, "summary.json"])
+
+
 def _flow_config(out=None):
     return ExperimentConfig(
         kind="flow",
@@ -226,8 +238,8 @@ def test_flow_experiment_passes_and_emits(tmp_path):
     assert slope.measured <= -2 + 0.3
     doc = json.loads((tmp_path / "summary.json").read_text())
     validate_summary(doc)
-    for name in summary.files:
-        assert (tmp_path / name).exists()
+    _assert_emitted_exactly(summary, tmp_path,
+                            ["trajectory.csv", "trajectory_gap_loglog.dat"])
 
 
 def test_flow_rerun_is_bitwise_identical(tmp_path):
@@ -248,47 +260,57 @@ def test_flow_without_out_emits_nothing(tmp_path):
     assert not list(tmp_path.iterdir())
 
 
-def test_exponential_flow_checks():
+def test_exponential_flow_checks(tmp_path):
     summary = run_experiment(ExperimentConfig(
         kind="flow", method={"family": "exponential", "c": 1.0},
-        integration={"t_end": 4.0},
+        integration={"t_end": 4.0}, out=str(tmp_path),
     ))
     assert summary.all_pass
     assert {c.name for c in summary.checks} == {
         "energy_monotone", "pointwise_certificate",
     }
+    _assert_emitted_exactly(summary, tmp_path,
+                            ["trajectory.csv", "trajectory_gap_loglog.dat"])
 
 
-def test_rescaled_flow_checks():
+def test_rescaled_flow_checks(tmp_path):
     summary = run_experiment(ExperimentConfig(
         kind="flow", method={"family": "rescaled", "p": 3},
-        integration={"t_end": 10.0, "steps": 4000},
+        integration={"t_end": 10.0, "steps": 4000}, out=str(tmp_path),
     ))
     assert summary.all_pass
     names = {c.name for c in summary.checks}
     assert names == {"rate_slope", "primary_monitor", "alternative_monitor"}
+    _assert_emitted_exactly(summary, tmp_path,
+                            ["trajectory.csv", "trajectory_gap_loglog.dat"])
 
 
-def test_massless_flow_checks():
+def test_massless_flow_checks(tmp_path):
     summary = run_experiment(ExperimentConfig(
         kind="flow", method={"family": "massless", "m": 0.01},
-        integration={"steps": 8000},
+        integration={"steps": 8000}, out=str(tmp_path),
     ))
     assert summary.all_pass
     limit = next(c for c in summary.checks if c.name == "limit_distance")
     assert math.isfinite(limit.measured)
+    _assert_emitted_exactly(summary, tmp_path, [
+        "limit_flow.csv", "limit_flow_gap_loglog.dat",
+        "trajectory.csv", "trajectory_gap_loglog.dat",
+    ])
 
 
-def test_optimize_accelerated_all_invariants():
+def test_optimize_accelerated_all_invariants(tmp_path):
     summary = run_experiment(ExperimentConfig(
         kind="optimize",
-        method={"algorithm": "accelerated", "p": 3, "K": 150},
+        method={"algorithm": "accelerated", "p": 3, "K": 150}, out=str(tmp_path),
     ))
     assert summary.all_pass
     assert {c.name for c in summary.checks} == {
         "step_certificates", "estimate_lower", "estimate_upper",
         "dual_optimality", "rate_bound",
     }
+    _assert_emitted_exactly(summary, tmp_path,
+                            ["iterates.csv", "iterates_gap_loglog.dat"])
 
 
 def test_optimize_descent_all_invariants():
@@ -303,14 +325,17 @@ def test_optimize_descent_all_invariants():
     }
 
 
-def test_optimize_exponential_is_diagnostic_only():
+def test_optimize_exponential_is_diagnostic_only(tmp_path):
     summary = run_experiment(ExperimentConfig(
         kind="optimize",
         method={"algorithm": "exponential", "c": 1.0, "delta": 0.1, "K": 100},
+        out=str(tmp_path),
     ))
     assert summary.all_pass  # a skip is not a failure
     assert summary.counts() == {"pass": 0, "fail": 0, "skip": 1}
     assert summary.checks[0].name == "certified_rate"
+    _assert_emitted_exactly(summary, tmp_path,
+                            ["iterates.csv", "iterates_gap_loglog.dat"])
 
 
 def test_misdeclared_smoothness_fails_gap_bound():
@@ -333,15 +358,20 @@ def test_compare_kind_within_factor(tmp_path):
     check = summary.checks[0]
     assert check.name == "within_factor"
     assert check.measured <= 10.0
-    assert (tmp_path / "gap_ratio.dat").exists()
+    _assert_emitted_exactly(summary, tmp_path, [
+        "flow.csv", "flow_gap_loglog.dat", "gap_ratio.dat",
+        "iterates.csv", "iterates_gap_loglog.dat",
+    ])
 
 
-def test_dilation_check_kind():
+def test_dilation_check_kind(tmp_path):
     summary = run_experiment(ExperimentConfig(
-        kind="dilation_check", method={"p": 3},
+        kind="dilation_check", method={"p": 3}, out=str(tmp_path),
     ))
     assert summary.all_pass
     assert {c.name for c in summary.checks} == {"trajectory_match", "triple_identity"}
+    _assert_emitted_exactly(summary, tmp_path,
+                            ["direct.csv", "direct_gap_loglog.dat", "mismatch.dat"])
 
 
 def test_dilation_check_rejects_other_orders():
@@ -349,15 +379,20 @@ def test_dilation_check_rejects_other_orders():
         run_experiment(ExperimentConfig(kind="dilation_check", method={"p": 5}))
 
 
-def test_restart_kind():
+def test_restart_kind(tmp_path):
     summary = run_experiment(ExperimentConfig(
-        kind="restart", method={"epochs": 2},
+        kind="restart", method={"epochs": 2}, out=str(tmp_path),
     ))
     assert summary.all_pass
     assert {c.name for c in summary.checks} == {
         "epoch_contraction", "anchor_envelope", "final_bound",
         "inner_epochs_completed",
     }
+    _assert_emitted_exactly(summary, tmp_path, [
+        "anchors.csv", "anchors_gap_loglog.dat",
+        "epoch_0.csv", "epoch_0_gap_loglog.dat",
+        "epoch_1.csv", "epoch_1_gap_loglog.dat",
+    ])
 
 
 def test_restart_needs_uniform_convexity_for_default_epsilon():
@@ -379,6 +414,10 @@ def test_naive_demo_extras(tmp_path):
     by_name = {c["name"]: c for c in doc["checks"]}
     assert by_name["naive_diverges"]["extras"]["diverged"] is True
     assert by_name["accelerated_bound"]["extras"]["bound_ok"] is True
+    _assert_emitted_exactly(summary, tmp_path, [
+        "accelerated.csv", "accelerated_gap_loglog.dat",
+        "naive.csv", "naive_gap_loglog.dat",
+    ])
 
 
 def test_experiment_summary_validates_against_schema_file(tmp_path):
@@ -438,6 +477,20 @@ def test_cli_bad_integrator_controls_are_exit_two(tmp_path, capsys, integration)
     path.write_text(json.dumps({"integration": integration}))
     assert main(["flow", "--config", str(path)]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_cli_module_runs_under_warnings_as_errors():
+    # `python -m accelflow.harness.cli` must not find the module already
+    # imported by its package (runpy's RuntimeWarning)
+    src = str(Path(accelflow.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src if not path else src + os.pathsep + path}
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "accelflow.harness.cli", "--help"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "usage: accelflow" in proc.stdout
 
 
 def test_cli_usage_error_is_exit_two(capsys):
