@@ -12,8 +12,9 @@ Two families built out of the regularized Taylor step G (see taylorstep):
 Alongside them: a naive discretization of the corresponding continuous-time
 flow (which loses stability — kept as a recorded failure mode, divergence is
 reported rather than raised), an exponential-weight variant (diagnostic
-only), and a restart scheme that turns the accelerated method into a
-linearly convergent one on uniformly convex objectives.
+only; the two share one loop), and a restart scheme that turns the
+accelerated method into a linearly convergent one on uniformly convex
+objectives.
 
 Every run returns a RunRecord holding the iterates, raw objective values,
 step certificates, estimate-sequence values, and the theoretical rate bound
@@ -257,18 +258,28 @@ def _descent_report(rec: RunRecord) -> dict:
         checks["gap_recursion"] = _margin_check(
             (prev - drop + GAP_RECURSION_TOL - nxt)[ok_prev]
         )
-        # increments of e_k = gap^{-1/(p-1)} are bounded below by a constant;
-        # skip once gaps are too small for the difference to carry precision
-        floor = 1e-12 * (1.0 + abs(rec.f_star))
-        live = (prev > floor) & (nxt > floor)
+        live, incs, inc_min = _inverse_gap_increments(gaps, rec.f_star, p, eps, N, R)
         if np.any(live):
-            inc_min = (1.0 / p) * (eps / denom) ** (1.0 / (p - 1.0))
-            e_prev = prev[live] ** (-1.0 / (p - 1.0))
-            e_next = nxt[live] ** (-1.0 / (p - 1.0))
             checks["inverse_gap_increments"] = _margin_check(
-                e_next - e_prev - inc_min * (1.0 - BOUND_RTOL)
+                incs - inc_min * (1.0 - BOUND_RTOL)
             )
     return checks
+
+
+def _inverse_gap_increments(gaps, f_star, p, eps, N, R):
+    """Increments of e_k = gap_k^{-1/(p-1)} and the floor they must clear.
+
+    The plain method gains at least (1/p)(eps/((N+1)R^p))^{1/(p-1)} per
+    step. Pairs where either gap is below 1e-12 (1 + |f*|) are skipped: the
+    difference no longer carries precision there. Returns the live mask
+    over consecutive pairs, the live increments and the required increment.
+    """
+    inc_min = (1.0 / p) * (eps / ((N + 1.0) * R**p)) ** (1.0 / (p - 1.0))
+    floor = 1e-12 * (1.0 + abs(f_star))
+    prev, nxt = gaps[:-1], gaps[1:]
+    live = (prev > floor) & (nxt > floor)
+    incs = nxt[live] ** (-1.0 / (p - 1.0)) - prev[live] ** (-1.0 / (p - 1.0))
+    return live, incs, inc_min
 
 
 def _accelerated_report(rec: RunRecord) -> dict:
@@ -415,20 +426,21 @@ def _check_dimension(f: ObjectiveOracle, x0: np.ndarray) -> None:
         )
 
 
-def _empirical_level_radius(f, x0, xs, x_star) -> float | None:
-    """Radius bound for the sublevel set through x0.
+def _empirical_level_radius(f, x0, xs, x_star) -> tuple[float | None, str | None]:
+    """Radius bound for the sublevel set through x0, with its provenance.
 
-    Prefer the oracle's own certified value; otherwise, with a known
-    minimizer, fall back to the largest observed iterate distance padded by
-    10% (honest but empirical — descent keeps iterates inside the level set,
-    so the true radius dominates all of them).
+    Prefer the oracle's own certified value ("declared"); otherwise, with a
+    known minimizer, fall back to the largest observed iterate distance
+    padded by 10% ("empirical": honest, but not certified — descent keeps
+    iterates inside the level set, so the true radius dominates all of
+    them). (None, None) when neither is available.
     """
     R = f.level_set_radius(x0)
     if R is not None:
-        return R
+        return R, "declared"
     if x_star is None:
-        return None
-    return 1.1 * float(np.max(np.linalg.norm(xs - x_star[None, :], axis=1)))
+        return None, None
+    return 1.1 * float(np.max(np.linalg.norm(xs - x_star[None, :], axis=1))), "empirical"
 
 
 def higher_order_descent(
@@ -439,7 +451,10 @@ def higher_order_descent(
     Descends monotonically and obeys the O(1/k^{p-1}) gap bound
     p^{p-1} (N+1) R^p / (eps k^{p-1}) with R the radius of the initial
     sublevel set. Each step carries its progress certificate; a solver
-    failure is recorded in ``termination`` and truncates the run.
+    failure is recorded in ``termination`` and truncates the run. R and its
+    provenance go to extras "level_radius" and "level_radius_source":
+    "declared" when the oracle certifies the radius, "empirical" for the
+    padded fallback, None when the bound cannot be formed.
     """
     x0 = as_point(x0)
     _check_dimension(f, x0)
@@ -471,7 +486,7 @@ def higher_order_descent(
     xs, f_xs = xs[:n], f_xs[:n]
     x_star = f.minimizer
     f_star = f.min_value
-    R = _empirical_level_radius(f, x0, xs, x_star)
+    R, R_source = _empirical_level_radius(f, x0, xs, x_star)
     bounds = np.full(n, np.nan)
     if R is not None and f_star is not None:
         ks = np.arange(1, n, dtype=np.float64)
@@ -495,7 +510,7 @@ def higher_order_descent(
         termination=termination,
         certificates=certs,
         bound_values=bounds,
-        extras={"level_radius": R},
+        extras={"level_radius": R, "level_radius_source": R_source},
     )
 
 
@@ -651,6 +666,41 @@ def estimate_sequence_value(
     return C * p * total + cfg.mirror.bregman(x, cfg.x0) / cfg.epsilon
 
 
+def _forward_discretization(f, h, x0, ks, weight, averaging):
+    """The loop both forward discretizations share: for each label k,
+
+        grad h(z_k) = grad h(z_{k-1}) - weight(k) grad f(x_k)
+        x_{k+1}     = a_k z_k + b_k x_k,   (a_k, b_k) = averaging(k)
+
+    from grad h(z_{-1}) = grad h(x0), stopping at the first blown-up z_k
+    (termination k) or x_{k+1} (termination k + 1). Returns xs, f(xs), the
+    termination and the progress ratios <grad f(x_k), x_k - x_{k+1}> /
+    ||grad f(x_k)|| (NaN at a zero gradient).
+    """
+    xs, f_xs, ratios = [x0], [f.value(x0)], []
+    termination = {"status": "completed", "k": None}
+    x = x0.copy()
+    w = h.gradient(x0)
+    for k in ks:
+        g = f.gradient(x)
+        w = w - weight(k) * g
+        z = h.dual_gradient(w)
+        if _blown(z):
+            termination = {"status": "diverged", "k": k}
+            break
+        a, b = averaging(k)
+        x_next = a * z + b * x
+        if _blown(x_next):
+            termination = {"status": "diverged", "k": k + 1}
+            break
+        gnorm = float(np.linalg.norm(g))
+        ratios.append(float(g @ (x - x_next)) / gnorm if gnorm > 0 else np.nan)
+        xs.append(x_next)
+        f_xs.append(f.value(x_next))
+        x = x_next
+    return np.array(xs), np.array(f_xs), termination, np.array(ratios)
+
+
 def naive_discretization(
     f: ObjectiveOracle,
     h: MirrorMap,
@@ -681,30 +731,11 @@ def naive_discretization(
     if K < 1:
         raise InputError(f"need at least one iteration, got K={K}")
     k0 = p + 1
-    d = x0.size
-    xs = np.empty((K + 1, d))
-    f_xs = np.empty(K + 1)
-    termination = {"status": "completed", "k": None}
-    xs[0] = x0
-    f_xs[0] = f.value(x0)
-    n = 1
-    x = x0.copy()
-    w = h.gradient(x0)
-    for j in range(K):
-        k = k0 + j
-        w = w - (epsilon * C * p * float(k) ** (p - 1)) * f.gradient(x)
-        z = h.dual_gradient(w)
-        if _blown(z):
-            termination = {"status": "diverged", "k": k}
-            break
-        x_next = (p / k) * z + ((k - p) / k) * x
-        if _blown(x_next):
-            termination = {"status": "diverged", "k": k + 1}
-            break
-        xs[n] = x_next
-        f_xs[n] = f.value(x_next)
-        n += 1
-        x = x_next
+    xs, f_xs, termination, _ = _forward_discretization(
+        f, h, x0, range(k0, k0 + K),
+        lambda k: epsilon * C * p * float(k) ** (p - 1),
+        lambda k: (p / k, (k - p) / k),
+    )
     return RunRecord(
         algorithm="naive_discretization",
         config={
@@ -717,9 +748,9 @@ def naive_discretization(
             "objective": f.name,
             "x0": [float(v) for v in x0],
         },
-        ks=np.arange(k0, k0 + n),
-        xs=xs[:n],
-        f_xs=f_xs[:n],
+        ks=np.arange(k0, k0 + len(xs)),
+        xs=xs,
+        f_xs=f_xs,
         f_star=f.min_value,
         termination=termination,
         extras={"k0": k0},
@@ -755,34 +786,11 @@ def exponential_discretization(
         )
     if K < 1:
         raise InputError(f"need at least one iteration, got K={K}")
-    d = x0.size
-    xs = np.empty((K + 1, d))
-    f_xs = np.empty(K + 1)
-    ratios = np.full(K, np.nan)
-    termination = {"status": "completed", "k": None}
-    xs[0] = x0
-    f_xs[0] = f.value(x0)
-    n = 1
-    x = x0.copy()
-    w = h.gradient(x0)
-    for k in range(K):
-        g = f.gradient(x)
-        w = w - (delta * c * math.exp(c * delta * k)) * g
-        z = h.dual_gradient(w)
-        if _blown(z):
-            termination = {"status": "diverged", "k": k}
-            break
-        x_next = (c * delta) * z + (1.0 - c * delta) * x
-        if _blown(x_next):
-            termination = {"status": "diverged", "k": k + 1}
-            break
-        gnorm = float(np.linalg.norm(g))
-        if gnorm > 0:
-            ratios[k] = float(g @ (x - x_next)) / gnorm
-        xs[n] = x_next
-        f_xs[n] = f.value(x_next)
-        n += 1
-        x = x_next
+    xs, f_xs, termination, ratios = _forward_discretization(
+        f, h, x0, range(K),
+        lambda k: delta * c * math.exp(c * delta * k),
+        lambda k: (c * delta, 1.0 - c * delta),
+    )
     return RunRecord(
         algorithm="exponential_discretization",
         config={
@@ -793,12 +801,12 @@ def exponential_discretization(
             "objective": f.name,
             "x0": [float(v) for v in x0],
         },
-        ks=np.arange(n),
-        xs=xs[:n],
-        f_xs=f_xs[:n],
+        ks=np.arange(len(xs)),
+        xs=xs,
+        f_xs=f_xs,
         f_star=f.min_value,
         termination=termination,
-        extras={"progress_ratios": ratios[: n - 1]},
+        extras={"progress_ratios": ratios},
     )
 
 
@@ -962,13 +970,7 @@ def uniformly_convex_descent_rate_check(record: RunRecord, f: ObjectiveOracle) -
     }
     R = f.level_set_radius(x0)
     if R is not None and len(ks) > 1:
-        inc_min = (1.0 / p) * (eps / ((N + 1.0) * R**p)) ** (1.0 / (p - 1.0))
-        floor = 1e-12 * (1.0 + abs(record.f_star))
-        prev, nxt = gaps[:-1], gaps[1:]
-        live = (prev > floor) & (nxt > floor)
-        e_prev = prev[live] ** (-1.0 / (p - 1.0))
-        e_next = nxt[live] ** (-1.0 / (p - 1.0))
-        incs = e_next - e_prev
+        live, incs, inc_min = _inverse_gap_increments(gaps, record.f_star, p, eps, N, R)
         bad = incs < inc_min * (1.0 - BOUND_RTOL)
         report["required_increment"] = float(inc_min)
         report["checked_increments"] = int(live.sum())

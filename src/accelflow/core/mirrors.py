@@ -5,6 +5,9 @@ conjugate gradient (the inverse map, grad h* = (grad h)^{-1}) transport
 between primal and dual space. Every map here has a closed-form dual
 gradient, which keeps mirror-descent style updates exact.
 
+The p-th power family (scale/p) ||x - w||^p is one class, PthPowerMap;
+ScaledPthPowerMap only fixes scale = 2^{p-2}, and PowerNorm forwards to it.
+
 All catalog maps are essentially smooth on R^d (the gradient norm grows
 without bound along every unbounded ray). That property is required for the
 conjugate gradient to be a bijection but is NOT verified at runtime;
@@ -110,11 +113,15 @@ class DiagonalMap(MirrorMap):
 
 
 class PthPowerMap(MirrorMap):
-    """h(x) = (1/p) ||x - w||^p for p >= 2, anchored at w (default origin).
+    """h(x) = (scale/p) ||x - w||^p for p >= 2, anchored at w (default origin).
 
-    gradient(x) = ||x-w||^{p-2} (x-w); the dual gradient inverts it in closed
-    form. Uniformly convex of order p with constant 2^{-p+2}.
+    gradient(x) = scale ||x-w||^{p-2} (x-w); the dual gradient inverts it in
+    closed form. With the default scale 1 the map is uniformly convex of order
+    p with constant 2^{-p+2}. Every formula of the p-th power family lives
+    here; ScaledPthPowerMap only fixes the scale.
     """
+
+    scale = 1.0
 
     def __init__(self, p: float, anchor=None):
         if p < 2:
@@ -124,63 +131,10 @@ class PthPowerMap(MirrorMap):
         self.dimension = None if self.anchor is None else self.anchor.size
         self.name = f"pth_power({p:g})"
         self.uniform_convexity = (self.p, 2.0 ** (2.0 - self.p))
+        # grad h*(w) = w_anchor + c ||w||^{(2-p)/(p-1)} w with c =
+        # scale^{-1/(p-1)}; c is exactly 1.0 at scale 1
         self._dual_power = (2.0 - self.p) / (self.p - 1.0)
-
-    def _shift(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        return x if self.anchor is None else x - self.anchor
-
-    def value(self, x):
-        d = self._shift(x)
-        return float(np.linalg.norm(d)) ** self.p / self.p
-
-    def gradient(self, x):
-        d = self._shift(x)
-        r = float(np.linalg.norm(d))
-        if r == 0.0:
-            return np.zeros_like(d)
-        return r ** (self.p - 2.0) * d
-
-    def dual_gradient(self, w):
-        # math.sqrt(w @ w) is bitwise what np.linalg.norm computes for a
-        # 1-D float vector, without its dispatch; the scalar base 0.0 turns
-        # -0.0 into 0.0, as adding a zero vector does
-        w = np.asarray(w, dtype=np.float64)
-        u = math.sqrt(w.dot(w))
-        if u == 0.0:
-            return np.zeros_like(w) if self.anchor is None else self.anchor.copy()
-        base = 0.0 if self.anchor is None else self.anchor
-        return base + u ** self._dual_power * w
-
-    def hessian_dense(self, x):
-        d = self._shift(x)
-        r = float(np.linalg.norm(d))
-        n = d.size
-        if r == 0.0:
-            # limit of r^{p-2} I + (p-2) r^{p-4} d d^T as d -> 0 (p > 2);
-            # identity for p = 2
-            return np.eye(n) if self.p == 2.0 else np.zeros((n, n))
-        return r ** (self.p - 2.0) * np.eye(n) + (self.p - 2.0) * r ** (
-            self.p - 4.0
-        ) * np.outer(d, d)
-
-
-class ScaledPthPowerMap(MirrorMap):
-    """d_p(z) = (2^{p-2}/p) ||z - w||^p, 1-uniformly convex of order p.
-
-    The 2^{p-2} factor upgrades the pth-power map's convexity constant to 1,
-    which is what the accelerated method's rate statement assumes of h.
-    """
-
-    def __init__(self, p: float, anchor=None):
-        if p < 2:
-            raise InputError(f"scaled power mirror needs p >= 2, got {p}")
-        self.p = float(p)
-        self.scale = 2.0 ** (self.p - 2.0)
-        self.anchor = None if anchor is None else as_point(anchor)
-        self.dimension = None if self.anchor is None else self.anchor.size
-        self.name = f"scaled_power({p:g})"
-        self.uniform_convexity = (self.p, 1.0)
+        self._dual_factor = self.scale ** (-1.0 / (self.p - 1.0))
 
     def _shift(self, x):
         x = np.asarray(x, dtype=np.float64)
@@ -195,28 +149,45 @@ class ScaledPthPowerMap(MirrorMap):
         r = float(np.linalg.norm(d))
         if r == 0.0:
             return np.zeros_like(d)
-        return self.scale * r ** (self.p - 2.0) * d
+        return (self.scale * r ** (self.p - 2.0)) * d
 
     def dual_gradient(self, w):
+        # math.sqrt(w @ w) is bitwise what np.linalg.norm computes for a
+        # 1-D float vector, without its dispatch; the scalar base 0.0 turns
+        # -0.0 into 0.0, as adding a zero vector does
         w = np.asarray(w, dtype=np.float64)
-        base = np.zeros_like(w) if self.anchor is None else self.anchor
-        u = float(np.linalg.norm(w))
+        u = math.sqrt(w.dot(w))
         if u == 0.0:
-            return base.copy()
-        # ||z - w_anchor|| = (u / scale)^{1/(p-1)}, direction along w
-        r = (u / self.scale) ** (1.0 / (self.p - 1.0))
-        return base + (r / u) * w
+            return np.zeros_like(w) if self.anchor is None else self.anchor.copy()
+        base = 0.0 if self.anchor is None else self.anchor
+        return base + (self._dual_factor * u ** self._dual_power) * w
 
     def hessian_dense(self, x):
         d = self._shift(x)
         r = float(np.linalg.norm(d))
         n = d.size
         if r == 0.0:
+            # limit of r^{p-2} I + (p-2) r^{p-4} d d^T as d -> 0 (p > 2);
+            # identity for p = 2
             return self.scale * np.eye(n) if self.p == 2.0 else np.zeros((n, n))
         return self.scale * (
             r ** (self.p - 2.0) * np.eye(n)
             + (self.p - 2.0) * r ** (self.p - 4.0) * np.outer(d, d)
         )
+
+
+class ScaledPthPowerMap(PthPowerMap):
+    """d_p(z) = (2^{p-2}/p) ||z - w||^p, 1-uniformly convex of order p.
+
+    The 2^{p-2} factor upgrades the pth-power map's convexity constant to 1,
+    which is what the accelerated method's rate statement assumes of h.
+    """
+
+    def __init__(self, p: float, anchor=None):
+        self.scale = 2.0 ** (float(p) - 2.0)  # before the base precomputes c
+        super().__init__(p, anchor)
+        self.name = f"scaled_power({p:g})"
+        self.uniform_convexity = (self.p, 1.0)
 
 
 def builtin_mirror_maps() -> dict[str, MirrorMap]:

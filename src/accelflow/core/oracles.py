@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import CapabilityError, InputError
+from .mirrors import PthPowerMap
 from .points import Point, as_point
 
 CATALOG_SEED = 1723
@@ -229,6 +230,8 @@ class PowerNorm(ObjectiveOracle):
     The convexity constant is 2^{2-p} (equal to 1 only at p = 2). Third
     derivatives exist away from the origin for p = 3 and are taken as zero
     there by convention; for p in {2, 4} they are polynomial, hence global.
+    Value, gradient and Hessian forward to the unanchored PthPowerMap(p),
+    the same function.
     """
 
     derivative_order = 3
@@ -246,29 +249,19 @@ class PowerNorm(ObjectiveOracle):
         d = dimension or 1
         self.minimizer = np.zeros(d) if dimension else None
         self.min_value = 0.0
+        self._power = PthPowerMap(self.p)
 
     def value(self, x):
-        return float(np.linalg.norm(x)) ** self.p / self.p
+        return self._power.value(x)
 
     def gradient(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        r = float(np.linalg.norm(x))
-        if r == 0.0:
-            return np.zeros_like(x)
-        return r ** (self.p - 2.0) * x
+        return self._power.gradient(x)
 
     def hessian_apply(self, x, v):
         return self.hessian_dense(x) @ np.asarray(v, dtype=np.float64)
 
     def hessian_dense(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        r = float(np.linalg.norm(x))
-        n = x.size
-        if r == 0.0:
-            return np.eye(n) if self.p == 2.0 else np.zeros((n, n))
-        return r ** (self.p - 2.0) * np.eye(n) + (self.p - 2.0) * r ** (
-            self.p - 4.0
-        ) * np.outer(x, x)
+        return self._power.hessian_dense(x)
 
     def level_set_radius(self, x):
         # the sublevel set through x is exactly the ball of radius ||x||

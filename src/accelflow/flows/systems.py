@@ -26,7 +26,7 @@ class FlowSystem:
     """ODE system dy/dt = vector_field(t, y) with named equal-size blocks.
 
     The state dimension is len(blocks) * d where d is fixed by the initial
-    point; layout(d) maps block names to slices. Systems are immutable and
+    point, block i occupying state[i*d:(i+1)*d]. Systems are immutable and
     the field is pure, so integrations may run concurrently. The f-gap of a
     state is that of its first block, available when the objective declares
     its minimum value.
@@ -46,12 +46,6 @@ class FlowSystem:
         self.params = dict(params or {})
         self._energy = energy
 
-    def layout(self, d: int) -> dict[str, slice]:
-        return {name: slice(i * d, (i + 1) * d) for i, name in enumerate(self.blocks)}
-
-    def state_dim(self, d: int) -> int:
-        return len(self.blocks) * d
-
     @property
     def has_energy(self) -> bool:
         return self._energy is not None
@@ -69,7 +63,7 @@ class FlowSystem:
         if not self.has_gap:
             raise CapabilityError(f"{self.kind} system has no known optimum")
         d = state.size // len(self.blocks)
-        return self.objective.value(state[:d]) - self.objective.min_value
+        return self.objective.gap(state[:d])
 
 
 def _probe_grid(valid_from: float):

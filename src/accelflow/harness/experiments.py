@@ -80,6 +80,8 @@ def _default_window(t0: float, t_end: float) -> tuple[float, float]:
 
 
 def _slope_check(traj, window, limit) -> CheckResult:
+    if traj.f_gap is None:
+        return CheckResult("rate_slope", "skip", detail="problem declares no f*")
     slope = masked_slope(traj, window)
     return CheckResult(
         name="rate_slope",
@@ -91,6 +93,8 @@ def _slope_check(traj, window, limit) -> CheckResult:
 
 
 def _energy_check(traj) -> CheckResult:
+    if traj.energy is None:
+        return CheckResult("energy_monotone", "skip", detail="problem declares no x*")
     rise = max_relative_energy_rise(traj)
     return CheckResult(
         name="energy_monotone",
@@ -102,6 +106,9 @@ def _energy_check(traj) -> CheckResult:
 
 
 def _pointwise_check(traj, triple) -> CheckResult:
+    if traj.f_gap is None or traj.energy is None:
+        return CheckResult("pointwise_certificate", "skip",
+                           detail="problem declares no x* or no f*")
     worst = worst_gap_over_certificate(traj, triple)
     return CheckResult(
         name="pointwise_certificate",
@@ -275,7 +282,12 @@ def _run_optimize(cfg: ExperimentConfig, emit: ArtifactWriter) -> list[CheckResu
             f, StepConfig(p, epsilon, float(cfg.method.get("N", 2.0))), x0, K
         )
     emit.record("iterates", rec)
-    return report_checks(rec.invariant_report())
+    checks = report_checks(rec.invariant_report())
+    for check in checks:
+        # these bounds rest on the level-set radius; say where it came from
+        if check.name in ("gap_bound", "gap_recursion", "inverse_gap_increments"):
+            check.extras["level_radius_source"] = rec.extras["level_radius_source"]
+    return checks
 
 
 def _run_compare(cfg: ExperimentConfig, emit: ArtifactWriter) -> list[CheckResult]:

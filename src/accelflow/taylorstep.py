@@ -112,6 +112,8 @@ def _secular_displacement(eigvals, eigvecs, g, scale: float, power: int,
     decreasing with phi(0+) > 0, and r_hi = (||g||/scale)^{1/(power+1)}
     satisfies phi(r_hi) <= 0 because ||(H + cI)^{-1} g|| <= ||g||/c for
     H >= 0. Tiny negative eigenvalues (symmetric-eig roundoff) are clamped.
+    Raises SolverError when no bracket holds a root (for example, a
+    non-finite gradient makes phi NaN).
     """
     lam = np.maximum(eigvals, 0.0)
     coords = eigvecs.T @ g
@@ -132,8 +134,12 @@ def _secular_displacement(eigvals, eigvecs, g, scale: float, power: int,
         while phi(hi) > 0.0 and tries < 60:  # roundoff guard; phi(r_hi) <= 0
             hi *= 2.0
             tries += 1
-        r = brentq(phi, lo, hi, xtol=1e-15 * r_hi + 1e-300,
-                   rtol=4.0 * np.finfo(float).eps, maxiter=200)
+        try:
+            r = brentq(phi, lo, hi, xtol=1e-15 * r_hi + 1e-300,
+                       rtol=4.0 * np.finfo(float).eps, maxiter=200)
+        except ValueError as exc:  # no sign change, or phi is NaN
+            raise SolverError(f"secular solve found no root bracket: {exc}",
+                              residual=float("nan")) from exc
     u = -(eigvecs @ (coords / (lam + scale * r ** power)))
     return u
 
@@ -194,8 +200,8 @@ def g_step(f, x: Point, cfg: StepConfig) -> tuple[Point, StepCertificate]:
 
     Returns the new point and the evaluated certificate. Raises
     CapabilityError when f lacks order-(p-1) derivatives and SolverError when
-    the p = 4 inner iteration cannot reach its residual target (a symptom of
-    a nonconvex model).
+    the model is not convex, the secular solve finds no root bracket, or the
+    inner iteration cannot reach its residual target.
     """
     x = as_point(x)
     if f.derivative_order < cfg.p - 1:

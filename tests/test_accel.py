@@ -175,6 +175,8 @@ def test_descent_uses_certified_level_radius_when_available():
     assert R == pytest.approx(f.level_set_radius(np.array([1.0, 1.0])), rel=1e-15)
     # uc radius for the (1,10) quadratic from (1,1): sqrt(2*5.5/1)
     assert R == pytest.approx(math.sqrt(11.0), rel=1e-12)
+    assert rec.extras["level_radius_source"] == "declared"
+    assert rec.summary()["extras"]["level_radius_source"] == "declared"
 
 
 def test_descent_empirical_radius_fallback():
@@ -187,6 +189,8 @@ def test_descent_empirical_radius_fallback():
     assert f.level_set_radius(x0) is None
     dists = np.linalg.norm(rec.xs - f.minimizer[None, :], axis=1)
     assert rec.extras["level_radius"] == pytest.approx(1.1 * float(dists.max()))
+    assert rec.extras["level_radius_source"] == "empirical"
+    assert rec.summary()["extras"]["level_radius_source"] == "empirical"
     assert rec.invariant_report()["gap_bound"]["ok"]
 
 
@@ -680,6 +684,8 @@ def test_run_record_gaps_nan_without_reference_value():
     rec = higher_order_descent(f, StepConfig(2, 1.0, 2.0), np.ones(2), 3)
     assert np.all(np.isnan(rec.f_gaps_x))
     assert np.all(np.isnan(rec.bound_values))
+    assert rec.extras["level_radius"] is None
+    assert rec.extras["level_radius_source"] is None
     # zero objective: the step is a fixed point, descent trivially holds
     assert rec.invariant_report()["monotone_descent"]["ok"]
     np.testing.assert_array_equal(rec.xs[-1], rec.xs[0])

@@ -323,6 +323,12 @@ def test_optimize_descent_all_invariants():
         "monotone_descent", "step_certificates", "gap_bound",
         "gap_recursion", "inverse_gap_increments",
     }
+    # the quadratic certifies its level-set radius; the bounds resting on it say so
+    sources = {c.name: c.extras.get("level_radius_source") for c in summary.checks}
+    assert sources == {
+        "monotone_descent": None, "step_certificates": None, "gap_bound": "declared",
+        "gap_recursion": "declared", "inverse_gap_increments": "declared",
+    }
 
 
 def test_optimize_exponential_is_diagnostic_only(tmp_path):
@@ -491,6 +497,28 @@ def test_cli_module_runs_under_warnings_as_errors():
     )
     assert proc.returncode == 0, proc.stderr
     assert "usage: accelflow" in proc.stdout
+
+
+@pytest.mark.parametrize("family, skipped", [
+    ("polynomial", ["rate_slope", "energy_monotone", "pointwise_certificate"]),
+    ("exponential", ["energy_monotone", "pointwise_certificate"]),
+    ("rescaled", ["rate_slope", "primary_monitor", "alternative_monitor"]),
+])
+def test_cli_flow_without_known_minimum_skips_checks(tmp_path, capsys, family, skipped):
+    # "zero" declares neither f* nor x*: the checks that need them skip
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({
+        "problem": "zero", "x0": [1.0, 1.0], "method": {"family": family},
+    }))
+    out = tmp_path / "out"
+    assert main(["flow", "--config", str(path), "--out", str(out)]) == 0
+    capsys.readouterr()
+    doc = json.loads((out / "summary.json").read_text())
+    assert [(c["name"], c["status"]) for c in doc["checks"]] == [
+        (name, "skip") for name in skipped
+    ]
+    assert doc["files"] == ["trajectory.csv"]
+    assert (out / "trajectory.csv").read_text().count("\n") > 1
 
 
 def test_cli_usage_error_is_exit_two(capsys):

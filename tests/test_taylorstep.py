@@ -24,6 +24,7 @@ from accelflow.core import (
 from accelflow.errors import CapabilityError, InputError, SolverError
 from accelflow.taylorstep import (
     StepConfig,
+    _secular_displacement,
     g_step,
     progress_coefficient,
     smoothness_epsilon,
@@ -248,3 +249,27 @@ def test_step_progress_sweep(p, N):
                 np.linalg.norm(f.gradient(x))
             ))
             assert cert.residual <= limit, (key, p, N, i)
+
+
+class _InfiniteGradient(DiagonalQuadratic):
+    """The quadratic with one gradient coordinate replaced by +inf."""
+
+    def gradient(self, x):
+        g = super().gradient(x)
+        g[0] = np.inf
+        return g
+
+
+@pytest.mark.parametrize("p", [3, 4])
+def test_secular_solve_without_a_root_bracket_is_solver_error(p):
+    # phi(r) is NaN everywhere, so brentq cannot bracket a root
+    f = _InfiniteGradient((1.0, 10.0))
+    with np.errstate(invalid="ignore"), pytest.raises(SolverError, match="no root bracket"):
+        g_step(f, np.array([1.0, 1.0]), StepConfig(p, 0.1, 2.0))
+
+
+def test_secular_bracket_without_sign_change_is_solver_error():
+    # r_hi far below the root: phi stays positive across every doubling
+    lam, vecs = np.linalg.eigh(np.diag([1.0, 10.0]))
+    with pytest.raises(SolverError, match="different signs"):
+        _secular_displacement(lam, vecs, np.array([1.0, 1.0]), 20.0, 1, 1e-300)
