@@ -26,6 +26,7 @@ pass/fail entry per invariant the algorithm guarantees.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -757,6 +758,9 @@ def naive_discretization(
     )
 
 
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)  # e^x is finite iff x <= this
+
+
 def exponential_discretization(
     f: ObjectiveOracle,
     h: MirrorMap,
@@ -767,7 +771,8 @@ def exponential_discretization(
 ) -> RunRecord:
     """Forward discretization of the exponential-rate flow (diagnostic).
 
-    Requires c delta <= 1 so the averaging weights stay convex. Iterates
+    Requires c delta <= 1 so the averaging weights stay convex, and
+    c delta (K - 1) <= log(float max) so every weight is finite. Iterates
 
         grad h(z_k) = grad h(z_{k-1}) - delta c e^{c delta k} grad f(x_k)
         x_{k+1}     = c delta z_k + (1 - c delta) x_k
@@ -786,6 +791,16 @@ def exponential_discretization(
         )
     if K < 1:
         raise InputError(f"need at least one iteration, got K={K}")
+    if c * delta * (K - 1) > _LOG_FLOAT_MAX:
+        # the exponent is formed as the loop forms it; the quotient may
+        # round either way by one
+        K_max = int(_LOG_FLOAT_MAX / (c * delta)) + 2
+        while c * delta * (K_max - 1) > _LOG_FLOAT_MAX:
+            K_max -= 1
+        raise InputError(
+            f"the weight e^(c delta k) overflows at k = {K - 1}; with "
+            f"c*delta = {c * delta:g} the largest admissible K is {K_max}"
+        )
     xs, f_xs, termination, ratios = _forward_discretization(
         f, h, x0, range(K),
         lambda k: delta * c * math.exp(c * delta * k),

@@ -164,12 +164,15 @@ class PthPowerMap(MirrorMap):
 
     def hessian_dense(self, x):
         d = self._shift(x)
-        r = float(np.linalg.norm(d))
         n = d.size
+        if self.p == 2.0:
+            # the d d^T term has coefficient p - 2 = 0; its r^{p-4} factor
+            # would overflow at tiny r
+            return self.scale * np.eye(n)
+        r = float(np.linalg.norm(d))
         if r == 0.0:
-            # limit of r^{p-2} I + (p-2) r^{p-4} d d^T as d -> 0 (p > 2);
-            # identity for p = 2
-            return self.scale * np.eye(n) if self.p == 2.0 else np.zeros((n, n))
+            # limit of r^{p-2} I + (p-2) r^{p-4} d d^T as d -> 0 (p > 2)
+            return np.zeros((n, n))
         return self.scale * (
             r ** (self.p - 2.0) * np.eye(n)
             + (self.p - 2.0) * r ** (self.p - 4.0) * np.outer(d, d)

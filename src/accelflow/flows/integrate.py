@@ -235,10 +235,13 @@ def integrate(sys, x0, t0: float, t_end: float, controls: dict,
 
     def checked(t, y, progress):
         """Raise on a non-finite or diverged state; progress() gives the
-        partial record's step_stats, built only when it is needed."""
-        if not np.isfinite(y).all():
+        partial record's step_stats, built only when it is needed. A finite
+        squared norm means a finite state, so the elementwise test runs only
+        when it is not (a finite state whose square overflows diverged)."""
+        norm_sq = y.dot(y)
+        if not math.isfinite(norm_sq) and not np.isfinite(y).all():
             raise NumericalError(f"non-finite state during integration at t = {t}")
-        if math.sqrt(y.dot(y)) > divergence_threshold:
+        if math.sqrt(norm_sq) > divergence_threshold:
             raise DivergenceError(
                 f"state norm exceeded {divergence_threshold:g} at t = {t}",
                 partial=rec.build(progress()), t=t,

@@ -12,8 +12,11 @@ short detail string naming every sub-measurement. Two scales:
 Checks share expensive artifacts through the context cache (the six
 polynomial-flow integrations feed both the rate check and the energy check;
 the five accelerated runs feed three checks), and each check writes its
-trajectory/iterate CSVs plus log-log plot data under its own subdirectory,
-so independent checks could run concurrently without file collisions.
+trajectory/iterate CSVs plus log-log plot data under its own subdirectory.
+Checks that share cached runs form one task; tasks run concurrently in
+forked worker processes, one per usable CPU, and their results and file
+lists are merged back in registry order, so every verdict and every emitted
+byte is the same as in a serial run.
 
 The tolerances, the artifact writer and every measurement a verdict is built
 from live in checks.py, which the experiment kinds share; this module holds
@@ -24,7 +27,12 @@ verdict and detail strings.
 from __future__ import annotations
 
 import math
+import multiprocessing
+import os
 import time
+from collections import Counter
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -775,18 +783,19 @@ def _check_rerun_determinism(ctx: SuiteContext) -> CheckResult:
 
     Executes the sixteen other checks twice at quick scale (reproducibility
     is a property of the code paths, not of horizon lengths — both scales
-    verify it on the quick parameters) in sibling directories, then compares
-    every CSV and plot file byte for byte.
+    verify it on the quick parameters) in sibling directories, each replay
+    on the suite's worker pool, then compares every CSV and plot file byte
+    for byte. A replayed check that crashes fails this check.
     """
+    replayed = [i for i, spec in enumerate(CHECKS) if spec.name != "rerun_determinism"]
     roots = []
     for tag in ("run_a", "run_b"):
-        sub = SuiteContext(scale="quick", seed=ctx.seed,
-                           root=ctx.root / "rerun_determinism" / tag)
-        for spec in CHECKS:
-            if spec.name == "rerun_determinism":
-                continue
-            spec.runner(sub)
-        roots.append(sub.root)
+        root = ctx.root / "rerun_determinism" / tag
+        results, _ = _run_checks(replayed, "quick", ctx.seed, root)
+        crashed = [r.name for r in results if r.extras.get("internal_error")]
+        if crashed:
+            raise RuntimeError(f"replayed checks crashed in {tag}: {crashed}")
+        roots.append(root)
 
     def inventory(root: Path) -> dict[str, bytes]:
         return {
@@ -866,6 +875,35 @@ if len(set(_names)) != len(_names):  # pragma: no cover - registry typo guard
     raise RuntimeError(f"duplicate check names in registry: {_names}")
 
 
+# Checks that read the same cached runs; each group runs as one task, in
+# registry order, so every cached run is computed and emitted exactly once.
+# Keyed by name: callers may rebuild the registry's specs.
+_SHARED_RUNS = (
+    ("polynomial_flow_rate", "energy_monotonicity"),  # poly_flows, exp_flow
+    ("accelerated_gap_bound", "estimate_sequence_invariants",
+     "taylor_step_certificates"),  # accel_runs
+)
+
+# The slowest checks at either scale, slowest first (quick-scale seconds on
+# one CPU: 31, 16, 6.4, 2.4, 2.0, 1.6; the rest take under 0.7 s each). The
+# pool starts their tasks in this order and every other task after them, in
+# registry order, so the short checks fill in around the long ones: the wall
+# time stays near the suite's CPU time over the worker count, and no long
+# check starts late because of which worker happened to be free first.
+_SLOW_FIRST = ("rerun_determinism", "polynomial_flow_rate", "small_mass_limit",
+               "damped_oscillator_threshold", "time_dilation_match",
+               "hamiltonian_lagrangian_match")
+
+
+def _internal_error(name: str, exc: BaseException, **tags) -> CheckResult:
+    return CheckResult(
+        name=name,
+        status="fail",
+        detail=f"internal error: {type(exc).__name__}: {exc}",
+        extras={"internal_error": True, **tags},
+    )
+
+
 def run_check(spec: CheckSpec, ctx: SuiteContext) -> CheckResult:
     """Execute one registered check, timing it and containing its failures.
 
@@ -877,14 +915,87 @@ def run_check(spec: CheckSpec, ctx: SuiteContext) -> CheckResult:
     try:
         result = spec.runner(ctx)
     except Exception as exc:  # noqa: BLE001 - the tag preserves the class
-        result = CheckResult(
-            name=spec.name,
-            status="fail",
-            detail=f"internal error: {type(exc).__name__}: {exc}",
-            extras={"internal_error": True},
-        )
+        result = _internal_error(spec.name, exc)
     result.runtime = time.perf_counter() - start
     return result
+
+
+def _tasks(indices) -> list[tuple[int, ...]]:
+    """Group registry indices into tasks: the checks of one _SHARED_RUNS
+    group form one task, every other check its own; tasks are ordered by
+    their first index and hold their indices in registry order."""
+    group_of = {name: g for g, names in enumerate(_SHARED_RUNS) for name in names}
+    tasks: dict[object, tuple[int, ...]] = {}
+    for i in sorted(indices):
+        key = group_of.get(CHECKS[i].name, CHECKS[i].name)
+        tasks[key] = tasks.get(key, ()) + (i,)
+    return list(tasks.values())
+
+
+def _start_order(tasks) -> list[tuple[int, ...]]:
+    """The tasks in the order the pool starts them: those holding a
+    _SLOW_FIRST check by that list's order, then the rest as given."""
+    def rank(task):
+        return min((_SLOW_FIRST.index(CHECKS[i].name) for i in task
+                    if CHECKS[i].name in _SLOW_FIRST), default=len(_SLOW_FIRST))
+    return sorted(tasks, key=rank)
+
+
+def _run_task(task, scale: str, seed: int, root) -> list:
+    """Run one task's checks in order on a fresh context; returns (index,
+    result, files emitted during that check) for each."""
+    ctx = SuiteContext(scale=scale, seed=seed, root=Path(root))
+    out = []
+    for i in task:
+        first = len(ctx.files)
+        result = run_check(CHECKS[i], ctx)
+        out.append((i, result, ctx.files[first:]))
+    return out
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _run_checks(indices, scale: str, seed: int, root) -> tuple[list, list]:
+    """Run the registered checks at indices; returns their results and the
+    files they emitted, both in registry order.
+
+    Tasks run on one forked worker per usable CPU (in-process with one CPU
+    or without fork), the slowest started first. Workers are forked so that
+    each resolves its indices in the registry exactly as this process holds
+    it, runners included, and nothing but indices and results crosses the
+    process boundary. Results do not depend on the worker count. A worker
+    that dies (a signal, the memory limit) fails every check of each task
+    left unfinished, tagged internal_error and worker_died. A file listed
+    twice means a check read a cached run outside its task, and raises.
+    """
+    tasks = _tasks(indices)
+    workers = min(_usable_cpus(), len(tasks))
+    done = []
+    if workers <= 1 or "fork" not in multiprocessing.get_all_start_methods():
+        for task in tasks:
+            done += _run_task(task, scale, seed, root)
+    else:
+        context = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(workers, mp_context=context) as pool:
+            futures = [(task, pool.submit(_run_task, task, scale, seed, root))
+                       for task in _start_order(tasks)]
+            for task, future in futures:
+                try:
+                    done += future.result()
+                except BrokenProcessPool as exc:
+                    done += [(i, _internal_error(CHECKS[i].name, exc, worker_died=True), [])
+                             for i in task]
+    done.sort(key=lambda item: item[0])
+    files = [name for _, _, emitted in done for name in emitted]
+    repeated = sorted(name for name, n in Counter(files).items() if n > 1)
+    if repeated:
+        raise RuntimeError(f"files emitted twice, a cached run was read "
+                           f"outside its task: {repeated[:5]}")
+    return [result for _, result, _ in done], files
 
 
 def acceptance_suite(scale: str = "quick", out_dir=None,
@@ -892,8 +1003,10 @@ def acceptance_suite(scale: str = "quick", out_dir=None,
     """Run every registered check and write summary.json under out_dir.
 
     quick targets a sub-two-minute smoke pass with per-check reductions
-    documented on the runners; full runs the stated parameters. The summary
-    lists each check once, in registry order.
+    documented on the runners; full runs the stated parameters. Checks run
+    concurrently on the usable CPUs; the summary lists each check once, in
+    registry order, with its own wall time as runtime and the suite's wall
+    time as total_runtime.
     """
     if scale not in ("quick", "full"):
         raise InputError(f"scale must be 'quick' or 'full', got {scale!r}")
@@ -903,15 +1016,14 @@ def acceptance_suite(scale: str = "quick", out_dir=None,
         out_dir = tempfile.mkdtemp(prefix="accelflow-acceptance-")
     root = Path(out_dir)
     root.mkdir(parents=True, exist_ok=True)
-    ctx = SuiteContext(scale=scale, seed=int(seed), root=root)
     start = time.perf_counter()
-    checks = [run_check(spec, ctx) for spec in CHECKS]
+    checks, files = _run_checks(range(len(CHECKS)), scale, int(seed), root)
     summary = ReportSummary(
         kind="acceptance",
         seed=int(seed),
         checks=checks,
         scale=scale,
-        files=list(ctx.files),
+        files=files,
         total_runtime=time.perf_counter() - start,
     )
     summary.write(root / "summary.json")

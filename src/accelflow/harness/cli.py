@@ -84,7 +84,9 @@ def main(argv=None) -> int:
     _print_summary(summary)
     if cfg.out and summary.files:
         print(f"artifacts: {cfg.out} ({len(summary.files)} files)")
-    if any(check.extras.get("internal_error") for check in summary.checks):
+    # a check that raised is a bug; a worker process that died is a failed run
+    if any(check.extras.get("internal_error") and not check.extras.get("worker_died")
+           for check in summary.checks):
         return 3
     return 0 if summary.all_pass else 1
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -496,6 +497,18 @@ def test_exponential_requires_convex_averaging():
         exponential_discretization(f, EuclideanMap(), -1.0, 0.5, np.ones(2), 10)
     with pytest.raises(InputError):
         exponential_discretization(f, EuclideanMap(), 1.0, 0.5, np.ones(2), 0)
+
+
+@pytest.mark.parametrize("c, delta", [(1.0, 1.0), (0.3, 0.1), (1.0, 1e-3)])
+def test_exponential_runs_at_its_largest_admissible_K(c, delta):
+    K = math.floor(math.log(sys.float_info.max) / (c * delta)) + 1
+    with pytest.raises(InputError, match=f"largest admissible K is {K}"):
+        exponential_discretization(builtin_problems()["zero"], EuclideanMap(),
+                                   c, delta, np.ones(2), K + 1)
+    rec = exponential_discretization(builtin_problems()["zero"], EuclideanMap(),
+                                     c, delta, np.ones(2), K)
+    assert rec.termination["status"] == "completed"
+    assert len(rec.ks) == K + 1
 
 
 def test_exponential_records_progress_ratios():

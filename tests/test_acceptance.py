@@ -14,18 +14,25 @@ also the dispatch test for the acceptance experiment kind.
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import os
 
 import pytest
 
 from accelflow.harness import (
     CHECKS,
     DEFAULT_SUITE_SEED,
+    CheckResult,
     ExperimentConfig,
+    acceptance,
     acceptance_suite,
     run_experiment,
     validate_summary,
 )
+from accelflow.harness.acceptance import CheckSpec
+from accelflow.harness.cli import main
 
 CRITERIA = tuple(spec.name for spec in CHECKS)
 
@@ -95,3 +102,113 @@ def test_quick_suite_through_experiment_config(tmp_path):
     assert [c.name for c in summary.checks] == list(CRITERIA)
     validate_summary(json.loads((tmp_path / "quick" / "summary.json").read_text()))
     _assert_emitted_exactly(summary, tmp_path / "quick")
+
+
+# ---------------------------------------------------------------------------
+# the worker pool: tasks, merge order, worker death, the duplicate-file guard
+
+POOL_SUBSET = ("accelerated_gap_bound", "estimate_sequence_invariants",
+               "taylor_step_certificates", "naive_vs_matched", "force_free_motion")
+
+
+def _registry(monkeypatch, specs, cpus):
+    monkeypatch.setattr(acceptance, "CHECKS", tuple(specs))
+    monkeypatch.setattr(acceptance, "_usable_cpus", lambda: cpus)
+
+
+def _subset(names):
+    return [spec for spec in CHECKS if spec.name in names]
+
+
+def _artifacts(root):
+    return {str(p.relative_to(root)): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file() and p.name != "summary.json"}
+
+
+def _without_runtime(check):
+    doc = check.to_doc()
+    del doc["runtime"]
+    return doc
+
+
+def test_tasks_group_checks_that_share_cached_runs():
+    index = {spec.name: i for i, spec in enumerate(CHECKS)}
+    tasks = acceptance._tasks(range(len(CHECKS)))
+    assert sorted(i for task in tasks for i in task) == list(range(len(CHECKS)))
+    assert tasks[0] == (index["polynomial_flow_rate"], index["energy_monotonicity"])
+    trio = tuple(index[n] for n in POOL_SUBSET[:3])
+    assert trio in tasks
+    assert len(tasks) == len(CHECKS) - 3
+    assert [task[0] for task in tasks] == sorted(task[0] for task in tasks)
+
+
+def test_pool_starts_the_slowest_tasks_first():
+    tasks = acceptance._tasks(range(len(CHECKS)))
+    order = acceptance._start_order(tasks)
+    slow = len(acceptance._SLOW_FIRST)
+    assert sorted(order) == sorted(tasks)
+    assert [CHECKS[task[0]].name for task in order[:slow]] == list(acceptance._SLOW_FIRST)
+    assert order[slow:] == [task for task in tasks if task not in order[:slow]]
+
+
+def test_pool_results_do_not_depend_on_worker_count(monkeypatch, tmp_path):
+    runs = {}
+    for cpus in (1, 2):
+        _registry(monkeypatch, _subset(POOL_SUBSET), cpus)
+        root = tmp_path / f"cpus{cpus}"
+        runs[cpus] = (acceptance_suite(scale="quick", out_dir=root, seed=0), root)
+    (serial, serial_root), (pooled, pooled_root) = runs[1], runs[2]
+    assert [c.name for c in pooled.checks] == list(POOL_SUBSET)
+    assert pooled.all_pass, pooled.failing()
+    assert pooled.files == serial.files
+    assert sorted(pooled.files) == sorted([*_artifacts(pooled_root), "summary.json"])
+    assert _artifacts(pooled_root) == _artifacts(serial_root)
+    assert ([_without_runtime(c) for c in pooled.checks]
+            == [_without_runtime(c) for c in serial.checks])
+
+
+def test_dead_worker_fails_its_checks_and_the_suite(monkeypatch, tmp_path):
+    parent = os.getpid()
+
+    def die_in_worker(ctx):
+        if os.getpid() != parent:
+            os._exit(1)
+        raise AssertionError("ran in the test process")
+
+    specs = _subset(("force_free_motion",)) + [CheckSpec("dies", "worker exits", die_in_worker)]
+    _registry(monkeypatch, specs, 2)
+    out = tmp_path / "out"
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(["acceptance", "--scale", "quick", "--out", str(out), "--seed", "0"])
+    assert code == 1
+    doc = json.loads((out / "summary.json").read_text())
+    validate_summary(doc)
+    dead = doc["checks"][1]
+    assert dead["name"] == "dies" and dead["status"] == "fail"
+    assert dead["extras"] == {"internal_error": True, "worker_died": True}
+    assert "BrokenProcessPool" in dead["detail"]
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_cached_run_read_outside_its_task_trips_the_guard(monkeypatch, tmp_path, cpus):
+    def stray(ctx):
+        acceptance._accelerated_runs(ctx)
+        return CheckResult(name="stray_accel_reader", status="pass")
+
+    specs = _subset(POOL_SUBSET[:3]) + [CheckSpec("stray_accel_reader", "reads accel_runs",
+                                                  stray)]
+    _registry(monkeypatch, specs, cpus)
+    with pytest.raises(RuntimeError, match="emitted twice"):
+        acceptance_suite(scale="quick", out_dir=tmp_path, seed=0)
+
+
+def test_raising_runner_is_still_exit_three(monkeypatch, tmp_path):
+    def boom(ctx):
+        raise ValueError("wires crossed")
+
+    _registry(monkeypatch, [CheckSpec("raises", "runner raises", boom)], 1)
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(["acceptance", "--scale", "quick", "--out", str(tmp_path), "--seed", "0"])
+    assert code == 3
+    check = json.loads((tmp_path / "summary.json").read_text())["checks"][0]
+    assert check["extras"] == {"internal_error": True}

@@ -316,6 +316,12 @@ def test_mirror_rejects_p_below_2():
         ScaledPthPowerMap(1.0)
 
 
+@pytest.mark.parametrize("h", [PthPowerMap(2), ScaledPthPowerMap(2)], ids=lambda h: h.name)
+def test_quadratic_power_map_hessian_at_tiny_point_is_scaled_identity(h):
+    # the d d^T term has coefficient p - 2 = 0; r^{p-4} alone overflows here
+    assert np.array_equal(h.hessian_dense([2.5e-156]), h.scale * np.eye(1))
+
+
 def test_mirror_hessians_match_finite_differences():
     rng = np.random.default_rng(RNG_SEED + 2)
     for name, h in builtin_mirror_maps().items():

@@ -321,6 +321,29 @@ def test_nan_field_raises_numerical_error():
         integrate(bad, np.array([1.0]), 0.0, 1.0, {"method": "rk4", "steps": 10})
 
 
+def _still_system():
+    return FlowSystem(
+        "test_still", ("X",), lambda t, y: np.zeros_like(y),
+        lambda x0, t0: as_point(x0), valid_from=0.0,
+    )
+
+
+def test_infinite_state_raises_numerical_error():
+    with pytest.raises(NumericalError):
+        integrate(_still_system(), np.zeros(2), 0.0, 1.0, {"method": "rk4", "steps": 10},
+                  initial_state=np.array([math.inf, 0.0]))
+
+
+@pytest.mark.parametrize("controls", [
+    {"method": "rk4", "steps": 10},
+    {"method": "rk4_adaptive"},
+], ids=["rk4", "rk4_adaptive"])
+def test_finite_state_whose_square_overflows_diverges(controls):
+    # 1e200^2 overflows to inf although every coordinate is finite
+    with np.errstate(over="ignore"), pytest.raises(DivergenceError):
+        integrate(_still_system(), np.array([1e200, 0.0]), 0.0, 1.0, controls)
+
+
 def test_integrate_input_validation():
     sys = _growth_system()
     with pytest.raises(InputError):

@@ -485,6 +485,18 @@ def test_cli_bad_integrator_controls_are_exit_two(tmp_path, capsys, integration)
     assert "config error" in capsys.readouterr().err
 
 
+def test_cli_exponential_weight_overflow_is_exit_two(tmp_path, capsys):
+    # e^(c delta k) overflows past k = 709 at c = delta = 1
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({
+        "problem": "zero", "x0": [1, 1],
+        "method": {"algorithm": "exponential", "c": 1.0, "delta": 1.0, "K": 1000},
+    }))
+    assert main(["optimize", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "largest admissible K is 710" in err
+
+
 def test_cli_module_runs_under_warnings_as_errors():
     # `python -m accelflow.harness.cli` must not find the module already
     # imported by its package (runpy's RuntimeWarning)

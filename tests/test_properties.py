@@ -14,7 +14,9 @@ Oracles, each the code as first written, kept here as references:
   whose records the shared loop must reproduce bit for bit.
 
 The scaled map d_p only has to invert its gradient: its dual gradient
-rounds differently from the formula it replaced.
+rounds differently from the formula it replaced. Each catalog oracle's
+gradient, Hessian and third derivative must match central differences to
+within a bound stated from its declared smoothness constants.
 """
 
 from __future__ import annotations
@@ -40,6 +42,10 @@ from accelflow.core import (  # noqa: E402
     ScaledPthPowerMap,
     builtin_mirror_maps,
     builtin_problems,
+)
+from accelflow.core.numerics import (  # noqa: E402
+    central_diff_directional,
+    central_diff_gradient,
 )
 from accelflow.flows.integrate import DIVERGENCE_THRESHOLD  # noqa: E402
 
@@ -151,6 +157,7 @@ def _power_norm_hessian(p, x):
 @given(_cases(1e30))
 @example((3, None, np.zeros(3)))
 @example((2, None, -np.zeros(2)))
+@example((2, None, np.array([2.5e-156])))
 def test_power_norm_is_bit_equal_to_its_formulas(case):
     p, _, x = case
     f = PowerNorm(p)
@@ -165,7 +172,11 @@ def test_power_norm_is_bit_equal_to_its_formulas(case):
 
     assert outcome(f.value) == outcome(lambda v: _power_norm_value(p, v))
     assert outcome(f.gradient) == outcome(lambda v: _power_norm_gradient(p, v))
-    assert outcome(f.hessian_dense) == outcome(lambda v: _power_norm_hessian(p, v))
+    expected = outcome(lambda v: _power_norm_hessian(p, v))
+    if expected is OverflowError and p == 2.0:
+        # the map drops the d d^T term, whose coefficient p - 2 is 0, at p = 2
+        expected = _bits(np.eye(x.size))
+    assert outcome(f.hessian_dense) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -270,3 +281,71 @@ def test_exponential_discretization_is_bit_equal_to_reference(f, c, delta, K, st
     assert np.array_equal(rec.ks, ks)
     assert _bits(rec.xs) == _bits(xs) and _bits(rec.f_xs) == _bits(f_xs)
     assert _bits(rec.extras["progress_ratios"]) == _bits(ratios)
+
+
+# ---------------------------------------------------------------------------
+# oracle derivatives against central differences
+#
+# With unit directions, the central difference with step e of
+# psi(t) = D^{k-1} f(x + t v)[u, ...] misses psi'(0) = D^k f(x)[v, u, ...] by
+# at most e^2 L_{k+1} / 6 (|psi^(3)| <= L_{k+1}, the declared Lipschitz
+# constant of the order-(k+1) derivative), or else by e L_k / 2 (psi' is
+# L_k-Lipschitz), plus the rounding of the two evaluations over 2e. Where an
+# oracle declares neither constant there is no stated tolerance and the
+# order is not compared here: log_sum_exp and power_3 at order 3, power_2 at
+# orders 2 and 3, power_4 at order 1 (test_core compares them with fixed
+# tolerances).
+
+PROBLEMS = builtin_problems()
+DIFFERENCE_STEP = {1: 1e-6, 2: 1e-5, 3: 1e-5}  # the helpers' defaults
+ROUNDING_ULPS = 64  # per evaluation, of 1 + |psi|: catalog terms are O(10) in the unit box
+
+
+def _truncation_bound(f, k, e):
+    if k + 1 in f.smoothness:
+        return e * e * f.smoothness[k + 1] / 6.0
+    if k in f.smoothness:
+        return e * f.smoothness[k] / 2.0
+    return None
+
+
+def _difference_tolerance(f, k, e, *values):
+    rounding = sum(1.0 + abs(v) for v in values) * ROUNDING_ULPS * np.finfo(np.float64).eps
+    return _truncation_bound(f, k, e) + rounding / (2.0 * e)
+
+
+DERIVATIVE_CASES = [
+    (name, k) for name, f in sorted(PROBLEMS.items()) for k in (1, 2, 3)
+    if k <= f.derivative_order and _truncation_bound(f, k, 1.0) is not None
+]
+
+
+@st.composite
+def _derivative_cases(draw):
+    name, k = draw(st.sampled_from(DERIVATIVE_CASES))
+    f = PROBLEMS[name]
+    d = f.dimension or draw(st.integers(1, 5))
+    unit = (_vectors(d, 1.0).filter(lambda v: np.linalg.norm(v) > 1e-3)
+            .map(lambda v: v / np.linalg.norm(v)))
+    return name, k, draw(_vectors(d, 1.0)), draw(unit), draw(unit), draw(unit)
+
+
+@PROPERTY_SETTINGS
+@given(_derivative_cases())
+def test_oracle_derivatives_match_central_differences(case):
+    name, k, x, u, v, w = case
+    f, e = PROBLEMS[name], DIFFERENCE_STEP[k]
+    if k == 1:
+        probes = [f.value(x + s * e * basis) for basis in np.eye(x.size) for s in (1, -1)]
+        error = np.max(np.abs(f.gradient(x) - central_diff_gradient(f.value, x, e)))
+        tolerance = _difference_tolerance(f, 1, e, *(2 * [max(map(abs, probes))]))
+    else:
+        if k == 2:
+            psi = lambda y: float(f.gradient(y) @ u)  # noqa: E731
+            exact = float(f.hessian_apply(x, v) @ u)
+        else:
+            psi = lambda y: float(f.hessian_apply(y, u) @ w)  # noqa: E731
+            exact = float(f.third_apply(x, u, v) @ w)
+        error = abs(exact - central_diff_directional(psi, x, v, e))
+        tolerance = _difference_tolerance(f, k, e, psi(x + e * v), psi(x - e * v))
+    assert error <= tolerance, (name, k, error, tolerance)

@@ -273,3 +273,14 @@ def test_secular_bracket_without_sign_change_is_solver_error():
     lam, vecs = np.linalg.eigh(np.diag([1.0, 10.0]))
     with pytest.raises(SolverError, match="different signs"):
         _secular_displacement(lam, vecs, np.array([1.0, 1.0]), 20.0, 1, 1e-300)
+
+
+def test_g_step_at_tiny_point_of_quadratic_power_norm():
+    # the order-2 Hessian of power_2 at a 1e-160 point used to overflow
+    f = builtin_problems()["power_2"]
+    x = np.array([1e-160, 0.0, 0.0])
+    try:
+        y, cert = g_step(f, x, StepConfig(3, 0.5, 2.0))
+    except SolverError:
+        return
+    assert np.all(np.isfinite(y)) and cert.ok
