@@ -444,6 +444,15 @@ def _empirical_level_radius(f, x0, xs, x_star) -> tuple[float | None, str | None
     return 1.1 * float(np.max(np.linalg.norm(xs - x_star[None, :], axis=1))), "empirical"
 
 
+def _solver_failure(k: int, exc: SolverError) -> dict:
+    """The termination record of a run cut short by the Taylor-step solver:
+    where it stopped, the solver's message and its residual (None or NaN
+    when the solver stopped before forming one). It reaches summaries,
+    never CSV files."""
+    return {"status": "solver_error", "k": k, "message": str(exc),
+            "residual": exc.residual}
+
+
 def higher_order_descent(
     f: ObjectiveOracle, cfg: StepConfig, x0: Point, K: int
 ) -> RunRecord:
@@ -452,8 +461,9 @@ def higher_order_descent(
     Descends monotonically and obeys the O(1/k^{p-1}) gap bound
     p^{p-1} (N+1) R^p / (eps k^{p-1}) with R the radius of the initial
     sublevel set. Each step carries its progress certificate; a solver
-    failure is recorded in ``termination`` and truncates the run. R and its
-    provenance go to extras "level_radius" and "level_radius_source":
+    failure is recorded in ``termination`` with the solver's message and
+    residual, and truncates the run. R and its provenance go to extras
+    "level_radius" and "level_radius_source":
     "declared" when the oracle certifies the radius, "empirical" for the
     padded fallback, None when the bound cannot be formed.
     """
@@ -473,8 +483,8 @@ def higher_order_descent(
     for k in range(K):
         try:
             y, cert = g_step(f, x, cfg)
-        except SolverError:
-            termination = {"status": "solver_error", "k": k}
+        except SolverError as exc:
+            termination = _solver_failure(k, exc)
             break
         if _blown(y):
             termination = {"status": "diverged", "k": k + 1}
@@ -575,8 +585,8 @@ def accelerated(f: ObjectiveOracle, cfg: AccelConfig, K: int) -> RunRecord:
         f_xs[k] = f.value(x)
         try:
             y, cert = g_step(f, x, scfg)
-        except SolverError:
-            termination = {"status": "solver_error", "k": k}
+        except SolverError as exc:
+            termination = _solver_failure(k, exc)
             break
         g = cert.grad_y
         weight = rising_factorial(k, p - 1)
@@ -875,7 +885,7 @@ def restart_accelerated(
         rec = accelerated(f, cfg, m)
         inner.append(rec)
         if rec.termination["status"] != "completed":
-            termination = {"status": rec.termination["status"], "k": j}
+            termination = {**rec.termination, "k": j}
             break
         xhat = np.asarray(rec.ys[-1])
         anchors[j + 1] = xhat

@@ -27,11 +27,14 @@ class ScalingTriple:
     valid_from marks the left end of the domain (several families are
     singular at t = 0). family is a tag tuple such as ("polynomial", p, C),
     ("exponential", c), ("massless", m), or ("custom", label); it is
-    descriptive only, never dispatched on.
+    descriptive only, never dispatched on. alpha_beta(t) returns the pair
+    (alpha(t), beta(t)) bit for bit; a family may pass one that shares the
+    work of the two, and by default it calls both.
     """
 
     def __init__(self, alpha, beta, gamma, alpha_dot, beta_dot, gamma_dot,
-                 valid_from: float = 0.0, family: tuple = ("custom", "")):
+                 valid_from: float = 0.0, family: tuple = ("custom", ""),
+                 alpha_beta=None):
         self.alpha: Callable[[float], float] = alpha
         self.beta: Callable[[float], float] = beta
         self.gamma: Callable[[float], float] = gamma
@@ -40,6 +43,8 @@ class ScalingTriple:
         self.gamma_dot: Callable[[float], float] = gamma_dot
         self.valid_from = float(valid_from)
         self.family = family
+        self.alpha_beta: Callable[[float], tuple[float, float]] = (
+            alpha_beta or (lambda t: (alpha(t), beta(t))))
 
     def exp_alpha(self, t: float) -> float:
         return math.exp(self.alpha(t))
@@ -52,6 +57,11 @@ def polynomial_triple(p: float, C: float = 1.0, t_min: float = 0.1) -> ScalingTr
         raise InputError("polynomial triple needs p > 0, C > 0, t_min > 0")
     p, C = float(p), float(C)
     logp, logC = math.log(p), math.log(C)
+
+    def alpha_beta(t):
+        log_t = math.log(t)
+        return logp - log_t, p * log_t + logC
+
     return ScalingTriple(
         alpha=lambda t: logp - math.log(t),
         beta=lambda t: p * math.log(t) + logC,
@@ -61,6 +71,7 @@ def polynomial_triple(p: float, C: float = 1.0, t_min: float = 0.1) -> ScalingTr
         gamma_dot=lambda t: p / t,
         valid_from=t_min,
         family=("polynomial", p, C),
+        alpha_beta=alpha_beta,
     )
 
 

@@ -1,4 +1,5 @@
-"""Fixed-step and step-doubling RK4 integration with dense trajectory records.
+"""Fixed-step RK4 and adaptive Dormand-Prince 5(4) integration with dense
+trajectory records.
 
 The integrator is deliberately hand-rolled: trajectories must be bitwise
 reproducible given the same controls, and every recorded sample keeps its
@@ -17,6 +18,35 @@ from ..core.points import as_point
 from ..errors import DivergenceError, InputError, NumericalError
 
 DIVERGENCE_THRESHOLD = 1e8
+
+# Dormand-Prince 5(4) (Hairer, Norsett & Wanner, Solving ODEs I, Table II.5.2).
+# Row i of _A holds the weights of stage K[i] on K[0..i-1]; the last row is
+# the fifth-order solution b, so the last stage K[6] is the field at the new
+# state. _E = b - b_hat weighs the stages into the local error estimate.
+_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
+_A = tuple(np.array(row, dtype=np.float64) for row in (
+    (),
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+))
+_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200,
+               22 / 525, -1 / 40])
+
+# PI step control with Hairer's DOPRI5 defaults (Gustafsson, ACM TOMS 17(4),
+# 1991): after an accepted step h grows by 0.9 err^-0.17 err_prev^0.04 within
+# [0.2, 10]; a rejection shrinks it by max(0.2, 0.9 err^-0.2), and the step
+# after a rejection does not grow. err_prev is floored at 1e-4.
+_SAFETY = 0.9
+_ALPHA = 0.17
+_BETA = 0.04
+_REJECT_EXP = 0.2
+_SHRINK_MIN = 0.2
+_GROW_MAX = 10.0
+_ERR_FLOOR = 1e-4
 
 class Trajectory:
     """Recorded samples of one integration: times, states, field values.
@@ -177,12 +207,15 @@ def integrate(sys, x0, t0: float, t_end: float, controls: dict,
     positive, rel_tol finite and nonnegative. A violation raises InputError,
     as does t0 before the system's domain. Deterministic given controls.
 
-    rk4 takes steps fixed steps of 4 field evaluations. rk4_adaptive is step
-    doubling: each attempt compares one step of size h with two of size h/2,
-    sharing k1 = field(t, y) between the full and first half step and across
-    retries, for 10 evaluations per attempt. The derivative at an accepted
-    state is both its recorded value and the next step's k1, so
-    step_stats["field_evals"] is 10 * (accepted + rejected) + accepted + 1.
+    rk4 takes steps fixed steps of 4 field evaluations. rk4_adaptive selects
+    the embedded Dormand-Prince 5(4) pair with FSAL: each attempt evaluates
+    stages 2..7, advances with the fifth-order solution, and accepts when the
+    max over coordinates of |h (b - b_hat) . K| / (abs_tol + rel_tol *
+    max(|y|, |y_new|)) is at most 1; a PI controller picks the next step.
+    Stage 7 is the field at the new state, so it is both the recorded
+    derivative and the next step's stage 1, and step_stats["field_evals"]
+    is 6 * (accepted + rejected) + 1, plus 1 when the record needs a
+    separate final sample.
 
     initial_state overrides the system's standard initial state (used by
     force-free oracle checks that start with nonzero velocity). Divergence
@@ -279,46 +312,50 @@ def integrate(sys, x0, t0: float, t_end: float, controls: dict,
     accepted = rejected = 0
     h_min_seen, h_max_seen = np.inf, 0.0
     near_end = t_end - 1e-14 * max(1.0, abs(t_end))
+    err_prev = _ERR_FLOOR
+    after_reject = False
 
     def progress():
         return {"method": "rk4_adaptive", "accepted": accepted,
                 "rejected": rejected, "field_evals": evals}
 
-    def rk4_step(t, y, h, k1):
-        k2 = field(t + 0.5 * h, y + (0.5 * h) * k1)
-        k3 = field(t + 0.5 * h, y + (0.5 * h) * k2)
-        k4 = field(t + h, y + h * k3)
-        return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-    k1 = field(t, y)  # field at the current state, shared by every attempt
+    K = np.empty((7, y.size))
+    stages = [(i, _C[i], _A[i], K[:i]) for i in range(1, 7)]
+    K[0] = field(t, y)  # field at the current state, shared by every attempt
     evals = 1
-    rec.push(t, y, k1)
+    rec.push(t, y, K[0])
+    abs_y = np.abs(y)
     while t < near_end:
         h = min(h, t_end - t)
         if h <= 0:
             break
-        half = 0.5 * h
-        y_full = rk4_step(t, y, h, k1)
-        y_half = rk4_step(t, y, half, k1)
-        y_two = rk4_step(t + half, y_half, half, field(t + half, y_half))
-        evals += 10
-        err_vec = (y_two - y_full) / 15.0
-        scale = abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y_two))
-        err = float((np.abs(err_vec) / scale).max())
+        for i, c, a, k in stages:
+            y_new = y + h * np.dot(a, k)
+            K[i] = field(t + c * h, y_new)
+        evals += 6  # y_new is now stage 7's argument: the fifth-order solution
+        abs_new = np.abs(y_new)
+        scale = abs_tol + rel_tol * np.maximum(abs_y, abs_new)
+        err = float((np.abs(h * np.dot(_E, K)) / scale).max())
         if err <= 1.0:
             t = t + h
-            y = y_two + err_vec  # local extrapolation to 5th order
+            y, abs_y = y_new, abs_new
             accepted += 1
             h_min_seen, h_max_seen = min(h_min_seen, h), max(h_max_seen, h)
             checked(t, y, progress)
-            k1 = field(t, y)
-            evals += 1
+            K[0] = K[6]  # FSAL: the last stage is the field at the new state
             if accepted % record_every == 0 or t >= near_end:
-                rec.push(t, y, k1)
+                rec.push(t, y, K[0])
+            factor = 1.0 if after_reject else _GROW_MAX
+            if err > 0:
+                factor = min(factor, max(_SHRINK_MIN, _SAFETY * err ** -_ALPHA
+                                         * err_prev ** _BETA))
+            err_prev = max(err, _ERR_FLOOR)
+            after_reject = False
         else:
             rejected += 1
-        factor = 0.9 * err ** -0.2 if err > 0 else 5.0
-        h *= min(5.0, max(0.2, factor))
+            factor = max(_SHRINK_MIN, _SAFETY * err ** -_REJECT_EXP)
+            after_reject = True
+        h *= factor
         if accepted + rejected > max_steps:
             raise NumericalError(
                 f"adaptive integrator exceeded {max_steps} step attempts"

@@ -91,12 +91,12 @@ def build_el_system(h: MirrorMap, f: ObjectiveOracle, s: ScalingTriple,
     def field(t, y):
         d = y.size // 2
         x, w = y[:d], y[d:]
-        a = s.alpha(t)
+        a, b = s.alpha_beta(t)
         out = np.empty(y.shape)
         dx, dw = out[:d], out[d:]
         np.subtract(h.dual_gradient(w), x, out=dx)
         np.multiply(math.exp(a), dx, out=dx)
-        np.multiply(-math.exp(a + s.beta(t)), f.gradient(x), out=dw)
+        np.multiply(-math.exp(a + b), f.gradient(x), out=dw)
         return out
 
     def init(x0, t0):

@@ -30,6 +30,7 @@ from .errors import CapabilityError, InputError, SolverError
 CERT_TOL = 1e-8
 RESIDUAL_TARGET = 1e-9  # relative, p in {2, 3}
 RESIDUAL_LIMIT_P4 = 1e-6
+SHORTCUT_RTOL = 1e-12  # fixed-point defect |phi(r)|/r that ends the secular solve early
 
 
 @dataclass(frozen=True)
@@ -118,30 +119,42 @@ def _secular_displacement(eigvals, eigvecs, g, scale: float, power: int,
     lam = np.maximum(eigvals, 0.0)
     coords = eigvecs.T @ g
 
+    def coords_u(r):  # u(r) in the eigenbasis, up to sign
+        return coords / (lam + scale * r ** power)
+
     def norm_u(r):
-        return float(np.linalg.norm(coords / (lam + scale * r ** power)))
+        return float(np.linalg.norm(coords_u(r)))
 
     def phi(r):
         return norm_u(r) - r
 
     lo = 1e-16 * r_hi
     if phi(lo) <= 0.0:
-        r = norm_u(lo)  # regularizer negligible: essentially a Newton step
-        r = norm_u(r)
+        # the root lies in (0, lo]; where the regularizer is negligible two
+        # fixed-point sweeps settle it (essentially a Newton step)
+        r = norm_u(norm_u(lo))
+        if abs(phi(r)) <= SHORTCUT_RTOL * r:
+            return -(eigvecs @ coords_u(r))
+        # the regularizer still shapes the step (a direction of zero
+        # curvature, say): bracket the root below lo instead
+        hi = lo
+        while phi(lo) <= 0.0 and lo > 1e-300:
+            lo *= 1e-16
+        xtol = 1e-15 * hi + 1e-300
     else:
         hi = r_hi
         tries = 0
         while phi(hi) > 0.0 and tries < 60:  # roundoff guard; phi(r_hi) <= 0
             hi *= 2.0
             tries += 1
-        try:
-            r = brentq(phi, lo, hi, xtol=1e-15 * r_hi + 1e-300,
-                       rtol=4.0 * np.finfo(float).eps, maxiter=200)
-        except ValueError as exc:  # no sign change, or phi is NaN
-            raise SolverError(f"secular solve found no root bracket: {exc}",
-                              residual=float("nan")) from exc
-    u = -(eigvecs @ (coords / (lam + scale * r ** power)))
-    return u
+        xtol = 1e-15 * r_hi + 1e-300
+    try:
+        r = brentq(phi, lo, hi, xtol=xtol, rtol=4.0 * np.finfo(float).eps,
+                   maxiter=200)
+    except ValueError as exc:  # no sign change, or phi is NaN
+        raise SolverError(f"secular solve found no root bracket: {exc}",
+                          residual=float("nan")) from exc
+    return -(eigvecs @ coords_u(r))
 
 
 def _newton_polish_p4(f, x, g, H, u0, scale: float, target: float):

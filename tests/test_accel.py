@@ -221,9 +221,63 @@ def test_descent_solver_error_truncates_record():
             return np.zeros(2)
 
     rec = higher_order_descent(Saddle(), StepConfig(3, 1.0, 2.0), np.ones(2), 10)
-    assert rec.termination == {"status": "solver_error", "k": 0}
+    term = rec.termination
+    assert (term["status"], term["k"]) == ("solver_error", 0)
+    assert "not convex" in term["message"]
+    assert math.isnan(term["residual"])  # the solver stopped before a residual
+    assert rec.summary()["termination"]["residual"] is None
     assert len(rec.ks) == 1  # only x0 recorded
     assert rec.certificates == []
+
+
+def _failing_g_step(monkeypatch, fail_at):
+    """Make accel's Taylor step raise SolverError on call fail_at (0-based)."""
+    import accelflow.accel as accel_module
+    from accelflow.errors import SolverError
+
+    real = accel_module.g_step
+    calls = [0]
+
+    def g_step(f, x, cfg):
+        calls[0] += 1
+        if calls[0] == fail_at + 1:
+            raise SolverError("inner solve stalled at residual 2.500e-01",
+                              best=None, residual=0.25)
+        return real(f, x, cfg)
+
+    monkeypatch.setattr(accel_module, "g_step", g_step)
+
+
+@pytest.mark.parametrize("algorithm", ["higher_order_descent", "accelerated"])
+def test_solver_error_records_message_and_residual(monkeypatch, tmp_path, algorithm):
+    f = builtin_problems()["quadratic"]
+    _failing_g_step(monkeypatch, fail_at=3)
+    if algorithm == "accelerated":
+        rec = accelerated(f, AccelConfig(p=3, epsilon=smoothness_epsilon(f, 3),
+                                         x0=np.ones(2)), 10)
+    else:
+        rec = higher_order_descent(f, StepConfig(3, smoothness_epsilon(f, 3), 2.0),
+                                   np.ones(2), 10)
+    expected = {"status": "solver_error", "k": 3,
+                "message": "inner solve stalled at residual 2.500e-01",
+                "residual": 0.25}
+    assert rec.termination == expected
+    assert len(rec.certificates) == 3
+    summary = json.loads(json.dumps(rec.summary()))
+    assert summary["termination"] == expected
+    # the record goes to summaries only: the CSV holds the iterations
+    rec.to_csv(tmp_path / "run.csv")
+    text = (tmp_path / "run.csv").read_text()
+    assert "stalled" not in text and "solver_error" not in text
+
+
+def test_restart_carries_the_inner_solver_failure(monkeypatch):
+    f = builtin_problems()["quadratic"]
+    _failing_g_step(monkeypatch, fail_at=0)
+    rec = restart_accelerated(f, 0.1, np.ones(2), 2)
+    assert rec.termination["status"] == "solver_error"
+    assert rec.termination["k"] == 0  # the epoch, not the inner iteration
+    assert rec.termination["residual"] == 0.25
 
 
 def test_descent_input_validation():

@@ -20,6 +20,10 @@ Oracles used here, all derived by hand and independent of the implementation:
   tau(t) = t^{p/2} yields the degree-p triple with the same rate constant:
   alpha picks up log tau_dot = log(p/2) + (p/2 - 1) log t, which combines
   with alpha(tau) = log 2 - (p/2) log t to give log p - log t.
+
+* The adaptive integrator's tableau against the Butcher order conditions
+  (one per rooted tree up to order 5), and its final states against scipy's
+  independent DOP853 at rtol 1e-13.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from accelflow.core import (
     DiagonalMap,
@@ -66,6 +71,9 @@ from accelflow.flows import (
     integrate,
     rescaled_flow_energy,
 )
+from accelflow.flows.integrate import _A as _DP_A
+from accelflow.flows.integrate import _C as _DP_C
+from accelflow.flows.integrate import _E as _DP_E
 
 RNG_SEED = 20260819
 
@@ -471,78 +479,123 @@ def test_divergence_partial_stats_count_field_evals(controls):
         assert stats["field_evals"] == 4 * stats["completed"]
     else:
         assert stats["accepted"] > 0 and "rejected" in stats
-        # the diverged state's own field is never evaluated
-        assert stats["field_evals"] == (
-            10 * (stats["accepted"] + stats["rejected"]) + stats["accepted"]
-        )
+        # FSAL: the diverged state's field was stage 7 of its own step
+        assert stats["field_evals"] == 6 * (stats["accepted"] + stats["rejected"]) + 1
 
 
-def _reference_step_doubling(field, y0, t0, t_end, rel_tol, abs_tol, h,
-                             record_every):
-    """Step-doubling RK4 written out in full: three independent RK4 steps
-    per attempt, each with its own k1, and a fresh field evaluation for
-    every recorded sample. The integrator shares those evaluations; it must
-    reproduce this loop bit for bit."""
+def _full_tableau():
+    """The Dormand-Prince coefficients as a 7x7 A, c and b."""
+    A = np.zeros((7, 7))
+    for i, row in enumerate(_DP_A):
+        A[i, :i] = row
+    return A, np.array(_DP_C), A[6].copy()
 
-    def rk4_step(t, y, h):
-        k1 = field(t, y)
-        k2 = field(t + 0.5 * h, y + (0.5 * h) * k1)
-        k3 = field(t + 0.5 * h, y + (0.5 * h) * k2)
-        k4 = field(t + h, y + h * k3)
-        return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
-    y, t = y0.copy(), t0
-    times, states, derivs = [t], [y.copy()], [field(t, y)]
-    accepted = rejected = 0
-    while t < t_end - 1e-14 * max(1.0, abs(t_end)):
-        h = min(h, t_end - t)
-        y_full = rk4_step(t, y, h)
-        y_half = rk4_step(t, y, 0.5 * h)
-        y_two = rk4_step(t + 0.5 * h, y_half, 0.5 * h)
-        err_vec = (y_two - y_full) / 15.0
-        scale = abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y_two))
-        err = float(np.max(np.abs(err_vec) / scale))
-        if err <= 1.0:
-            t = t + h
-            y = y_two + err_vec
-            accepted += 1
-            at_end = t >= t_end - 1e-14 * max(1.0, abs(t_end))
-            if accepted % record_every == 0 or at_end:
-                times.append(t)
-                states.append(y.copy())
-                derivs.append(field(t, y))
-        else:
-            rejected += 1
-        factor = 0.9 * err ** -0.2 if err > 0 else 5.0
-        h *= min(5.0, max(0.2, factor))
-    return (np.array(times), np.array(states), np.array(derivs),
-            accepted, rejected)
+def _order_conditions(A, c, b, order):
+    """Residuals of the Butcher order conditions up to the given order (at
+    most 5): one per rooted tree, b . (elementary weight) - 1/gamma."""
+    Ac = A @ c
+    trees = [(np.ones(7), 1.0), (c, 2.0),
+             (c**2, 3.0), (Ac, 6.0),
+             (c**3, 4.0), (c * Ac, 8.0), (A @ c**2, 12.0), (A @ Ac, 24.0),
+             (c**4, 5.0), (c**2 * Ac, 10.0), (c * (A @ c**2), 15.0),
+             (c * (A @ Ac), 30.0), (Ac**2, 20.0), (A @ c**3, 20.0),
+             (A @ (c * Ac), 40.0), (A @ (A @ c**2), 60.0),
+             (A @ (A @ Ac), 120.0)]
+    n_trees = {1: 1, 2: 2, 3: 4, 4: 8, 5: 17}[order]
+    return np.array([b @ phi - 1.0 / gamma for phi, gamma in trees[:n_trees]])
+
+
+def test_dormand_prince_tableau_meets_its_order_conditions():
+    A, c, b = _full_tableau()
+    np.testing.assert_allclose(A.sum(axis=1), c, rtol=0, atol=1e-15)
+    assert np.max(np.abs(_order_conditions(A, c, b, 5))) <= 1e-15
+    # the embedded solution b_hat = b - E is of order 4 and not 5
+    b_hat = b - _DP_E
+    assert np.max(np.abs(_order_conditions(A, c, b_hat, 4))) <= 1e-15
+    assert np.max(np.abs(_order_conditions(A, c, b_hat, 5))) > 1e-4
+    assert abs(_DP_E.sum()) <= 1e-17
+    assert _DP_E[-1] != 0.0 and c[-1] == 1.0  # FSAL stage enters the estimate
+
+
+def _quartic_flow():
+    return build_el_system(PthPowerMap(4), quadratic_2d(), polynomial_triple(4, 1.0))
+
+
+ADAPTIVE = {"method": "rk4_adaptive", "rel_tol": 1e-7, "abs_tol": 1e-11}
+
+
+@pytest.mark.parametrize("every", [1, 16])
+def test_adaptive_records_the_field_at_every_sample_bitwise(every):
+    sys = _quartic_flow()
+    traj = integrate(sys, np.array([1.0, -1.0]), 0.1, 3.0,
+                     {**ADAPTIVE, "record_every": every})
+    stats = traj.step_stats
+    assert stats["rejected"] > 0 and stats["accepted"] > every
+    assert traj.times[-1] == 3.0
+    for t, y, dy in zip(traj.times, traj.states, traj.derivs):
+        assert dy.tobytes() == sys.vector_field(t, y).tobytes()
 
 
 @pytest.mark.parametrize("mirror, p, every", [
     (PthPowerMap(4), 4, 16),
     (EuclideanMap(), 3, 4),
 ], ids=["pth_power_4", "euclidean"])
-def test_adaptive_matches_reference_step_doubling_bitwise(mirror, p, every):
+def test_adaptive_field_evals_match_the_fsal_count(mirror, p, every):
+    sys, calls = _counting(build_el_system(mirror, quadratic_2d(),
+                                           polynomial_triple(p, 1.0)))
+    traj = integrate(sys, np.array([1.0, -1.0]), 0.1, 3.0,
+                     {**ADAPTIVE, "record_every": every})
+    stats = traj.step_stats
+    assert stats["rejected"] > 0
+    assert stats["field_evals"] == calls[0]
+    assert stats["field_evals"] == 6 * (stats["accepted"] + stats["rejected"]) + 1
+    assert set(stats) == {"method", "accepted", "rejected", "field_evals",
+                          "rel_tol", "abs_tol", "h_min", "h_max", "record_every"}
+
+
+def test_adaptive_reruns_are_bitwise_equal():
+    runs = [integrate(_quartic_flow(), np.array([1.0, -1.0]), 0.1, 3.0,
+                      {**ADAPTIVE, "record_every": 4}) for _ in range(2)]
+    a, b = runs
+    for name in ("times", "states", "derivs", "f_gap", "energy"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+    assert a.step_stats == b.step_stats
+
+
+@pytest.mark.parametrize("p, mirror", [(2, EuclideanMap()), (3, PthPowerMap(3))],
+                         ids=["euclidean_p2", "pth_power_3"])
+def test_adaptive_force_free_error_scales_with_tolerance(p, mirror):
+    sys, x0, z0, y0 = _natural_motion_setup(polynomial_triple(p, 1.0), mirror)
+    t0, t_end = 0.5, 4.0
+    exact = z0 + (x0 - z0) * (t0 / t_end) ** p
+    errs = []
+    for rel_tol in (1e-6, 1e-8, 1e-10):
+        abs_tol = 1e-3 * rel_tol
+        traj = integrate(sys, x0, t0, t_end,
+                         {"method": "rk4_adaptive", "rel_tol": rel_tol,
+                          "abs_tol": abs_tol}, initial_state=y0)
+        err = float(np.max(np.abs(traj.final_state()[:2] - exact)))
+        assert err <= 10.0 * (rel_tol * np.max(np.abs(exact)) + abs_tol)
+        errs.append(err)
+    assert errs[0] > 10.0 * errs[1] > 100.0 * errs[2]
+
+
+@pytest.mark.parametrize("mirror, p", [(PthPowerMap(4), 4), (EuclideanMap(), 3)],
+                         ids=["pth_power_4", "euclidean"])
+@pytest.mark.parametrize("rel_tol", [1e-7, 1e-9])
+def test_adaptive_final_state_matches_dop853(mirror, p, rel_tol):
     sys = build_el_system(mirror, quadratic_2d(), polynomial_triple(p, 1.0))
     x0 = np.array([1.0, -1.0])
-    t0, t_end, rel_tol, abs_tol = 0.1, 3.0, 1e-7, 1e-11
-    h0 = (t_end - t0) / 100.0
-    times, states, derivs, accepted, rejected = _reference_step_doubling(
-        sys.vector_field, sys.initial_state_from(x0, t0), t0, t_end,
-        rel_tol, abs_tol, h0, every)
-    sys, calls = _counting(sys)
+    t0, t_end, abs_tol = 0.1, 3.0, 1e-11
+    ref = solve_ivp(sys.vector_field, (t0, t_end), sys.initial_state_from(x0, t0),
+                    method="DOP853", rtol=1e-13, atol=1e-16)
+    assert ref.success
+    y_ref = ref.y[:, -1]
     traj = integrate(sys, x0, t0, t_end,
-                     {"method": "rk4_adaptive", "rel_tol": rel_tol,
-                      "abs_tol": abs_tol, "record_every": every})
-    stats = traj.step_stats
-    assert rejected > 0 and accepted > every
-    assert (stats["accepted"], stats["rejected"]) == (accepted, rejected)
-    assert traj.times.tobytes() == times.tobytes()
-    assert traj.states.tobytes() == states.tobytes()
-    assert traj.derivs.tobytes() == derivs.tobytes()
-    assert stats["field_evals"] == calls[0]
-    assert stats["field_evals"] == 10 * (accepted + rejected) + accepted + 1
+                     {"method": "rk4_adaptive", "rel_tol": rel_tol, "abs_tol": abs_tol})
+    err = float(np.max(np.abs(traj.final_state() - y_ref)))
+    assert err <= 50.0 * (rel_tol * np.max(np.abs(y_ref)) + abs_tol)
 
 
 def test_trajectory_interpolation_nodes_and_range():

@@ -11,7 +11,11 @@ Oracles, each the code as first written, kept here as references:
 * the PowerNorm objective's own value, gradient and Hessian formulas, which
   the shared PthPowerMap must reproduce bit for bit;
 * the two separate forward-discretization loops (naive and exponential),
-  whose records the shared loop must reproduce bit for bit.
+  whose records the shared loop must reproduce bit for bit;
+* the Euler-Lagrange field with alpha(t) and beta(t) evaluated separately,
+  which the field sharing one log t per call must reproduce bit for bit.
+
+Every invalid integrator control must raise InputError, never integrate.
 
 The scaled map d_p only has to invert its gradient: its dual gradient
 rounds differently from the formula it replaced. Each catalog oracle's
@@ -42,11 +46,14 @@ from accelflow.core import (  # noqa: E402
     ScaledPthPowerMap,
     builtin_mirror_maps,
     builtin_problems,
+    polynomial_triple,
 )
 from accelflow.core.numerics import (  # noqa: E402
     central_diff_directional,
     central_diff_gradient,
 )
+from accelflow.errors import InputError  # noqa: E402
+from accelflow.flows import build_el_system, integrate  # noqa: E402
 from accelflow.flows.integrate import DIVERGENCE_THRESHOLD  # noqa: E402
 
 PROPERTY_SETTINGS = settings(max_examples=300, deadline=None,
@@ -349,3 +356,110 @@ def test_oracle_derivatives_match_central_differences(case):
         error = abs(exact - central_diff_directional(psi, x, v, e))
         tolerance = _difference_tolerance(f, k, e, psi(x + e * v), psi(x - e * v))
     assert error <= tolerance, (name, k, error, tolerance)
+
+
+# ---------------------------------------------------------------------------
+# the Euler-Lagrange field shares log t between alpha and beta
+
+
+def _el_field_formula(h, f, s, t, y):
+    """The field as first written: alpha(t) and beta(t) each take a log."""
+    d = y.size // 2
+    x, w = y[:d], y[d:]
+    a = s.alpha(t)
+    out = np.empty(y.shape)
+    dx, dw = out[:d], out[d:]
+    np.subtract(h.dual_gradient(w), x, out=dx)
+    np.multiply(math.exp(a), dx, out=dx)
+    np.multiply(-math.exp(a + s.beta(t)), f.gradient(x), out=dw)
+    return out
+
+
+_SIGNED_COORD = (st.sampled_from((0.0, -0.0))
+                 | st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def _el_cases(draw):
+    p = draw(st.sampled_from((2.0, 3.0, 4.0)) | st.floats(0.5, 6.0))
+    C = draw(st.sampled_from((1.0,)) | st.floats(0.01, 100.0))
+    t = draw(st.floats(0.1, 1e4))
+    d = draw(st.integers(1, 4))
+    mirror = draw(st.sampled_from(("euclidean", "pth_power")))
+    y = np.array(draw(st.lists(_SIGNED_COORD, min_size=2 * d, max_size=2 * d)))
+    return p, C, t, mirror, y
+
+
+@PROPERTY_SETTINGS
+@given(_el_cases())
+@example((4.0, 1.0, 0.1, "pth_power", np.array([-0.0, 0.0, 0.0, -0.0])))
+@example((2.0, 1.0, 1.0, "euclidean", np.array([0.0, -0.0])))
+def test_el_field_is_bit_equal_to_separate_alpha_beta(case):
+    p, C, t, mirror, y = case
+    s = polynomial_triple(p, C)
+    assert s.alpha_beta(t) == (s.alpha(t), s.beta(t))
+    h = EuclideanMap() if mirror == "euclidean" else PthPowerMap(p if p >= 2 else 2)
+    f = DiagonalQuadratic(tuple(float(i + 1) for i in range(y.size // 2)))
+    field = build_el_system(h, f, s).vector_field
+    assert _bits(field(t, y)) == _bits(_el_field_formula(h, f, s, t, y))
+
+
+# ---------------------------------------------------------------------------
+# integrator controls: every invalid one raises InputError
+
+_NOT_A_NUMBER = st.sampled_from(("tight", "", None, [1e-8]))
+_NONFINITE = st.sampled_from((math.nan, math.inf, -math.inf))
+# steps / record_every / max_steps: integers >= 1 (integral floats admitted)
+_BAD_COUNT = (st.integers(-10**6, 0)
+              | st.floats(-1e6, 0.0)
+              | st.floats(allow_nan=True).filter(
+                  lambda v: not (math.isfinite(v) and v.is_integer()))
+              | st.booleans() | _NOT_A_NUMBER)
+# initial_step / abs_tol: finite and > 0
+_BAD_POSITIVE = st.floats(-1e6, 0.0) | _NONFINITE | _NOT_A_NUMBER
+# rel_tol: finite and >= 0
+_BAD_NONNEGATIVE = st.floats(-1e6, -5e-324) | _NONFINITE | _NOT_A_NUMBER
+
+_VALID = {
+    "rk4": {"steps": st.integers(1, 20), "record_every": st.integers(1, 5)},
+    "rk4_adaptive": {
+        "rel_tol": st.floats(0.0, 1e-3), "abs_tol": st.floats(1e-12, 1e-3),
+        "initial_step": st.floats(1e-3, 1.0), "max_steps": st.integers(1, 50),
+        "record_every": st.integers(1, 5),
+    },
+}
+_BAD = {"steps": _BAD_COUNT, "record_every": _BAD_COUNT, "max_steps": _BAD_COUNT,
+        "initial_step": _BAD_POSITIVE, "abs_tol": _BAD_POSITIVE,
+        "rel_tol": _BAD_NONNEGATIVE}
+
+
+@st.composite
+def _bad_controls(draw):
+    method = draw(st.sampled_from(("rk4", "rk4_adaptive")))
+    valid = _VALID[method]
+    bad_key = draw(st.sampled_from(sorted(valid) + ["t_end"]))
+    controls = {"method": method}
+    for key, values in valid.items():
+        if key != bad_key and (key == "steps" or draw(st.booleans())):
+            controls[key] = draw(values)
+    t_end = 1.0
+    if bad_key == "t_end":
+        t_end = draw(_NONFINITE | st.floats(-1e3, 0.1))
+    else:
+        controls[bad_key] = draw(_BAD[bad_key])
+    return t_end, controls
+
+
+_FLOW = build_el_system(EuclideanMap(), DiagonalQuadratic((1.0, 10.0)),
+                        polynomial_triple(2, 1.0))
+
+
+@PROPERTY_SETTINGS
+@given(_bad_controls())
+@example((1.0, {"method": "rk4"}))
+@example((1.0, {"method": "rk4_adaptive", "rel_tol": -1.0, "abs_tol": -1.0}))
+@example((1.0, {"method": "rk4_adaptive", "max_steps": 1e4 + 0.5}))
+def test_every_invalid_integrator_control_raises_input_error(case):
+    t_end, controls = case
+    with pytest.raises(InputError):
+        integrate(_FLOW, np.array([1.0, 1.0]), 0.1, t_end, controls)

@@ -275,6 +275,72 @@ def test_secular_bracket_without_sign_change_is_solver_error():
         _secular_displacement(lam, vecs, np.array([1.0, 1.0]), 20.0, 1, 1e-300)
 
 
+class _StiffPlusLinear(ObjectiveOracle):
+    """f = (L/2) x_0^2 + b x_1: curvature L along x_0 and none along x_1,
+    where only the regularizer sets the step. Powers of two keep the Newton
+    part exact: the step lands on x_0 = 0 without rounding."""
+
+    name = "stiff_plus_linear"
+    derivative_order = 3
+    dimension = 2
+
+    def __init__(self, L, b):
+        self.L, self.b = L, b
+
+    def value(self, x):
+        return 0.5 * self.L * x[0] ** 2 + self.b * x[1]
+
+    def gradient(self, x):
+        return np.array([self.L * x[0], self.b])
+
+    def hessian_dense(self, x):
+        return np.diag([self.L, 0.0])
+
+    def hessian_apply(self, x, v):
+        return self.hessian_dense(x) @ v
+
+    def third_apply(self, x, u, v):
+        return np.zeros(2)
+
+
+def test_secular_shortcut_region_with_a_live_regularizer_is_certified():
+    # ||g|| ~ 2^110 puts r_hi near 4e16, so lo = 1e-16 r_hi ~ 3.6 lies above
+    # the root r = 1 (b / (s r) = r along x_1): phi(lo) <= 0, the case the
+    # two-sweep shortcut takes, yet the regularizer alone sets the x_1 step.
+    # Two sweeps from lo stop at r = 10 and a step of 0.28, which fails the
+    # move-norm sandwich; the secular root gives the certified unit step.
+    f = _StiffPlusLinear(2.0**150, 1.0)
+    x = np.array([2.0**-40, 0.0])
+    cfg = StepConfig(3, 2.0, 2.0)
+    scale = cfg.N / cfg.epsilon
+    g = f.gradient(x)
+    lam, vecs = np.linalg.eigh(f.hessian_dense(x))
+    r_hi = math.sqrt(float(np.linalg.norm(g)) / scale)
+    lo = 1e-16 * r_hi
+    coords = vecs.T @ g
+    assert np.linalg.norm(coords / (lam + scale * lo)) - lo <= 0.0
+    assert np.any((lam == 0.0) & (coords != 0.0))  # the regularizer is live
+    u = _secular_displacement(lam, vecs, g, scale, 1, r_hi)
+    r = float(np.linalg.norm(u))
+    assert abs(r - 1.0) <= 1e-12
+    np.testing.assert_allclose(u, [-x[0], -1.0], rtol=1e-12, atol=0)
+    assert verify_step_progress(f, x, x + u, cfg).ok
+    y, cert = g_step(f, x, cfg)
+    assert cert.ok and np.array_equal(y, x + u)
+
+
+def test_secular_shortcut_keeps_the_newton_step_when_the_regularizer_is_negligible():
+    # a stiff quadratic far from r_hi: the shortcut's answer is the Newton
+    # step to the last bit the regularizer can move
+    lam, vecs = np.linalg.eigh(np.diag([1e40, 3e40]))
+    g = np.array([1e34, -6e34])  # Newton step (-1e-6, 2e-6)
+    r_hi = math.sqrt(float(np.linalg.norm(g)) / 1.0)
+    lo = 1e-16 * r_hi
+    assert np.linalg.norm((vecs.T @ g) / (lam + lo)) - lo <= 0.0
+    u = _secular_displacement(lam, vecs, g, 1.0, 1, r_hi)
+    np.testing.assert_allclose(u, [-1e-6, 2e-6], rtol=1e-15, atol=0)
+
+
 def test_g_step_at_tiny_point_of_quadratic_power_norm():
     # the order-2 Hessian of power_2 at a 1e-160 point used to overflow
     f = builtin_problems()["power_2"]
