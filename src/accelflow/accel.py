@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core.mirrors import EuclideanMap, MirrorMap, ScaledPthPowerMap
-from .core.numerics import rising_factorial
+from .core.numerics import norm, rising_factorial
 from .core.oracles import ObjectiveOracle
 from .core.points import Point, as_point
 from .errors import CapabilityError, InputError, SolverError
@@ -69,8 +69,9 @@ CSV_COLUMNS = (
 
 
 def _blown(v: np.ndarray) -> bool:
-    v = np.asarray(v)
-    return not np.all(np.isfinite(v)) or float(np.linalg.norm(v)) > DIVERGENCE_THRESHOLD
+    """A non-finite vector, one whose square overflows, or one past the
+    threshold: each has a norm that is not <= DIVERGENCE_THRESHOLD."""
+    return not norm(v) <= DIVERGENCE_THRESHOLD
 
 
 @dataclass
@@ -572,6 +573,7 @@ def accelerated(f: ObjectiveOracle, cfg: AccelConfig, K: int) -> RunRecord:
     termination = {"status": "completed", "k": None}
 
     w0 = h.gradient(x0)
+    w0_norm = norm(w0)
     w = w0.copy()
     S1 = 0.0
     S2 = np.zeros(d)
@@ -605,8 +607,8 @@ def accelerated(f: ObjectiveOracle, cfg: AccelConfig, K: int) -> RunRecord:
         kp = rising_factorial(k, p)
         psi_values[k] = C * p * (S1 + float(S2 @ z)) + h.bregman(z, x0) / eps
         grad_psi = C * p * S2 + (h.gradient(z) - w0) / eps
-        psi_grad_norms[k] = float(np.linalg.norm(grad_psi))
-        psi_grad_scales[k] = float(np.linalg.norm(w)) + float(np.linalg.norm(w0))
+        psi_grad_norms[k] = norm(grad_psi)
+        psi_grad_scales[k] = norm(w) + w0_norm
         ckp_fy[k] = C * kp * f_ys[k]
         if x_star is not None:
             psi_at_min[k] = C * p * (S1 + float(S2 @ x_star)) + dh_star / eps
@@ -704,7 +706,7 @@ def _forward_discretization(f, h, x0, ks, weight, averaging):
         if _blown(x_next):
             termination = {"status": "diverged", "k": k + 1}
             break
-        gnorm = float(np.linalg.norm(g))
+        gnorm = norm(g)
         ratios.append(float(g @ (x - x_next)) / gnorm if gnorm > 0 else np.nan)
         xs.append(x_next)
         f_xs.append(f.value(x_next))
@@ -906,7 +908,7 @@ def restart_accelerated(
         if f_star is not None:
             extras["final_gap"] = f.value(y_final) - f_star
         if x_star is not None:
-            dist0_p = float(np.linalg.norm(x0 - x_star)) ** p
+            dist0_p = norm(x0 - x_star) ** p
             extras["final_bound"] = 3.0 * dist0_p / (
                 epsilon * p * math.exp(float(epochs))
             )
@@ -969,7 +971,7 @@ def uniformly_convex_descent_rate_check(record: RunRecord, f: ObjectiveOracle) -
     M = progress_coefficient(p, N)
     kappa = eps * sigma
     x0 = np.asarray(record.config["x0"], dtype=np.float64)
-    dist0 = float(np.linalg.norm(x0 - f.minimizer))
+    dist0 = norm(x0 - f.minimizer)
     rho = 1.0 / (1.0 + M * kappa ** (1.0 / (p - 1.0)))
     prefactor = (N + 1.0) * dist0**p / (eps * p)
     gaps = record.f_gaps_x

@@ -16,11 +16,10 @@ user-supplied maps must guarantee it themselves.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from ..errors import CapabilityError, InputError
+from .numerics import norm
 from .points import Point, as_point, check_same_dim
 
 
@@ -142,21 +141,19 @@ class PthPowerMap(MirrorMap):
 
     def value(self, x):
         d = self._shift(x)
-        return self.scale * float(np.linalg.norm(d)) ** self.p / self.p
+        return self.scale * norm(d) ** self.p / self.p
 
     def gradient(self, x):
         d = self._shift(x)
-        r = float(np.linalg.norm(d))
+        r = norm(d)
         if r == 0.0:
             return np.zeros_like(d)
         return (self.scale * r ** (self.p - 2.0)) * d
 
     def dual_gradient(self, w):
-        # math.sqrt(w @ w) is bitwise what np.linalg.norm computes for a
-        # 1-D float vector, without its dispatch; the scalar base 0.0 turns
-        # -0.0 into 0.0, as adding a zero vector does
+        # the scalar base 0.0 turns -0.0 into 0.0, as adding a zero vector does
         w = np.asarray(w, dtype=np.float64)
-        u = math.sqrt(w.dot(w))
+        u = norm(w)
         if u == 0.0:
             return np.zeros_like(w) if self.anchor is None else self.anchor.copy()
         base = 0.0 if self.anchor is None else self.anchor
@@ -169,7 +166,7 @@ class PthPowerMap(MirrorMap):
             # the d d^T term has coefficient p - 2 = 0; its r^{p-4} factor
             # would overflow at tiny r
             return self.scale * np.eye(n)
-        r = float(np.linalg.norm(d))
+        r = norm(d)
         if r == 0.0:
             # limit of r^{p-2} I + (p-2) r^{p-4} d d^T as d -> 0 (p > 2)
             return np.zeros((n, n))

@@ -1,4 +1,14 @@
-"""Small pure numeric helpers: rising factorials, Taylor models, differences."""
+"""Small pure numeric helpers: the Euclidean norm, rising factorials, Taylor
+models, differences.
+
+``norm(v)`` is the one Euclidean norm on the per-iteration paths. For a
+float64 array it returns, bit for bit, ``float(np.linalg.norm(v))``: numpy
+computes exactly ``sqrt(ravel(v).dot(ravel(v)))`` and both square roots are
+correctly rounded, so only numpy's argument dispatch is skipped. The ravel
+matters: it makes a strided view contiguous, and BLAS may sum a strided
+``dot`` in another order. NaN, +-inf and a finite vector whose square
+overflows all give a norm that is not ``<=`` any finite threshold.
+"""
 
 from __future__ import annotations
 
@@ -7,6 +17,12 @@ import math
 import numpy as np
 
 from ..errors import CapabilityError, InputError
+
+
+def norm(v: np.ndarray) -> float:
+    """Euclidean norm of a float64 array, bitwise float(np.linalg.norm(v))."""
+    v = v.ravel("K")
+    return math.sqrt(v.dot(v))
 
 
 def rising_factorial(k: int, m: int) -> int:

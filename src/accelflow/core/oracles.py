@@ -13,6 +13,7 @@ import numpy as np
 
 from ..errors import CapabilityError, InputError
 from .mirrors import PthPowerMap
+from .numerics import norm
 from .points import Point, as_point
 
 CATALOG_SEED = 1723
@@ -265,15 +266,14 @@ class PowerNorm(ObjectiveOracle):
 
     def level_set_radius(self, x):
         # the sublevel set through x is exactly the ball of radius ||x||
-        if self.minimizer is None:
-            return float(np.linalg.norm(x))
-        return float(np.linalg.norm(np.asarray(x, dtype=np.float64) - self.minimizer))
+        d = np.asarray(x, dtype=np.float64)
+        return norm(d if self.minimizer is None else d - self.minimizer)
 
     def third_apply(self, x, u, v):
         x = np.asarray(x, dtype=np.float64)
         u = np.asarray(u, dtype=np.float64)
         v = np.asarray(v, dtype=np.float64)
-        r = float(np.linalg.norm(x))
+        r = norm(x)
         if self.p == 2.0 or r == 0.0:
             return np.zeros_like(x)
         a, b = self.p - 2.0, self.p - 4.0

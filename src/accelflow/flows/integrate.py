@@ -95,11 +95,11 @@ class Trajectory:
         """Cubic Hermite interpolation between recorded samples.
 
         Exact at sample times (returns the stored row). Raises InputError
-        outside the recorded range.
+        outside the recorded range, NaN included.
         """
         t = float(t)
         ts = self.times
-        if t < ts[0] or t > ts[-1]:
+        if not ts[0] <= t <= ts[-1]:
             raise InputError(f"time {t} outside recorded range [{ts[0]}, {ts[-1]}]")
         j = int(np.searchsorted(ts, t))
         if j < len(ts) and ts[j] == t:

@@ -14,6 +14,7 @@ import math
 import numpy as np
 
 from ..core.mirrors import MirrorMap
+from ..core.numerics import norm
 from ..core.oracles import ObjectiveOracle
 from ..core.points import as_point
 from ..core.scalings import ScalingTriple, ideal_scaling_check, massless_triple
@@ -197,7 +198,7 @@ def build_rescaled_gradient_flow(f: ObjectiveOracle, p: float,
 
     def field(t, y):
         g = f.gradient(y)
-        n = float(np.linalg.norm(g))
+        n = norm(g)
         if n <= gradient_floor:
             return np.zeros_like(y)
         return -g / n ** expo

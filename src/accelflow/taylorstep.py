@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
+from .core.numerics import norm
 from .core.points import Point, as_point
 from .errors import CapabilityError, InputError, SolverError
 
@@ -96,7 +97,7 @@ def smoothness_epsilon(f, p: int) -> float:
 def _model_gradient(f, x: Point, g: Point, u: Point, cfg: StepConfig) -> Point:
     """Gradient of the regularized Taylor model at displacement u; g = grad f(x)."""
     s = cfg.N / cfg.epsilon
-    r = float(np.linalg.norm(u))
+    r = norm(u)
     out = g + s * r ** (cfg.p - 2.0) * u
     if cfg.p >= 3:
         out = out + f.hessian_apply(x, u)
@@ -123,7 +124,7 @@ def _secular_displacement(eigvals, eigvecs, g, scale: float, power: int,
         return coords / (lam + scale * r ** power)
 
     def norm_u(r):
-        return float(np.linalg.norm(coords_u(r)))
+        return norm(coords_u(r))
 
     def phi(r):
         return norm_u(r) - r
@@ -181,7 +182,7 @@ def _newton_polish_p4(f, x, g, H, u0, scale: float, target: float):
     val = model_value(u)
     for _ in range(100):
         gm = model_grad(u)
-        if float(np.linalg.norm(gm)) <= target:
+        if norm(gm) <= target:
             break
         third_cols = np.column_stack(
             [f.third_apply(x, u, eye[:, j]) for j in range(d)]
@@ -223,7 +224,7 @@ def g_step(f, x: Point, cfg: StepConfig) -> tuple[Point, StepCertificate]:
             f"p = {cfg.p} needs order {cfg.p - 1}"
         )
     g = f.gradient(x)
-    gnorm = float(np.linalg.norm(g))
+    gnorm = norm(g)
     s = cfg.N / cfg.epsilon
 
     if gnorm == 0.0:
@@ -281,17 +282,23 @@ def verify_step_progress(f, x: Point, y: Point, cfg: StepConfig) -> StepCertific
     with it.
     """
     x = as_point(x)
-    return _certify(f, x, y, cfg, f.gradient(x))
+    gx = f.gradient(x)
+    return _certify(f, x, as_point(y, dim=x.size), cfg, gx)
 
 
 def _certify(f, x: Point, y: Point, cfg: StepConfig, gx: Point) -> StepCertificate:
-    """verify_step_progress with gx = grad f(x) already evaluated."""
-    x = as_point(x)
-    y = as_point(y, dim=x.size)
+    """verify_step_progress with gx = grad f(x) already evaluated.
+
+    x must be a point from as_point. y is tested here: a finite squared norm
+    of the right shape means a finite point, so as_point runs (and raises its
+    InputError) only when that test fails.
+    """
+    if y.shape != x.shape or not math.isfinite(y.dot(y)):
+        y = as_point(y, dim=x.size)
     gy = f.gradient(y)
-    gy_norm = float(np.linalg.norm(gy))
+    gy_norm = norm(gy)
     move = y - x
-    move_norm = float(np.linalg.norm(move))
+    move_norm = norm(move)
     progress = float(gy @ (x - y))
 
     M = progress_coefficient(cfg.p, cfg.N)
@@ -303,7 +310,7 @@ def _certify(f, x: Point, y: Point, cfg: StepConfig, gx: Point) -> StepCertifica
     else:
         move_hi = math.inf
 
-    residual = float(np.linalg.norm(_model_gradient(f, x, gx, move, cfg)))
+    residual = norm(_model_gradient(f, x, gx, move, cfg))
     ok = (
         progress >= lower - CERT_TOL
         and move_lo - CERT_TOL <= move_norm <= move_hi + CERT_TOL

@@ -5,11 +5,14 @@ independent numerical oracle (central differences, brute-force sums); the
 analytic implementations must match both.
 """
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import accelflow
 from accelflow.core import (
     DiagonalQuadratic,
     EuclideanMap,
@@ -91,6 +94,26 @@ def test_bregman_quartic_1d_against_difference_oracle():
 def test_bregman_dimension_mismatch():
     with pytest.raises(InputError):
         bregman_divergence(EuclideanMap(), np.zeros(2), np.zeros(3))
+
+
+# ------------------------------------------------------------ scalar norm
+
+def _is_linalg_norm(func):
+    return (isinstance(func, ast.Attribute) and func.attr == "norm"
+            and isinstance(func.value, ast.Attribute) and func.value.attr == "linalg")
+
+
+def test_package_takes_vector_norms_through_the_scalar_helper():
+    # np.linalg.norm of one vector costs twice core.numerics.norm for the
+    # same bits; only the per-row forms (axis=) belong in the package
+    offenders = []
+    for path in sorted(Path(accelflow.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (isinstance(node, ast.Call) and _is_linalg_norm(node.func)
+                    and len(node.args) < 3
+                    and "axis" not in {kw.arg for kw in node.keywords}):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
 
 
 # --------------------------------------------------------- rising factorial

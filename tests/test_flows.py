@@ -612,6 +612,16 @@ def test_trajectory_interpolation_nodes_and_range():
         traj.interp_state(5.01)
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_trajectory_interpolation_rejects_non_finite_time(t):
+    # NaN compares false against both ends of the range, so it used to
+    # reach searchsorted and fail with an IndexError
+    sys = build_el_system(EuclideanMap(), quadratic_2d(), polynomial_triple(2, 1.0))
+    traj = integrate(sys, np.array([1.0, 1.0]), 0.1, 1.0, {"method": "rk4", "steps": 10})
+    with pytest.raises(InputError, match="outside recorded range"):
+        traj.interp_state_and_deriv(t)
+
+
 def test_trajectory_interpolation_between_nodes():
     # a coarse record interpolated at off-node times should match a dense
     # record to roughly h^4

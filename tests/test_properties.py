@@ -13,9 +13,13 @@ Oracles, each the code as first written, kept here as references:
 * the two separate forward-discretization loops (naive and exponential),
   whose records the shared loop must reproduce bit for bit;
 * the Euler-Lagrange field with alpha(t) and beta(t) evaluated separately,
-  which the field sharing one log t per call must reproduce bit for bit.
+  which the field sharing one log t per call must reproduce bit for bit;
+* np.linalg.norm, which the package's scalar norm must reproduce bit for
+  bit on every 1-D float64 vector, strided views and non-finite entries
+  included, and the divergence test written with it and np.isfinite.
 
 Every invalid integrator control must raise InputError, never integrate.
+A Taylor step at the certified epsilon must certify itself.
 
 The scaled map d_p only has to invert its gradient: its dual gradient
 rounds differently from the formula it replaced. Each catalog oracle's
@@ -34,6 +38,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from accelflow import accel  # noqa: E402
 from accelflow.accel import (  # noqa: E402
     exponential_discretization,
     naive_discretization,
@@ -51,10 +56,18 @@ from accelflow.core import (  # noqa: E402
 from accelflow.core.numerics import (  # noqa: E402
     central_diff_directional,
     central_diff_gradient,
+    norm,
 )
 from accelflow.errors import InputError  # noqa: E402
 from accelflow.flows import build_el_system, integrate  # noqa: E402
 from accelflow.flows.integrate import DIVERGENCE_THRESHOLD  # noqa: E402
+from accelflow.taylorstep import (  # noqa: E402
+    RESIDUAL_LIMIT_P4,
+    RESIDUAL_TARGET,
+    StepConfig,
+    g_step,
+    smoothness_epsilon,
+)
 
 PROPERTY_SETTINGS = settings(max_examples=300, deadline=None,
                              derandomize=True, database=None)
@@ -291,6 +304,43 @@ def test_exponential_discretization_is_bit_equal_to_reference(f, c, delta, K, st
 
 
 # ---------------------------------------------------------------------------
+# the scalar norm and the divergence test against their numpy formulas
+
+_SPECIAL_FLOATS = (0.0, -0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308,
+                   1e154, -1.5e154, 1e300, -1.7976931348623157e308,
+                   math.nan, math.inf, -math.inf)
+
+
+@st.composite
+def _norm_vectors(draw):
+    """A 1-D float64 vector: contiguous, or a strided or reversed view.
+
+    Moderate coordinates are drawn often: a sum of comparable squares is
+    where a strided BLAS dot rounds differently from a contiguous one.
+    """
+    n = draw(st.integers(1, 40))
+    step = draw(st.sampled_from((1, 2, 3, -1, -2)))
+    coord = st.floats(-10.0, 10.0) | st.floats() | st.sampled_from(_SPECIAL_FLOATS)
+    base = np.array(draw(st.lists(coord, min_size=n * abs(step),
+                                  max_size=n * abs(step))), dtype=np.float64)
+    return base[::step]
+
+
+@PROPERTY_SETTINGS
+@given(_norm_vectors())
+@example(np.array([-0.0]))
+@example(np.array([5e-324, -5e-324]))
+@example(np.array([1e200, 1.0]))
+@example(np.array([math.nan, math.inf]))
+@example(np.arange(20.0)[::2])
+def test_norm_is_bit_equal_to_linalg_norm(v):
+    assert v.ndim == 1 and v.dtype == np.float64
+    with np.errstate(over="ignore"):  # squares past the float range are drawn
+        assert _bits(norm(v)) == _bits(float(np.linalg.norm(v)))
+        assert accel._blown(v) == _blown(v)
+
+
+# ---------------------------------------------------------------------------
 # oracle derivatives against central differences
 #
 # With unit directions, the central difference with step e of
@@ -356,6 +406,39 @@ def test_oracle_derivatives_match_central_differences(case):
         error = abs(exact - central_diff_directional(psi, x, v, e))
         tolerance = _difference_tolerance(f, k, e, psi(x + e * v), psi(x - e * v))
     assert error <= tolerance, (name, k, error, tolerance)
+
+
+# ---------------------------------------------------------------------------
+# Taylor steps at the certified epsilon
+#
+# smoothness_epsilon(f, p) = (p-1)!/L_{p-1} is where the progress inequality
+# and the move-norm sandwich are guaranteed; orders whose constant the oracle
+# does not declare have no such epsilon and are left out.
+
+STEP_CASES = [
+    (name, p) for name, f in sorted(PROBLEMS.items()) for p in (2, 3, 4)
+    if p - 1 <= f.derivative_order and p - 1 in f.smoothness
+]
+
+
+@st.composite
+def _step_cases(draw):
+    name, p = draw(st.sampled_from(STEP_CASES))
+    d = PROBLEMS[name].dimension or draw(st.integers(1, 5))
+    return name, p, draw(st.sampled_from((1.5, 2.0, 4.0))), draw(_vectors(d, 1.0))
+
+
+@PROPERTY_SETTINGS
+@given(_step_cases())
+def test_step_at_certified_epsilon_is_certified(case):
+    name, p, N, x = case
+    f = PROBLEMS[name]
+    _, cert = g_step(f, x, StepConfig(p, smoothness_epsilon(f, p), N))
+    assert cert.ok, (name, p, N, cert)
+    if p == 3:
+        assert cert.residual <= RESIDUAL_TARGET * (1.0 + norm(f.gradient(x)))
+    elif p == 4:
+        assert cert.residual <= RESIDUAL_LIMIT_P4
 
 
 # ---------------------------------------------------------------------------

@@ -209,6 +209,28 @@ def test_verify_step_progress_hand_values_p2():
     assert abs(cert.grad_y_norm - 0.5) < 1e-15
 
 
+def test_certificate_input_errors_and_copies():
+    f = DiagonalQuadratic((1.0, 1.0))
+    x = [1.0, 0.0]
+    cfg = StepConfig(2, 0.1, 2.0)
+    for y in ([0.5, math.nan], [0.5, math.inf], [0.5, 0.0, 0.0]):
+        with pytest.raises(InputError):
+            verify_step_progress(f, x, y, cfg)
+    cert = verify_step_progress(f, x, [0.5, 0.0], cfg)
+    assert cert.y.tolist() == [0.5, 0.0]
+
+    class Exploding(DiagonalQuadratic):
+        def gradient(self, x):
+            return np.array([math.inf, 0.0])
+
+    # the step lands on a non-finite point, which the certificate rejects
+    with pytest.raises(InputError, match="non-finite"):
+        g_step(Exploding((1.0, 1.0)), np.array(x), cfg)
+    y, cert = g_step(f, np.array(x), cfg)
+    y[0] = 7.0
+    assert cert.y[0] != 7.0 and cert.x.tolist() == x
+
+
 def test_verify_step_progress_flags_overlarge_epsilon():
     # eps = 10 on a curvature-10 quadratic violently overshoots; the
     # certificate must flag it rather than raise
