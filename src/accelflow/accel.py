@@ -74,6 +74,15 @@ def _blown(v: np.ndarray) -> bool:
     return not norm(v) <= DIVERGENCE_THRESHOLD
 
 
+def _csv_cells(values, n: int) -> list[str]:
+    """n CSV cells: the repr of each value, '' for NaN, for a missing
+    quantity (values None) and for rows past the end of values."""
+    cells = [] if values is None else [
+        "" if math.isnan(v) else repr(v) for v in map(float, values[:n])
+    ]
+    return cells + [""] * (n - len(cells))
+
+
 @dataclass
 class RunRecord:
     """Everything a discrete-time run produced, aligned by iteration index.
@@ -132,52 +141,27 @@ class RunRecord:
         gaps = self.f_gaps_y
         return None if gaps is None or len(gaps) == 0 else float(gaps[-1])
 
-    def _cell(self, column: str, i: int) -> str:
-        """One CSV cell; '' when the quantity does not exist at this row."""
-
-        def num(arr, j=i):
-            if arr is None or j >= len(arr) or j < 0:
-                return ""
-            v = float(arr[j])
-            return "" if math.isnan(v) else repr(v)
-
-        if column == "k":
-            return str(int(self.ks[i]))
-        if column == "f_gap_x":
-            return num(self.f_gaps_x)
-        if column == "f_gap_y":
-            return num(self.f_gaps_y)
-        if column == "bound":
-            return num(self.bound_values)
-        if column == "psi_zk":
-            return num(self.psi_values)
-        if column == "Ckp_fyk":
-            return num(self.ckp_fy)
-        cert = (
-            self.certificates[i]
-            if self.certificates is not None and i < len(self.certificates)
-            else None
-        )
-        if cert is None:
-            return ""
-        value = {
-            "progress": cert.progress,
-            "progress_lower": cert.progress_lower,
-            "move_norm": cert.move_norm,
-        }[column]
-        v = float(value)
-        return "" if math.isnan(v) else repr(v)
-
     def to_csv(self, path) -> None:
         """Write one row per recorded iteration under a fixed header.
 
         Floats are written with repr (shortest round-trip form), so equal
         runs produce byte-identical files; absent quantities are empty cells.
         """
+        n = len(self.ks)
+        certs = self.certificates or []
+        columns = [
+            [str(int(k)) for k in self.ks],
+            *(_csv_cells(values, n) for values in (
+                self.f_gaps_x, self.f_gaps_y, self.bound_values,
+                self.psi_values, self.ckp_fy,
+            )),
+            *(_csv_cells([getattr(c, name) for c in certs], n)
+              for name in ("progress", "progress_lower", "move_norm")),
+        ]
         with open(path, "w", encoding="utf-8") as out:
             out.write(",".join(CSV_COLUMNS) + "\n")
-            for i in range(len(self.ks)):
-                out.write(",".join(self._cell(c, i) for c in CSV_COLUMNS) + "\n")
+            for row in zip(*columns):
+                out.write(",".join(row) + "\n")
 
     def invariant_report(self) -> dict:
         """Check every inequality this algorithm guarantees, nothing raised.
@@ -365,9 +349,9 @@ class AccelConfig:
         if self.p not in (2, 3, 4):
             raise InputError(f"accelerated method supports p in {{2, 3, 4}}, got {self.p}")
         self.p = int(self.p)
-        if self.epsilon <= 0:
+        if not self.epsilon > 0:
             raise InputError(f"epsilon must be positive, got {self.epsilon}")
-        if self.N <= 1:
+        if not self.N > 1:
             raise InputError(
                 f"acceleration needs N > 1 (progress coefficient vanishes), got {self.N}"
             )
@@ -377,7 +361,7 @@ class AccelConfig:
         boundary = self.admissible_C_bound()
         if self.C is None:
             self.C = boundary
-        elif self.C <= 0:
+        elif not self.C > 0:
             raise InputError(f"C must be positive, got {self.C}")
         elif self.C > boundary * (1.0 + 1e-12):
             raise InputError(
@@ -739,7 +723,7 @@ def naive_discretization(
     _check_dimension(f, x0)
     if p not in (2, 3, 4):
         raise InputError(f"supported orders are p in {{2, 3, 4}}, got {p}")
-    if C <= 0 or epsilon <= 0:
+    if not (C > 0 and epsilon > 0):
         raise InputError("C and epsilon must be positive")
     if K < 1:
         raise InputError(f"need at least one iteration, got K={K}")
@@ -795,7 +779,7 @@ def exponential_discretization(
     """
     x0 = as_point(x0)
     _check_dimension(f, x0)
-    if c <= 0 or delta <= 0:
+    if not (c > 0 and delta > 0):
         raise InputError("c and delta must be positive")
     if c * delta > 1.0:
         raise InputError(

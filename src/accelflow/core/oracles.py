@@ -81,26 +81,22 @@ class DiagonalQuadratic(ObjectiveOracle):
     """f(x) = 1/2 sum_i lam_i x_i^2 with lam_i > 0; minimizer at the origin.
 
     Higher-order derivatives vanish, so the declared order-2 and order-3
-    smoothness constants (default 4 and 6) are conservative stand-ins: any
-    positive value is a valid Lipschitz constant for a zero tensor, and these
-    choices give round step sizes. uniform_convexity defaults to the exact
-    (2, min lam) but accepts a weaker declaration.
+    smoothness constants 4 and 6 are conservative stand-ins: any positive
+    value is a valid Lipschitz constant for a zero tensor, and these choices
+    give round step sizes. Uniform convexity is the exact (2, min lam).
     """
 
     derivative_order = 3
 
-    def __init__(self, lam, name="quadratic", declared_l2=4.0, declared_l3=6.0,
-                 uniform_convexity=None):
+    def __init__(self, lam, name="quadratic"):
         lam = as_point(lam)
         if np.any(lam <= 0):
             raise InputError("quadratic needs positive curvatures")
         self.lam = lam
         self.name = name
         self.dimension = lam.size
-        self.smoothness = {1: float(np.max(lam)), 2: declared_l2, 3: declared_l3}
-        if uniform_convexity is None:
-            uniform_convexity = (2.0, float(np.min(lam)))
-        self.uniform_convexity = uniform_convexity
+        self.smoothness = {1: float(np.max(lam)), 2: 4.0, 3: 6.0}
+        self.uniform_convexity = (2.0, float(np.min(lam)))
         self.minimizer = np.zeros(lam.size)
         self.min_value = 0.0
 
@@ -122,11 +118,15 @@ class DiagonalQuadratic(ObjectiveOracle):
 
 
 class LeastSquares(ObjectiveOracle):
-    """f(x) = 1/2 ||A x - b||^2 with the minimizer computed by direct solve."""
+    """f(x) = 1/2 ||A x - b||^2 with the minimizer computed by direct solve.
+
+    Higher-order derivatives vanish; the declared order-2 and order-3
+    constants 2 and 6 are conservative stand-ins, as for DiagonalQuadratic.
+    """
 
     derivative_order = 3
 
-    def __init__(self, A, b, name="least_squares", declared_l2=2.0, declared_l3=6.0):
+    def __init__(self, A, b, name="least_squares"):
         A = np.array(A, dtype=np.float64)
         b = np.array(b, dtype=np.float64)
         if A.ndim != 2 or b.shape != (A.shape[0],):
@@ -137,7 +137,7 @@ class LeastSquares(ObjectiveOracle):
         self.dimension = A.shape[1]
         self.gram = A.T @ A
         eigs = np.linalg.eigvalsh(self.gram)
-        self.smoothness = {1: float(eigs[-1]), 2: declared_l2, 3: declared_l3}
+        self.smoothness = {1: float(eigs[-1]), 2: 2.0, 3: 6.0}
         if eigs[0] > 1e-12:
             self.uniform_convexity = (2.0, float(eigs[0]))
         self.minimizer = np.linalg.lstsq(A, b, rcond=None)[0]
@@ -306,13 +306,13 @@ class ZeroObjective(ObjectiveOracle):
         return np.zeros(len(x))
 
 
-def builtin_problems(seed: int = CATALOG_SEED) -> dict[str, ObjectiveOracle]:
+def builtin_problems() -> dict[str, ObjectiveOracle]:
     """Catalog of benchmark objectives keyed by stable identifiers.
 
-    The random instances (least squares, log-sum-exp) are generated from the
-    given seed, so two catalogs with the same seed are identical.
+    The random instances (least squares, log-sum-exp) are generated from
+    CATALOG_SEED, so every catalog holds the same problems.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(CATALOG_SEED)
     A = rng.normal(size=(8, 5))
     b = rng.normal(size=8)
     half = rng.normal(size=(6, 4))

@@ -10,11 +10,10 @@ field value so cubic Hermite interpolation matches the integrator's order
 from __future__ import annotations
 
 import math
-import numbers
 
 import numpy as np
 
-from ..core.points import as_point
+from ..core.points import as_integer, as_point, as_real
 from ..errors import DivergenceError, InputError, NumericalError
 
 DIVERGENCE_THRESHOLD = 1e8
@@ -176,22 +175,6 @@ class _Recorder:
         )
 
 
-def _real(key: str, value) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise InputError(f"{key} must be a number, got {value!r}") from None
-
-
-def _integer(key: str, value) -> int:
-    """An integer control; integral floats (1e4 from JSON) are admitted."""
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise InputError(f"{key} must be an integer, got {value!r}")
-    return int(value)
-
-
 def integrate(sys, x0, t0: float, t_end: float, controls: dict,
               initial_state=None,
               divergence_threshold: float = DIVERGENCE_THRESHOLD) -> Trajectory:
@@ -234,18 +217,18 @@ def integrate(sys, x0, t0: float, t_end: float, controls: dict,
     method = controls.get("method")
     if method not in ("rk4", "rk4_adaptive"):
         raise InputError(f"unknown integration method {method!r}")
-    record_every = _integer("record_every", controls.get("record_every", 1))
+    record_every = as_integer("record_every", controls.get("record_every", 1))
     if record_every < 1:
         raise InputError("record_every must be >= 1")
     if method == "rk4":
-        steps = _integer("steps", controls.get("steps"))
+        steps = as_integer("steps", controls.get("steps"))
         if steps < 1:
             raise InputError("rk4 needs steps >= 1")
     else:
-        rel_tol = _real("rel_tol", controls.get("rel_tol", 1e-8))
-        abs_tol = _real("abs_tol", controls.get("abs_tol", 1e-12))
-        h = _real("initial_step", controls.get("initial_step", (t_end - t0) / 100.0))
-        max_steps = _integer("max_steps", controls.get("max_steps", 2_000_000))
+        rel_tol = as_real("rel_tol", controls.get("rel_tol", 1e-8))
+        abs_tol = as_real("abs_tol", controls.get("abs_tol", 1e-12))
+        h = as_real("initial_step", controls.get("initial_step", (t_end - t0) / 100.0))
+        max_steps = as_integer("max_steps", controls.get("max_steps", 2_000_000))
         if not (math.isfinite(rel_tol) and rel_tol >= 0.0):
             raise InputError(f"rel_tol must be finite and >= 0, got {rel_tol}")
         if not (math.isfinite(abs_tol) and abs_tol > 0.0):

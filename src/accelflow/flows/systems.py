@@ -30,21 +30,19 @@ class FlowSystem:
     point, block i occupying state[i*d:(i+1)*d]. Systems are immutable and
     the field is pure, so integrations may run concurrently. The f-gap of a
     state is that of its first block, available when the objective declares
-    its minimum value.
+    its minimum value; energy is the Lyapunov functional, when the builder
+    has one. The field and energy close over the mirror map, scaling triple
+    and parameters they need; the system keeps nothing else of them.
     """
 
     def __init__(self, kind, blocks, vector_field, initial_state_from,
-                 valid_from=0.0, objective=None, mirror=None, scaling=None,
-                 params=None, energy=None):
+                 valid_from=0.0, objective=None, energy=None):
         self.kind = kind
         self.blocks = tuple(blocks)
         self.vector_field = vector_field
         self.initial_state_from = initial_state_from
         self.valid_from = float(valid_from)
         self.objective = objective
-        self.mirror = mirror
-        self.scaling = scaling
-        self.params = dict(params or {})
         self._energy = energy
 
     @property
@@ -112,11 +110,8 @@ def build_el_system(h: MirrorMap, f: ObjectiveOracle, s: ScalingTriple,
             d = y.size // 2
             return energy_at(h, f, s, t, y[:d], y[d:], x_star)
 
-    return FlowSystem(
-        kind, ("X", "W"), field, init,
-        valid_from=s.valid_from, objective=f, mirror=h, scaling=s,
-        params={"family": s.family}, energy=energy,
-    )
+    return FlowSystem(kind, ("X", "W"), field, init,
+                      valid_from=s.valid_from, objective=f, energy=energy)
 
 
 def build_massless_system(h: MirrorMap, f: ObjectiveOracle, m: float) -> FlowSystem:
@@ -124,9 +119,7 @@ def build_massless_system(h: MirrorMap, f: ObjectiveOracle, m: float) -> FlowSys
     W_dot = -grad f(X). Relaxes onto the natural gradient flow as m -> 0."""
     if m <= 0:
         raise InputError(f"mass must be positive, got {m}")
-    sys = build_el_system(h, f, massless_triple(m), kind="massless_lagrangian")
-    sys.params["m"] = float(m)
-    return sys
+    return build_el_system(h, f, massless_triple(m), kind="massless_lagrangian")
 
 
 def build_hamiltonian_system(h: MirrorMap, f: ObjectiveOracle,
@@ -177,19 +170,15 @@ def build_hamiltonian_system(h: MirrorMap, f: ObjectiveOracle,
             w = h.gradient(x) + math.exp(-s.gamma(t)) * pp
             return energy_at(h, f, s, t, x, w, x_star)
 
-    return FlowSystem(
-        "hamiltonian", ("X", "P"), field, init,
-        valid_from=s.valid_from, objective=f, mirror=h, scaling=s,
-        params={"family": s.family}, energy=energy,
-    )
+    return FlowSystem("hamiltonian", ("X", "P"), field, init,
+                      valid_from=s.valid_from, objective=f, energy=energy)
 
 
-def build_rescaled_gradient_flow(f: ObjectiveOracle, p: float,
-                                 gradient_floor: float = GRADIENT_FLOOR) -> FlowSystem:
-    """X_dot = -grad f(X) / ||grad f(X)||^{(p-2)/(p-1)}.
+def build_rescaled_gradient_flow(f: ObjectiveOracle, p: float) -> FlowSystem:
+    """X_dot = -grad f(X) / ||grad f(X)||^{(p-2)/(p-1)} for real p >= 2.
 
     p = 2 is plain gradient flow. The field is zero once the gradient norm
-    falls below gradient_floor: the flow is singular exactly at critical
+    falls to GRADIENT_FLOOR: the flow is singular exactly at critical
     points, and the zero convention extends it there.
     """
     if p < 2:
@@ -199,15 +188,12 @@ def build_rescaled_gradient_flow(f: ObjectiveOracle, p: float,
     def field(t, y):
         g = f.gradient(y)
         n = norm(g)
-        if n <= gradient_floor:
+        if n <= GRADIENT_FLOOR:
             return np.zeros_like(y)
         return -g / n ** expo
 
-    return FlowSystem(
-        "rescaled_gradient", ("X",), field, lambda x0, t0: as_point(x0),
-        valid_from=0.0, objective=f,
-        params={"p": float(p), "gradient_floor": gradient_floor},
-    )
+    return FlowSystem("rescaled_gradient", ("X",), field,
+                      lambda x0, t0: as_point(x0), objective=f)
 
 
 def build_natural_gradient_flow(h: MirrorMap, f: ObjectiveOracle) -> FlowSystem:
@@ -225,15 +211,14 @@ def build_natural_gradient_flow(h: MirrorMap, f: ObjectiveOracle) -> FlowSystem:
                 f"singular mirror Hessian on the trajectory at state {y}"
             ) from None
 
-    return FlowSystem(
-        "natural_gradient", ("X",), field, lambda x0, t0: as_point(x0),
-        valid_from=0.0, objective=f, mirror=h,
-    )
+    return FlowSystem("natural_gradient", ("X",), field,
+                      lambda x0, t0: as_point(x0), objective=f)
 
 
 def build_euclidean_r_system(f: ObjectiveOracle, r: float,
-                             force_scaling="unit", t_min: float = 0.1) -> FlowSystem:
-    """x_ddot + (r/t) x_dot + force(t) grad f(x) = 0 as a system in (X, V).
+                             force_scaling="unit") -> FlowSystem:
+    """x_ddot + (r/t) x_dot + force(t) grad f(x) = 0 as a system in (X, V),
+    valid from t = 0.1 (the r/t damping is singular at t = 0).
 
     force_scaling "unit" uses force = 1 (the classical r-damped equation;
     r = 3 is the accelerated-gradient limit ODE). force_scaling ("matched", C)
@@ -245,7 +230,6 @@ def build_euclidean_r_system(f: ObjectiveOracle, r: float,
         raise InputError(f"r must be positive, got {r}")
     if force_scaling == "unit":
         force = lambda t: 1.0
-        tag = "unit"
     else:
         try:
             kind_tag, C = force_scaling
@@ -259,7 +243,6 @@ def build_euclidean_r_system(f: ObjectiveOracle, r: float,
             )
         p = r - 1.0
         force = lambda t: C * p * p * t ** (p - 2.0)
-        tag = ("matched", float(C))
 
     def field(t, y):
         d = y.size // 2
@@ -271,8 +254,5 @@ def build_euclidean_r_system(f: ObjectiveOracle, r: float,
         x0 = as_point(x0)
         return np.concatenate([x0, np.zeros_like(x0)])
 
-    return FlowSystem(
-        "euclidean_r", ("X", "V"), field, init,
-        valid_from=t_min, objective=f,
-        params={"r": float(r), "force_scaling": tag},
-    )
+    return FlowSystem("euclidean_r", ("X", "V"), field, init,
+                      valid_from=0.1, objective=f)

@@ -5,17 +5,20 @@ top-level fields. Problems and mirror maps are referenced by their catalog
 identifiers so configs stay diffable and machine-checkable. Method parameter
 constraints (admissible C, N > 1, epsilon > 0, ...) are owned by the method
 constructors themselves — validation here checks identifiers, field names,
-and shapes, then lets the modules reject bad numbers.
+shapes, and that every method number is finite (and integral where the
+runner needs an integer), then lets the modules reject bad numbers.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..core import builtin_mirror_maps, builtin_problems
+from ..core.points import as_integer, as_real
 from ..errors import InputError
 from .reporting import EXPERIMENT_KINDS
 
@@ -32,19 +35,31 @@ CONFIG_FIELDS = (
     "scale",
 )
 
-# method-dict keys admitted per experiment kind; anything else is a typo
+# method-dict keys admitted per experiment kind and variant (the flow family
+# or the optimize algorithm); anything else is a typo or a key the variant
+# would ignore
 METHOD_KEYS = {
-    "flow": {"family", "p", "C", "c", "m", "mirror"},
-    "optimize": {"algorithm", "p", "epsilon", "N", "C", "K", "mirror", "c", "delta"},
-    "compare": {"p", "delta", "N", "C", "factor"},
-    "dilation_check": {"p", "C"},
-    "restart": {"epsilon", "epochs"},
-    "naive_demo": {"p", "C", "epsilon", "K", "accel_K", "accel_N"},
-    "acceptance": set(),
+    ("flow", "polynomial"): {"family", "p", "C", "mirror"},
+    ("flow", "exponential"): {"family", "c", "mirror"},
+    ("flow", "rescaled"): {"family", "p"},
+    ("flow", "massless"): {"family", "m", "mirror"},
+    ("optimize", "accelerated"): {"algorithm", "p", "epsilon", "N", "C", "K", "mirror"},
+    ("optimize", "descent"): {"algorithm", "p", "epsilon", "N", "K"},
+    ("optimize", "exponential"): {"algorithm", "c", "delta", "K", "mirror"},
+    ("compare", None): {"p", "delta", "N", "C", "factor"},
+    ("dilation_check", None): {"p", "C"},
+    ("restart", None): {"epsilon", "epochs"},
+    ("naive_demo", None): {"p", "C", "epsilon", "K", "accel_K", "accel_N"},
+    ("acceptance", None): set(),
 }
 
-FLOW_FAMILIES = ("polynomial", "exponential", "rescaled", "massless")
-OPTIMIZE_ALGORITHMS = ("accelerated", "descent", "exponential")
+FLOW_FAMILIES = tuple(v for kind, v in METHOD_KEYS if kind == "flow")
+OPTIMIZE_ALGORITHMS = tuple(v for kind, v in METHOD_KEYS if kind == "optimize")
+
+# method keys that name catalog entries or variants rather than numbers
+_NAME_KEYS = {"family", "algorithm", "mirror"}
+# method numbers that count something; the discrete kinds' order p is one too
+_INTEGER_KEYS = {"K", "epochs", "accel_K"}
 
 _INTEGRATION_KEYS = {
     "t0", "t_end", "method", "steps", "record_every",
@@ -82,31 +97,32 @@ class ExperimentConfig:
             )
         if not isinstance(self.method, dict):
             raise InputError("method must be an object of method parameters")
-        extra = set(self.method) - METHOD_KEYS[self.kind]
-        if extra:
+        variant = self.variant()
+        if variant not in [v for kind, v in METHOD_KEYS if kind == self.kind]:
+            label = "family" if self.kind == "flow" else "algorithm"
+            choices = FLOW_FAMILIES if self.kind == "flow" else OPTIMIZE_ALGORITHMS
             raise InputError(
-                f"method keys {sorted(extra)} are not used by kind={self.kind}; "
-                f"admitted keys: {sorted(METHOD_KEYS[self.kind])}"
+                f"{self.kind} {label} must be one of {choices}, got {variant!r}"
+            )
+        admitted = METHOD_KEYS[self.kind, variant]
+        extra = set(self.method) - admitted
+        if extra:
+            used_by = self.kind if variant is None else f"{self.kind} {variant}"
+            raise InputError(
+                f"method keys {sorted(extra)} are not used by {used_by}; "
+                f"admitted keys: {sorted(admitted)}"
             )
         mirror = self.method.get("mirror")
-        if mirror is not None and mirror not in builtin_mirror_maps():
+        if mirror is not None and (not isinstance(mirror, str)
+                                   or mirror not in builtin_mirror_maps()):
             raise InputError(
                 f"unknown mirror id {mirror!r}; "
                 f"catalog has {sorted(builtin_mirror_maps())}"
             )
-        if self.kind == "flow":
-            family = self.method.get("family", "polynomial")
-            if family not in FLOW_FAMILIES:
-                raise InputError(
-                    f"flow family must be one of {FLOW_FAMILIES}, got {family!r}"
-                )
-        if self.kind == "optimize":
-            algorithm = self.method.get("algorithm", "accelerated")
-            if algorithm not in OPTIMIZE_ALGORITHMS:
-                raise InputError(
-                    f"optimize algorithm must be one of {OPTIMIZE_ALGORITHMS}, "
-                    f"got {algorithm!r}"
-                )
+        for key in set(self.method) - _NAME_KEYS:
+            value = self.number(key)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise InputError(f"method {key} must be finite, got {value!r}")
         if not isinstance(self.integration, dict):
             raise InputError("integration must be an object of integrator controls")
         unknown = set(self.integration) - _INTEGRATION_KEYS
@@ -130,6 +146,30 @@ class ExperimentConfig:
             raise InputError(f"seed must be a nonnegative integer, got {self.seed!r}")
         if self.scale not in ("quick", "full"):
             raise InputError(f"scale must be 'quick' or 'full', got {self.scale!r}")
+
+    def variant(self):
+        """The flow family or optimize algorithm; None for the other kinds."""
+        if self.kind == "flow":
+            return self.method.get("family", "polynomial")
+        if self.kind == "optimize":
+            return self.method.get("algorithm", "accelerated")
+        return None
+
+    def number(self, key: str, default=None):
+        """Method number key, or default when it is unset or null.
+
+        Counts (K, epochs, accel_K) and the discrete kinds' order p are
+        integers, integral floats admitted; the flow families take a real p,
+        as their builders do. A value of the wrong type raises InputError.
+        """
+        value = self.method.get(key)
+        if value is None:
+            value = default
+        if value is None:
+            return None
+        if key in _INTEGER_KEYS or (key == "p" and self.kind != "flow"):
+            return as_integer(key, value)
+        return as_real(key, value)
 
     def problem_oracle(self):
         return builtin_problems()[self.problem]

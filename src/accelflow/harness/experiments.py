@@ -25,6 +25,7 @@ from ..accel import (
     restart_accelerated,
 )
 from ..core import EuclideanMap, exponential_triple, polynomial_triple
+from ..core.points import as_real
 from ..errors import InputError
 from ..flows import (
     build_el_system,
@@ -61,8 +62,8 @@ from .reporting import CheckResult, ReportSummary
 def _merge_controls(cfg: ExperimentConfig, defaults: dict) -> tuple[float, float, dict]:
     """Split (t0, t_end) from the integrator controls, config over defaults."""
     merged = {**defaults, **cfg.integration}
-    t0 = float(merged.pop("t0"))
-    t_end = float(merged.pop("t_end"))
+    t0 = as_real("t0", merged.pop("t0"))
+    t_end = as_real("t_end", merged.pop("t_end"))
     if not t_end > t0:
         raise InputError(f"integration needs t_end > t0, got [{t0}, {t_end}]")
     return t0, t_end, merged
@@ -126,11 +127,11 @@ def _pointwise_check(traj, triple) -> CheckResult:
 def _run_flow(cfg: ExperimentConfig, emit: ArtifactWriter) -> list[CheckResult]:
     f = cfg.problem_oracle()
     x0 = cfg.resolved_x0()
-    family = cfg.method.get("family", "polynomial")
+    family = cfg.variant()
 
     if family == "polynomial":
-        p = int(cfg.method.get("p", 2))
-        C = float(cfg.method.get("C", 1.0))
+        p = cfg.number("p", 2)
+        C = cfg.number("C", 1.0)
         mirror = cfg.mirror_map() or EuclideanMap()
         triple = polynomial_triple(p, C)
         t0, t_end, controls = _merge_controls(cfg, {
@@ -147,7 +148,7 @@ def _run_flow(cfg: ExperimentConfig, emit: ArtifactWriter) -> list[CheckResult]:
         ]
 
     if family == "exponential":
-        c = float(cfg.method.get("c", 1.0))
+        c = cfg.number("c", 1.0)
         mirror = cfg.mirror_map() or EuclideanMap()
         triple = exponential_triple(c)
         t0, t_end, controls = _merge_controls(cfg, {
@@ -159,7 +160,7 @@ def _run_flow(cfg: ExperimentConfig, emit: ArtifactWriter) -> list[CheckResult]:
         return [_energy_check(traj), _pointwise_check(traj, triple)]
 
     if family == "rescaled":
-        p = int(cfg.method.get("p", 3))
+        p = cfg.number("p", 3)
         t0, t_end, controls = _merge_controls(cfg, {
             "t0": 0.0, "t_end": 30.0,
             "method": "rk4", "steps": 30000, "record_every": 3,
@@ -172,7 +173,7 @@ def _run_flow(cfg: ExperimentConfig, emit: ArtifactWriter) -> list[CheckResult]:
         return checks
 
     # massless: first-order limit of the vanishing-mass dynamics
-    m = float(cfg.method.get("m", 0.01))
+    m = cfg.number("m", 0.01)
     mirror = cfg.mirror_map() or EuclideanMap()
     t0, t_end, controls = _merge_controls(cfg, {
         "t0": 0.0, "t_end": 2.0,
@@ -238,17 +239,15 @@ def _rescaled_monitor_checks(f, p: int, traj) -> list[CheckResult]:
 def _run_optimize(cfg: ExperimentConfig, emit: ArtifactWriter) -> list[CheckResult]:
     f = cfg.problem_oracle()
     x0 = cfg.resolved_x0()
-    algorithm = cfg.method.get("algorithm", "accelerated")
-    K = int(cfg.method.get("K", 500))
+    algorithm = cfg.variant()
+    K = cfg.number("K", 500)
 
     if algorithm == "exponential":
         # diagnostic forward scheme: nothing is certified, so nothing is
         # checked — the record (progress ratios included) is the output
         mirror = cfg.mirror_map() or EuclideanMap()
         rec = exponential_discretization(
-            f, mirror,
-            float(cfg.method.get("c", 1.0)), float(cfg.method.get("delta", 0.1)),
-            x0, K,
+            f, mirror, cfg.number("c", 1.0), cfg.number("delta", 0.1), x0, K
         )
         emit.record("iterates", rec)
         return [CheckResult(
@@ -261,26 +260,18 @@ def _run_optimize(cfg: ExperimentConfig, emit: ArtifactWriter) -> list[CheckResu
                     "final_gap": float(rec.final_gap_x)},
         )]
 
-    p = int(cfg.method.get("p", 2))
-    epsilon = cfg.method.get("epsilon")
-    epsilon = smoothness_epsilon(f, p) if epsilon is None else float(epsilon)
+    p = cfg.number("p", 2)
+    epsilon = cfg.number("epsilon")
+    if epsilon is None:
+        epsilon = smoothness_epsilon(f, p)
+    N = cfg.number("N", 2.0)
 
     if algorithm == "accelerated":
-        kwargs = {}
-        if "N" in cfg.method:
-            kwargs["N"] = float(cfg.method["N"])
-        if "C" in cfg.method:
-            kwargs["C"] = float(cfg.method["C"])
-        mirror = cfg.mirror_map()
-        if mirror is not None:
-            kwargs["mirror"] = mirror
-        rec = accelerated(f, AccelConfig(p=p, epsilon=epsilon, x0=x0, **kwargs), K)
+        acfg = AccelConfig(p=p, epsilon=epsilon, x0=x0, N=N, C=cfg.number("C"),
+                           mirror=cfg.mirror_map())
+        rec = accelerated(f, acfg, K)
     else:
-        if "C" in cfg.method or cfg.method.get("mirror") is not None:
-            raise InputError("descent takes no C or mirror parameters")
-        rec = higher_order_descent(
-            f, StepConfig(p, epsilon, float(cfg.method.get("N", 2.0))), x0, K
-        )
+        rec = higher_order_descent(f, StepConfig(p, epsilon, N), x0, K)
     emit.record("iterates", rec)
     checks = report_checks(rec.invariant_report())
     for check in checks:
@@ -293,15 +284,13 @@ def _run_optimize(cfg: ExperimentConfig, emit: ArtifactWriter) -> list[CheckResu
 def _run_compare(cfg: ExperimentConfig, emit: ArtifactWriter) -> list[CheckResult]:
     f = cfg.problem_oracle()
     x0 = cfg.resolved_x0()
-    p = int(cfg.method.get("p", 2))
-    delta = float(cfg.method.get("delta", 0.05))
-    factor = float(cfg.method.get("factor", CORRESPONDENCE_FACTOR))
+    p = cfg.number("p", 2)
+    delta = cfg.number("delta", 0.05)
+    factor = cfg.number("factor", CORRESPONDENCE_FACTOR)
     if f.min_value is None:
         raise InputError("compare needs a problem with a declared optimal value")
-    kwargs = {"N": float(cfg.method["N"])} if "N" in cfg.method else {}
-    if "C" in cfg.method:
-        kwargs["C"] = float(cfg.method["C"])
-    acfg = AccelConfig(p=p, epsilon=delta**p, x0=x0, **kwargs)
+    acfg = AccelConfig(p=p, epsilon=delta**p, x0=x0, N=cfg.number("N", 2.0),
+                       C=cfg.number("C"))
 
     lo, hi = tuple(cfg.window) if cfg.window else (1.0, 10.0)
     K = int(math.ceil(hi / delta)) + 1
@@ -328,10 +317,10 @@ def _run_compare(cfg: ExperimentConfig, emit: ArtifactWriter) -> list[CheckResul
 def _run_dilation_check(cfg: ExperimentConfig, emit: ArtifactWriter) -> list[CheckResult]:
     f = cfg.problem_oracle()
     x0 = cfg.resolved_x0()
-    p = int(cfg.method.get("p", 4))
+    p = cfg.number("p", 4)
     if p not in (3, 4):
         raise InputError("dilation_check relabels the order-2 flow; p must be 3 or 4")
-    C = float(cfg.method.get("C", 1.0))
+    C = cfg.number("C", 1.0)
     direct, check_times, diff = dilation_mismatch(f, x0, p, C, 10.0, 20000)
     sup = float(np.max(diff))
     emit.trajectory("direct", direct)
@@ -359,15 +348,15 @@ def _run_dilation_check(cfg: ExperimentConfig, emit: ArtifactWriter) -> list[Che
 def _run_restart(cfg: ExperimentConfig, emit: ArtifactWriter) -> list[CheckResult]:
     f = cfg.problem_oracle()
     x0 = cfg.resolved_x0()
-    epochs = int(cfg.method.get("epochs", 3))
-    epsilon = cfg.method.get("epsilon")
+    epochs = cfg.number("epochs", 3)
+    epsilon = cfg.number("epsilon")
     if epsilon is None:
         if f.uniform_convexity is None:
             raise InputError(
                 "restart needs epsilon, or a problem with declared uniform convexity"
             )
         epsilon = smoothness_epsilon(f, int(round(f.uniform_convexity[0])))
-    rec = restart_accelerated(f, float(epsilon), x0, epochs)
+    rec = restart_accelerated(f, epsilon, x0, epochs)
     emit.record("anchors", rec)
     for idx, inner in enumerate(rec.inner):
         emit.record(f"epoch_{idx}", inner)
@@ -377,17 +366,19 @@ def _run_restart(cfg: ExperimentConfig, emit: ArtifactWriter) -> list[CheckResul
 def _run_naive_demo(cfg: ExperimentConfig, emit: ArtifactWriter) -> list[CheckResult]:
     f = cfg.problem_oracle()
     x0 = cfg.resolved_x0()
-    p = int(cfg.method.get("p", 3))
-    C = float(cfg.method.get("C", 0.25))
-    epsilon = float(cfg.method.get("epsilon", 0.01))
-    K = int(cfg.method.get("K", 100000))
+    p = cfg.number("p", 3)
+    C = cfg.number("C", 0.25)
+    epsilon = cfg.number("epsilon", 0.01)
+    K = cfg.number("K", 100000)
     naive = naive_discretization(f, EuclideanMap(), p, C, epsilon, x0, K)
     emit.record("naive", naive)
     diverged = naive.termination["status"] == "diverged"
 
-    accel_K = int(cfg.method.get("accel_K", 2000))
-    kwargs = {"N": float(cfg.method["accel_N"])} if "accel_N" in cfg.method else {}
-    matched = accelerated(f, AccelConfig(p=p, epsilon=epsilon, x0=x0, **kwargs), accel_K)
+    accel_K = cfg.number("accel_K", 2000)
+    matched = accelerated(
+        f, AccelConfig(p=p, epsilon=epsilon, x0=x0, N=cfg.number("accel_N", 2.0)),
+        accel_K,
+    )
     emit.record("accelerated", matched)
     bound_ok = bool(matched.invariant_report()["rate_bound"]["ok"])
     return [

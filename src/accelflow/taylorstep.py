@@ -31,7 +31,6 @@ from .errors import CapabilityError, InputError, SolverError
 CERT_TOL = 1e-8
 RESIDUAL_TARGET = 1e-9  # relative, p in {2, 3}
 RESIDUAL_LIMIT_P4 = 1e-6
-SHORTCUT_RTOL = 1e-12  # fixed-point defect |phi(r)|/r that ends the secular solve early
 
 
 @dataclass(frozen=True)
@@ -114,8 +113,10 @@ def _secular_displacement(eigvals, eigvecs, g, scale: float, power: int,
     decreasing with phi(0+) > 0, and r_hi = (||g||/scale)^{1/(power+1)}
     satisfies phi(r_hi) <= 0 because ||(H + cI)^{-1} g|| <= ||g||/c for
     H >= 0. Tiny negative eigenvalues (symmetric-eig roundoff) are clamped.
-    Raises SolverError when no bracket holds a root (for example, a
-    non-finite gradient makes phi NaN).
+    brentq finds the root in (1e-16 r_hi, r_hi]; when it lies lower still,
+    the bracket moves down by factors of 1e-16 until phi changes sign (or
+    1e-300 is passed). Raises SolverError when no bracket holds a root (for
+    example, a non-finite gradient makes phi NaN).
     """
     lam = np.maximum(eigvals, 0.0)
     coords = eigvecs.T @ g
@@ -123,21 +124,11 @@ def _secular_displacement(eigvals, eigvecs, g, scale: float, power: int,
     def coords_u(r):  # u(r) in the eigenbasis, up to sign
         return coords / (lam + scale * r ** power)
 
-    def norm_u(r):
-        return norm(coords_u(r))
-
     def phi(r):
-        return norm_u(r) - r
+        return norm(coords_u(r)) - r
 
     lo = 1e-16 * r_hi
-    if phi(lo) <= 0.0:
-        # the root lies in (0, lo]; where the regularizer is negligible two
-        # fixed-point sweeps settle it (essentially a Newton step)
-        r = norm_u(norm_u(lo))
-        if abs(phi(r)) <= SHORTCUT_RTOL * r:
-            return -(eigvecs @ coords_u(r))
-        # the regularizer still shapes the step (a direction of zero
-        # curvature, say): bracket the root below lo instead
+    if phi(lo) <= 0.0:  # the root lies in (0, lo]
         hi = lo
         while phi(lo) <= 0.0 and lo > 1e-300:
             lo *= 1e-16
@@ -231,7 +222,7 @@ def g_step(f, x: Point, cfg: StepConfig) -> tuple[Point, StepCertificate]:
         # stationary point of the model (all benchmark objectives are convex
         # with their higher Taylor terms vanishing only alongside the
         # gradient at the minimizer)
-        return x.copy(), _certify(f, x, x.copy(), cfg, g)
+        return x.copy(), _certify(f, x, x, cfg, g)
 
     if cfg.p == 2:
         y = x - (cfg.epsilon / cfg.N) * g
@@ -282,19 +273,17 @@ def verify_step_progress(f, x: Point, y: Point, cfg: StepConfig) -> StepCertific
     with it.
     """
     x = as_point(x)
-    gx = f.gradient(x)
-    return _certify(f, x, as_point(y, dim=x.size), cfg, gx)
+    return _certify(f, x, y, cfg, f.gradient(x))
 
 
 def _certify(f, x: Point, y: Point, cfg: StepConfig, gx: Point) -> StepCertificate:
     """verify_step_progress with gx = grad f(x) already evaluated.
 
-    x must be a point from as_point. y is tested here: a finite squared norm
-    of the right shape means a finite point, so as_point runs (and raises its
-    InputError) only when that test fails.
+    x must be a point from as_point, which the certificate keeps. y goes
+    through as_point here, so the certificate owns a copy of it and a
+    non-finite or mis-sized y raises InputError.
     """
-    if y.shape != x.shape or not math.isfinite(y.dot(y)):
-        y = as_point(y, dim=x.size)
+    y = as_point(y, dim=x.size)
     gy = f.gradient(y)
     gy_norm = norm(gy)
     move = y - x
@@ -316,7 +305,7 @@ def _certify(f, x: Point, y: Point, cfg: StepConfig, gx: Point) -> StepCertifica
         and move_lo - CERT_TOL <= move_norm <= move_hi + CERT_TOL
     )
     return StepCertificate(
-        x=x.copy(), y=y.copy(), grad_y=gy, grad_y_norm=gy_norm, progress=progress,
+        x=x, y=y, grad_y=gy, grad_y_norm=gy_norm, progress=progress,
         progress_lower=lower, move_norm=move_norm,
         move_bounds=(move_lo, move_hi), residual=residual, ok=ok,
     )

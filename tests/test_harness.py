@@ -485,6 +485,72 @@ def test_cli_bad_integrator_controls_are_exit_two(tmp_path, capsys, integration)
     assert "config error" in capsys.readouterr().err
 
 
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("command, method", [
+    ("flow", {"family": "rescaled", "p": NAN}),
+    ("compare", {"delta": NAN}),
+    ("optimize", {"algorithm": "descent", "p": 2, "K": "many"}),
+    ("optimize", {"algorithm": "accelerated", "p": 2, "C": NAN}),
+    ("naive-demo", {"C": NAN}),
+    ("optimize", {"p": 2.5}),
+], ids=["flow_nan_p", "compare_nan_delta", "optimize_string_K",
+        "accelerated_nan_C", "naive_nan_C", "optimize_fractional_p"])
+def test_cli_bad_method_numbers_are_exit_two(tmp_path, capsys, command, method):
+    # json reads NaN; a number that cannot run as given is a config error,
+    # not a crash, a truncated order, or a run that checks nothing
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"method": method}))
+    assert main([command, "--config", str(path)]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, method", [
+    ("flow", {"family": "rescaled", "mirror": "pth_power_4", "C": 5.0, "c": 3.0}),
+    ("flow", {"family": "rescaled", "mirror": "pth_power_4"}),
+    ("optimize", {"algorithm": "exponential", "epsilon": 0.1}),
+    ("optimize", {"algorithm": "exponential", "N": 3.0}),
+    ("optimize", {"algorithm": "exponential", "C": 0.01}),
+    ("optimize", {"algorithm": "accelerated", "c": 1.0}),
+    ("optimize", {"algorithm": "accelerated", "delta": 0.1}),
+    ("optimize", {"algorithm": "descent", "C": 0.01}),
+    ("optimize", {"algorithm": "descent", "mirror": "euclidean"}),
+], ids=["rescaled_mirror_C_c", "rescaled_mirror", "exponential_epsilon",
+        "exponential_N", "exponential_C", "accelerated_c", "accelerated_delta",
+        "descent_C", "descent_mirror"])
+def test_cli_keys_the_variant_ignores_are_exit_two(tmp_path, capsys, command, method):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"method": method}))
+    assert main([command, "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "are not used by" in err
+
+
+def test_polynomial_flow_runs_the_configured_real_order(tmp_path):
+    # p = 2.5 is a real flow order: the rate bound is -2.5 + slack, not the
+    # bound of a truncated p = 2
+    summary = run_experiment(ExperimentConfig(
+        kind="flow", method={"family": "polynomial", "p": 2.5},
+        integration={"t_end": 5.0},
+    ))
+    slope = next(c for c in summary.checks if c.name == "rate_slope")
+    assert slope.bound == -2.5 + 0.3
+
+
+def test_method_numbers_read_with_their_kind_types():
+    cfg = ExperimentConfig(kind="optimize", method={"p": 3.0, "K": 1e2, "N": 3})
+    assert (cfg.number("p"), cfg.number("K"), cfg.number("N")) == (3, 100, 3.0)
+    assert type(cfg.number("p")) is int and type(cfg.number("N")) is float
+    assert cfg.number("epsilon") is None and cfg.number("C", 0.5) == 0.5
+    flow = ExperimentConfig(kind="flow", method={"p": 3})
+    assert type(flow.number("p")) is float
+    with pytest.raises(InputError):
+        ExperimentConfig(kind="restart", method={"epochs": True})
+    with pytest.raises(InputError):
+        ExperimentConfig(kind="flow", method={"mirror": ["euclidean"]})
+
+
 def test_cli_exponential_weight_overflow_is_exit_two(tmp_path, capsys):
     # e^(c delta k) overflows past k = 709 at c = delta = 1
     path = tmp_path / "cfg.json"

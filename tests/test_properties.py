@@ -18,8 +18,14 @@ Oracles, each the code as first written, kept here as references:
   bit on every 1-D float64 vector, strided views and non-finite entries
   included, and the divergence test written with it and np.isfinite.
 
-Every invalid integrator control must raise InputError, never integrate.
-A Taylor step at the certified epsilon must certify itself.
+Every invalid integrator control must raise InputError, never integrate,
+and a NaN method parameter must raise InputError, never run. A Taylor step
+at the certified epsilon must certify itself.
+
+The secular solve brackets its root with one rule: where the root lies below
+1e-16 r_hi and the regularizer is negligible against every eigenvalue, it
+returns the Newton step -H^{-1} g; on every input it returns a finite step
+or raises SolverError.
 
 The scaled map d_p only has to invert its gradient: its dual gradient
 rounds differently from the formula it replaced. Each catalog oracle's
@@ -40,6 +46,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from accelflow import accel  # noqa: E402
 from accelflow.accel import (  # noqa: E402
+    AccelConfig,
     exponential_discretization,
     naive_discretization,
 )
@@ -58,13 +65,14 @@ from accelflow.core.numerics import (  # noqa: E402
     central_diff_gradient,
     norm,
 )
-from accelflow.errors import InputError  # noqa: E402
+from accelflow.errors import InputError, SolverError  # noqa: E402
 from accelflow.flows import build_el_system, integrate  # noqa: E402
 from accelflow.flows.integrate import DIVERGENCE_THRESHOLD  # noqa: E402
 from accelflow.taylorstep import (  # noqa: E402
     RESIDUAL_LIMIT_P4,
     RESIDUAL_TARGET,
     StepConfig,
+    _secular_displacement,
     g_step,
     smoothness_epsilon,
 )
@@ -546,3 +554,126 @@ def test_every_invalid_integrator_control_raises_input_error(case):
     t_end, controls = case
     with pytest.raises(InputError):
         integrate(_FLOW, np.array([1.0, 1.0]), 0.1, t_end, controls)
+
+
+# ---------------------------------------------------------------------------
+# NaN method parameters
+
+
+_QUAD = DiagonalQuadratic((1.0, 10.0))
+_X0 = np.array([1.0, 1.0])
+_NAN_CONSTRUCTORS = {
+    "accelerated": lambda kw: AccelConfig(
+        p=kw.get("p", 2), epsilon=kw.get("epsilon", 0.1), x0=_X0,
+        N=kw.get("N", 2.0), C=kw.get("C")),
+    "naive": lambda kw: naive_discretization(
+        _QUAD, EuclideanMap(), kw.get("p", 2), kw.get("C", 0.1),
+        kw.get("epsilon", 0.1), _X0, 5),
+    "exponential": lambda kw: exponential_discretization(
+        _QUAD, EuclideanMap(), kw.get("c", 1.0), kw.get("delta", 0.1), _X0, 5),
+}
+_NAN_KEYS = {
+    "accelerated": ("epsilon", "N", "C"),
+    "naive": ("C", "epsilon"),
+    "exponential": ("c", "delta"),
+}
+
+
+@st.composite
+def _nan_parameters(draw):
+    name = draw(st.sampled_from(sorted(_NAN_CONSTRUCTORS)))
+    nan_keys = draw(st.sets(st.sampled_from(_NAN_KEYS[name]), min_size=1))
+    kw = {key: math.nan for key in nan_keys}
+    if name != "exponential":
+        kw["p"] = draw(st.sampled_from((2, 3, 4)))
+    return name, kw
+
+
+@PROPERTY_SETTINGS
+@given(_nan_parameters())
+def test_nan_method_parameters_raise_input_error(case):
+    name, kw = case
+    with pytest.raises(InputError):
+        _NAN_CONSTRUCTORS[name](kw)
+
+
+# ---------------------------------------------------------------------------
+# the secular solve's one bracket rule
+
+
+def _secular_case(draw, lam, g, scale, power):
+    eigvecs = np.linalg.qr(np.array(draw(st.lists(
+        st.lists(st.floats(-1.0, 1.0), min_size=lam.size, max_size=lam.size),
+        min_size=lam.size, max_size=lam.size))) + 3.0 * np.eye(lam.size))[0]
+    with np.errstate(all="ignore"):  # non-finite coordinates are drawn
+        gnorm = float(np.linalg.norm(g))
+        r_hi = (gnorm / scale) ** (1.0 / (power + 1.0))
+        return lam, eigvecs, eigvecs @ g, scale, power, r_hi
+
+
+@st.composite
+def _newton_region_cases(draw):
+    """Roots below 1e-16 r_hi with s r^power 16 orders under every
+    eigenvalue: the region the solve once settled with fixed-point sweeps."""
+    power = draw(st.sampled_from((1, 2)))
+    d = draw(st.integers(1, 4))
+    scale = 10.0 ** draw(st.floats(-8.0, 8.0))
+    gnorm = 10.0 ** draw(st.floats(-100.0, 30.0))
+    r_hi = (gnorm / scale) ** (1.0 / (power + 1.0))
+    # lam_min >= 1e16 s lo^power makes the regularizer negligible; 1e16
+    # ||g|| / r_hi puts the Newton step, hence the root, below lo
+    lo = 1e-16 * r_hi
+    lam_min = max(1e16 * scale * lo ** power, 1e17 * gnorm / r_hi)
+    lam = lam_min * 10.0 ** np.array(draw(st.lists(
+        st.floats(0.0, 6.0), min_size=d, max_size=d)))
+    direction = np.array(draw(st.lists(
+        st.floats(-1.0, 1.0).filter(lambda v: abs(v) > 1e-3),
+        min_size=d, max_size=d)))
+    g = gnorm * direction / np.linalg.norm(direction)
+    return _secular_case(draw, lam, g, scale, power)
+
+
+@PROPERTY_SETTINGS
+@given(_newton_region_cases())
+def test_secular_solve_below_lo_returns_the_newton_step(case):
+    lam, eigvecs, g, scale, power, r_hi = case
+    coords = eigvecs.T @ g
+    lo = 1e-16 * r_hi
+    assert norm(coords / (lam + scale * lo ** power)) - lo <= 0.0
+    assert np.all(lam >= 1e16 * scale * lo ** power)
+    u = _secular_displacement(lam, eigvecs, g, scale, power, r_hi)
+    newton = -(eigvecs @ (coords / lam))
+    assert norm(u - newton) <= 1e-15 * norm(newton)
+
+
+@st.composite
+def _any_secular_cases(draw):
+    """Zero and positive eigenvalues, gradients from 1e-300 to 1e30, and
+    non-finite gradient coordinates."""
+    power = draw(st.sampled_from((1, 2)))
+    d = draw(st.integers(1, 4))
+    lam = np.array(draw(st.lists(
+        st.just(0.0) | st.floats(-30.0, 40.0).map(lambda e: 10.0 ** e),
+        min_size=d, max_size=d)))
+    coords = np.array(draw(st.lists(st.just(0.0) | st.floats(-1.0, 1.0),
+                                    min_size=d, max_size=d)))
+    g = 10.0 ** draw(st.floats(-300.0, 30.0)) * coords
+    if draw(st.booleans()):
+        g[draw(st.integers(0, d - 1))] = draw(
+            st.sampled_from((math.nan, math.inf, -math.inf)))
+    scale = 10.0 ** draw(st.floats(-8.0, 8.0))
+    return _secular_case(draw, lam, g, scale, power)
+
+
+@PROPERTY_SETTINGS
+@given(_any_secular_cases())
+@example((np.array([0.0, 1.0]), np.eye(2), np.array([1e-300, 0.0]), 1.0, 1,
+          1e-150))
+def test_secular_solve_returns_a_finite_step_or_solver_error(case):
+    lam, eigvecs, g, scale, power, r_hi = case
+    with np.errstate(all="ignore"):
+        try:
+            u = _secular_displacement(lam, eigvecs, g, scale, power, r_hi)
+        except SolverError:
+            return
+    assert np.all(np.isfinite(u))

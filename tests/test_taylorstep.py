@@ -327,10 +327,11 @@ class _StiffPlusLinear(ObjectiveOracle):
 
 def test_secular_shortcut_region_with_a_live_regularizer_is_certified():
     # ||g|| ~ 2^110 puts r_hi near 4e16, so lo = 1e-16 r_hi ~ 3.6 lies above
-    # the root r = 1 (b / (s r) = r along x_1): phi(lo) <= 0, the case the
-    # two-sweep shortcut takes, yet the regularizer alone sets the x_1 step.
-    # Two sweeps from lo stop at r = 10 and a step of 0.28, which fails the
-    # move-norm sandwich; the secular root gives the certified unit step.
+    # the root r = 1 (b / (s r) = r along x_1): phi(lo) <= 0, so the bracket
+    # moves below lo, and the regularizer alone sets the x_1 step. Two
+    # fixed-point sweeps from lo would stop at r = 10 and a step of 0.28,
+    # which fails the move-norm sandwich; the secular root gives the
+    # certified unit step.
     f = _StiffPlusLinear(2.0**150, 1.0)
     x = np.array([2.0**-40, 0.0])
     cfg = StepConfig(3, 2.0, 2.0)
@@ -352,7 +353,7 @@ def test_secular_shortcut_region_with_a_live_regularizer_is_certified():
 
 
 def test_secular_shortcut_keeps_the_newton_step_when_the_regularizer_is_negligible():
-    # a stiff quadratic far from r_hi: the shortcut's answer is the Newton
+    # a stiff quadratic far from r_hi: the root below lo gives the Newton
     # step to the last bit the regularizer can move
     lam, vecs = np.linalg.eigh(np.diag([1e40, 3e40]))
     g = np.array([1e34, -6e34])  # Newton step (-1e-6, 2e-6)
