@@ -19,7 +19,7 @@ objectives.
 Every run returns a RunRecord holding the iterates, raw objective values,
 step certificates, estimate-sequence values, and the theoretical rate bound
 evaluated at each iteration, plus a termination status. Records export to
-CSV (stable columns, repr floats) and to a JSON-able summary with one
+CSV (stable columns, repr floats) and to an invariant report with one
 pass/fail entry per invariant the algorithm guarantees.
 """
 
@@ -54,6 +54,8 @@ GAP_RECURSION_TOL = 1e-9
 BOUND_RTOL = 1e-9
 # ||grad psi_k(z_k)|| must vanish relative to the dual-variable scale
 DUAL_OPT_TOL = 1e-8
+# the most iterations one accelerated run may be asked for
+MAX_ITERS = 1_000_000
 
 CSV_COLUMNS = (
     "k",
@@ -179,27 +181,6 @@ class RunRecord:
             return _restart_report(self)
         # naive/exponential discretizations promise nothing
         return {}
-
-    def summary(self) -> dict:
-        """JSON-able digest: config, termination, final gaps, invariants."""
-        # a module-level import would be circular: harness imports this module
-        from .harness.reporting import jsonable
-
-        report = self.invariant_report()
-        return jsonable(
-            {
-                "algorithm": self.algorithm,
-                "config": self.config,
-                "termination": self.termination,
-                "iterations": int(self.ks[-1]) if len(self.ks) else None,
-                "f_star_known": self.f_star is not None,
-                "final_gap_x": self.final_gap_x if self.f_star is not None else None,
-                "final_gap_y": self.final_gap_y,
-                "invariants": report,
-                "all_invariants_ok": all(c["ok"] for c in report.values()),
-                "extras": self.extras,
-            }
-        )
 
 
 def _margin_check(margins) -> dict:
@@ -343,7 +324,6 @@ class AccelConfig:
     N: float = 2.0
     C: float | None = None
     mirror: MirrorMap | None = None
-    max_iters: int = 1_000_000
 
     def __post_init__(self):
         if self.p not in (2, 3, 4):
@@ -356,8 +336,6 @@ class AccelConfig:
                 f"acceleration needs N > 1 (progress coefficient vanishes), got {self.N}"
             )
         self.x0 = as_point(self.x0)
-        if self.max_iters < 1:
-            raise InputError("max_iters must be at least 1")
         boundary = self.admissible_C_bound()
         if self.C is None:
             self.C = boundary
@@ -400,7 +378,6 @@ class AccelConfig:
             "N": float(self.N),
             "C": float(self.C),
             "mirror": self.mirror.name,
-            "max_iters": int(self.max_iters),
             "x0": [float(v) for v in self.x0],
         }
 
@@ -527,8 +504,8 @@ def accelerated(f: ObjectiveOracle, cfg: AccelConfig, K: int) -> RunRecord:
     """
     if K < 1:
         raise InputError(f"need at least one iteration, got K={K}")
-    if K > cfg.max_iters:
-        raise InputError(f"K={K} exceeds max_iters={cfg.max_iters}")
+    if K > MAX_ITERS:
+        raise InputError(f"K={K} exceeds MAX_ITERS={MAX_ITERS}")
     _check_dimension(f, cfg.x0)
     h = cfg.mirror
     scfg = cfg.step_config()
@@ -558,6 +535,7 @@ def accelerated(f: ObjectiveOracle, cfg: AccelConfig, K: int) -> RunRecord:
 
     w0 = h.gradient(x0)
     w0_norm = norm(w0)
+    h_x0 = h.value(x0)  # D_h(z, x0) = h(z) - h(x0) - <w0, z - x0>
     w = w0.copy()
     S1 = 0.0
     S2 = np.zeros(d)
@@ -589,7 +567,8 @@ def accelerated(f: ObjectiveOracle, cfg: AccelConfig, K: int) -> RunRecord:
         S1 += weight * (f_ys[k] - float(g @ y))
         S2 = S2 + weight * g
         kp = rising_factorial(k, p)
-        psi_values[k] = C * p * (S1 + float(S2 @ z)) + h.bregman(z, x0) / eps
+        dh_z = h.value(z) - h_x0 - float(w0 @ (z - x0))
+        psi_values[k] = C * p * (S1 + float(S2 @ z)) + dh_z / eps
         grad_psi = C * p * S2 + (h.gradient(z) - w0) / eps
         psi_grad_norms[k] = norm(grad_psi)
         psi_grad_scales[k] = norm(w) + w0_norm

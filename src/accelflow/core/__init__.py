@@ -6,7 +6,6 @@ from .mirrors import (
     MirrorMap,
     PthPowerMap,
     ScaledPthPowerMap,
-    bregman_divergence,
     builtin_mirror_maps,
 )
 from .numerics import (
@@ -53,7 +52,6 @@ __all__ = [
     "ScalingTriple",
     "ZeroObjective",
     "as_point",
-    "bregman_divergence",
     "builtin_mirror_maps",
     "builtin_problems",
     "central_diff_directional",

@@ -49,18 +49,15 @@ class MirrorMap:
         raise CapabilityError(f"{self.name} does not provide a dense Hessian")
 
     def bregman(self, y: Point, x: Point) -> float:
-        return bregman_divergence(self, y, x)
+        """D_h(y, x) = h(y) - h(x) - <grad h(x), y - x>.
 
-
-def bregman_divergence(h: MirrorMap, y: Point, x: Point) -> float:
-    """D_h(y, x) = h(y) - h(x) - <grad h(x), y - x>.
-
-    Nonnegative for convex h, up to rounding of order -1e-12; not symmetric.
-    """
-    check_same_dim(np.asarray(y), np.asarray(x))
-    y = np.asarray(y, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    return h.value(y) - h.value(x) - float(h.gradient(x) @ (y - x))
+        Nonnegative for convex h, up to rounding of order -1e-12; not
+        symmetric. Points of different dimensions raise InputError.
+        """
+        y = np.asarray(y, dtype=np.float64)
+        x = np.asarray(x, dtype=np.float64)
+        check_same_dim(y, x)
+        return self.value(y) - self.value(x) - float(self.gradient(x) @ (y - x))
 
 
 class EuclideanMap(MirrorMap):

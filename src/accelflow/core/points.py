@@ -47,11 +47,15 @@ def check_same_dim(*points: Point) -> int:
 
 
 def as_real(key: str, value) -> float:
-    """A real parameter named key; anything float() rejects raises InputError."""
+    """A real parameter named key, as float(value): an int or a float (numpy
+    scalars included). Booleans, strings, anything else and an int beyond
+    the float range raise InputError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InputError(f"{key} must be a number, got {value!r}")
     try:
         return float(value)
-    except (TypeError, ValueError):
-        raise InputError(f"{key} must be a number, got {value!r}") from None
+    except OverflowError:
+        raise InputError(f"{key} is out of the float range, got {value!r}") from None
 
 
 def as_integer(key: str, value) -> int:

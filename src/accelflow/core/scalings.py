@@ -25,16 +25,13 @@ class ScalingTriple:
     """Bundle of (alpha, beta, gamma) and their analytic time derivatives.
 
     valid_from marks the left end of the domain (several families are
-    singular at t = 0). family is a tag tuple such as ("polynomial", p, C),
-    ("exponential", c), ("massless", m), or ("custom", label); it is
-    descriptive only, never dispatched on. alpha_beta(t) returns the pair
-    (alpha(t), beta(t)) bit for bit; a family may pass one that shares the
-    work of the two, and by default it calls both.
+    singular at t = 0). alpha_beta(t) returns the pair (alpha(t), beta(t))
+    bit for bit; a family may pass one that shares the work of the two, and
+    by default it calls both.
     """
 
     def __init__(self, alpha, beta, gamma, alpha_dot, beta_dot, gamma_dot,
-                 valid_from: float = 0.0, family: tuple = ("custom", ""),
-                 alpha_beta=None):
+                 valid_from: float = 0.0, alpha_beta=None):
         self.alpha: Callable[[float], float] = alpha
         self.beta: Callable[[float], float] = beta
         self.gamma: Callable[[float], float] = gamma
@@ -42,7 +39,6 @@ class ScalingTriple:
         self.beta_dot: Callable[[float], float] = beta_dot
         self.gamma_dot: Callable[[float], float] = gamma_dot
         self.valid_from = float(valid_from)
-        self.family = family
         self.alpha_beta: Callable[[float], tuple[float, float]] = (
             alpha_beta or (lambda t: (alpha(t), beta(t))))
 
@@ -70,7 +66,6 @@ def polynomial_triple(p: float, C: float = 1.0, t_min: float = 0.1) -> ScalingTr
         beta_dot=lambda t: p / t,
         gamma_dot=lambda t: p / t,
         valid_from=t_min,
-        family=("polynomial", p, C),
         alpha_beta=alpha_beta,
     )
 
@@ -89,7 +84,6 @@ def exponential_triple(c: float) -> ScalingTriple:
         beta_dot=lambda t: c,
         gamma_dot=lambda t: c,
         valid_from=0.0,
-        family=("exponential", c),
     )
 
 
@@ -108,7 +102,6 @@ def massless_triple(m: float) -> ScalingTriple:
         beta_dot=lambda t: 0.0,
         gamma_dot=lambda t: 1.0 / m,
         valid_from=0.0,
-        family=("massless", m),
     )
 
 

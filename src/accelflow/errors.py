@@ -16,7 +16,7 @@ class CapabilityError(RuntimeError):
 
 
 class SolverError(RuntimeError):
-    """An inner solver missed its residual target."""
+    """An inner solver missed its residual target or ran out of steps."""
 
     def __init__(self, message, best=None, residual=None):
         super().__init__(message)

@@ -33,11 +33,6 @@ class TimeDilation:
         self.name = name
 
     @classmethod
-    def identity(cls) -> "TimeDilation":
-        return cls(lambda t: t, lambda t: 1.0, lambda t: 0.0, lambda t: t,
-                   name="identity")
-
-    @classmethod
     def power(cls, a: float) -> "TimeDilation":
         """tau(t) = t**a for a > 0 (defined for t >= 0)."""
         a = float(a)
@@ -79,7 +74,6 @@ def dilate_triple(triple: ScalingTriple, dilation: TimeDilation) -> ScalingTripl
         beta_dot=lambda t: triple.beta_dot(tau(t)) * tau_dot(t),
         gamma_dot=lambda t: triple.gamma_dot(tau(t)) * tau_dot(t),
         valid_from=new_from,
-        family=("dilated", dilation.name) + tuple(triple.family),
     )
 
 

@@ -14,9 +14,16 @@ import math
 import numpy as np
 
 from ..core.points import as_integer, as_point, as_real
-from ..errors import DivergenceError, InputError, NumericalError
+from ..errors import DivergenceError, InputError, NumericalError, SolverError
 
 DIVERGENCE_THRESHOLD = 1e8
+
+# the controls each integration method reads (defaults in integrate)
+METHOD_CONTROLS = {
+    "rk4": frozenset({"method", "steps", "record_every"}),
+    "rk4_adaptive": frozenset({"method", "rel_tol", "abs_tol", "initial_step",
+                               "max_steps", "record_every"}),
+}
 
 # Dormand-Prince 5(4) (Hairer, Norsett & Wanner, Solving ODEs I, Table II.5.2).
 # Row i of _A holds the weights of stage K[i] on K[0..i-1]; the last row is
@@ -176,8 +183,7 @@ class _Recorder:
 
 
 def integrate(sys, x0, t0: float, t_end: float, controls: dict,
-              initial_state=None,
-              divergence_threshold: float = DIVERGENCE_THRESHOLD) -> Trajectory:
+              initial_state=None) -> Trajectory:
     """Integrate a FlowSystem from t0 to t_end (finite, t_end > t0).
 
     controls is one of
@@ -185,10 +191,13 @@ def integrate(sys, x0, t0: float, t_end: float, controls: dict,
       {"method": "rk4_adaptive", "rel_tol": 1e-8, "abs_tol": 1e-12,
        "initial_step": (t_end - t0) / 100, "max_steps": 2_000_000,
        "record_every": k}
-    with the defaults shown; record_every defaults to 1. steps, record_every
-    and max_steps are integers >= 1; initial_step and abs_tol are finite and
-    positive, rel_tol finite and nonnegative. A violation raises InputError,
-    as does t0 before the system's domain. Deterministic given controls.
+    with the defaults shown; record_every defaults to 1 and steps has none.
+    METHOD_CONTROLS lists the keys each method reads; any other key, steps
+    on rk4_adaptive or a tolerance on rk4, raises InputError. steps,
+    record_every and max_steps are integers >= 1; initial_step and abs_tol
+    are finite and positive, rel_tol finite and nonnegative. A violation
+    raises InputError, as does t0 before the system's domain. Deterministic
+    given controls.
 
     rk4 takes steps fixed steps of 4 field evaluations. rk4_adaptive selects
     the embedded Dormand-Prince 5(4) pair with FSAL: each attempt evaluates
@@ -202,10 +211,10 @@ def integrate(sys, x0, t0: float, t_end: float, controls: dict,
 
     initial_state overrides the system's standard initial state (used by
     force-free oracle checks that start with nonzero velocity). Divergence
-    (state norm above the threshold) raises DivergenceError carrying the
-    partial trajectory, whose step_stats count the steps and field
-    evaluations so far; NaN/Inf in the state raises NumericalError, as does
-    exceeding max_steps attempts.
+    (state norm above DIVERGENCE_THRESHOLD) raises DivergenceError carrying
+    the partial trajectory, whose step_stats count the steps and field
+    evaluations so far; exceeding max_steps attempts raises SolverError;
+    NaN/Inf in the state raises NumericalError.
     """
     t0, t_end = float(t0), float(t_end)
     if not (math.isfinite(t0) and math.isfinite(t_end)):
@@ -215,8 +224,12 @@ def integrate(sys, x0, t0: float, t_end: float, controls: dict,
     if t_end <= t0:
         raise InputError(f"need t_end > t0, got [{t0}, {t_end}]")
     method = controls.get("method")
-    if method not in ("rk4", "rk4_adaptive"):
+    if method not in METHOD_CONTROLS:
         raise InputError(f"unknown integration method {method!r}")
+    unread = set(controls) - METHOD_CONTROLS[method]
+    if unread:
+        raise InputError(f"{method} does not read the controls {sorted(unread)}; "
+                         f"it reads {sorted(METHOD_CONTROLS[method])}")
     record_every = as_integer("record_every", controls.get("record_every", 1))
     if record_every < 1:
         raise InputError("record_every must be >= 1")
@@ -257,9 +270,9 @@ def integrate(sys, x0, t0: float, t_end: float, controls: dict,
         norm_sq = y.dot(y)
         if not math.isfinite(norm_sq) and not np.isfinite(y).all():
             raise NumericalError(f"non-finite state during integration at t = {t}")
-        if math.sqrt(norm_sq) > divergence_threshold:
+        if math.sqrt(norm_sq) > DIVERGENCE_THRESHOLD:
             raise DivergenceError(
-                f"state norm exceeded {divergence_threshold:g} at t = {t}",
+                f"state norm exceeded {DIVERGENCE_THRESHOLD:g} at t = {t}",
                 partial=rec.build(progress()), t=t,
             )
 
@@ -340,9 +353,7 @@ def integrate(sys, x0, t0: float, t_end: float, controls: dict,
             after_reject = True
         h *= factor
         if accepted + rejected > max_steps:
-            raise NumericalError(
-                f"adaptive integrator exceeded {max_steps} step attempts"
-            )
+            raise SolverError(f"adaptive integrator exceeded {max_steps} step attempts")
     if rec.times[-1] < t_end - 1e-12 * max(1.0, abs(t_end)):
         rec.push(t_end, y, field(t_end, y))
         evals += 1

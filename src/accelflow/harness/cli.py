@@ -1,9 +1,10 @@
 """Command-line front end: one subcommand per experiment kind.
 
 Exit codes: 0 every check passed; 1 at least one check failed (the failing
-checks are listed); 2 the configuration was invalid or infeasible; 3 an
-internal error. Flags override the config document's top-level fields, and
-the subcommand fixes the experiment kind.
+checks are listed); 2 the configuration was invalid or infeasible, a
+diverged integration or an exhausted step budget included; 3 an internal
+error. Flags override the config document's top-level fields, and the
+subcommand fixes the experiment kind.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from ..errors import CapabilityError, InputError
+from ..errors import CapabilityError, DivergenceError, InputError, SolverError
 from .config import config_from, load_config
 from .experiments import run_experiment
 
@@ -77,6 +78,9 @@ def main(argv=None) -> int:
         summary = run_experiment(cfg)
     except (InputError, CapabilityError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except (SolverError, DivergenceError) as exc:
+        print(f"infeasible run: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - the boundary turns bugs into exit 3
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -5,8 +5,9 @@ top-level fields. Problems and mirror maps are referenced by their catalog
 identifiers so configs stay diffable and machine-checkable. Method parameter
 constraints (admissible C, N > 1, epsilon > 0, ...) are owned by the method
 constructors themselves — validation here checks identifiers, field names,
-shapes, and that every method number is finite (and integral where the
-runner needs an integer), then lets the modules reject bad numbers.
+shapes, that every method number is finite (and integral where the runner
+needs an integer), and that integration controls and a fit window go only
+to runs that read them, then lets the modules reject bad numbers.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import numpy as np
 from ..core import builtin_mirror_maps, builtin_problems
 from ..core.points import as_integer, as_real
 from ..errors import InputError
+from ..flows.integrate import METHOD_CONTROLS
 from .reporting import EXPERIMENT_KINDS
 
 # top-level fields a config document may carry
@@ -61,10 +63,9 @@ _NAME_KEYS = {"family", "algorithm", "mirror"}
 # method numbers that count something; the discrete kinds' order p is one too
 _INTEGER_KEYS = {"K", "epochs", "accel_K"}
 
-_INTEGRATION_KEYS = {
-    "t0", "t_end", "method", "steps", "record_every",
-    "rel_tol", "abs_tol", "initial_step", "max_steps",
-}
+_INTEGRATION_KEYS = {"t0", "t_end"}.union(*METHOD_CONTROLS.values())
+# the (kind, variant) pairs whose runs read a rate-fit window
+_WINDOW_USERS = {("flow", "polynomial"), ("flow", "rescaled"), ("compare", None)}
 
 
 @dataclass
@@ -125,6 +126,8 @@ class ExperimentConfig:
                 raise InputError(f"method {key} must be finite, got {value!r}")
         if not isinstance(self.integration, dict):
             raise InputError("integration must be an object of integrator controls")
+        if self.integration and self.kind != "flow":
+            raise InputError(f"integration controls are not used by {self.kind}")
         unknown = set(self.integration) - _INTEGRATION_KEYS
         if unknown:
             raise InputError(
@@ -136,6 +139,10 @@ class ExperimentConfig:
             if arr.ndim != 1 or arr.size == 0 or not np.all(np.isfinite(arr)):
                 raise InputError("x0 must be a non-empty list of finite numbers")
         if self.window is not None:
+            if (self.kind, variant) not in _WINDOW_USERS:
+                raise InputError(
+                    "window is used only by polynomial and rescaled flows and compare"
+                )
             if (
                 not isinstance(self.window, (list, tuple))
                 or len(self.window) != 2

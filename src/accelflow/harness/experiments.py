@@ -60,7 +60,13 @@ from .reporting import CheckResult, ReportSummary
 
 
 def _merge_controls(cfg: ExperimentConfig, defaults: dict) -> tuple[float, float, dict]:
-    """Split (t0, t_end) from the integrator controls, config over defaults."""
+    """Split (t0, t_end) from the integrator controls, config over defaults.
+
+    The family's method controls are defaults only while the config keeps
+    the family's method; with another method only t0 and t_end are.
+    """
+    if cfg.integration.get("method", defaults["method"]) != defaults["method"]:
+        defaults = {"t0": defaults["t0"], "t_end": defaults["t_end"]}
     merged = {**defaults, **cfg.integration}
     t0 = as_real("t0", merged.pop("t0"))
     t_end = as_real("t_end", merged.pop("t_end"))
@@ -103,6 +109,20 @@ def _energy_check(traj) -> CheckResult:
         measured=rise,
         bound=ENERGY_REL_SLACK,
         detail="largest relative energy increase between samples",
+    )
+
+
+def _termination_check(rec) -> CheckResult:
+    """Passes only when the run did every iteration it was asked for; the
+    extras carry the termination record (for a solver failure, its message
+    and residual too)."""
+    term = rec.termination
+    where = "" if term["k"] is None else f" at k={term['k']}"
+    return CheckResult(
+        name="run_completed",
+        status="pass" if term["status"] == "completed" else "fail",
+        detail=f"run terminated {term['status']}{where}",
+        extras={"termination": dict(term)},
     )
 
 
@@ -278,7 +298,7 @@ def _run_optimize(cfg: ExperimentConfig, emit: ArtifactWriter) -> list[CheckResu
         # these bounds rest on the level-set radius; say where it came from
         if check.name in ("gap_bound", "gap_recursion", "inverse_gap_increments"):
             check.extras["level_radius_source"] = rec.extras["level_radius_source"]
-    return checks
+    return [_termination_check(rec), *checks]
 
 
 def _run_compare(cfg: ExperimentConfig, emit: ArtifactWriter) -> list[CheckResult]:
@@ -360,7 +380,7 @@ def _run_restart(cfg: ExperimentConfig, emit: ArtifactWriter) -> list[CheckResul
     emit.record("anchors", rec)
     for idx, inner in enumerate(rec.inner):
         emit.record(f"epoch_{idx}", inner)
-    return report_checks(rec.invariant_report())
+    return [_termination_check(rec), *report_checks(rec.invariant_report())]
 
 
 def _run_naive_demo(cfg: ExperimentConfig, emit: ArtifactWriter) -> list[CheckResult]:

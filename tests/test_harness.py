@@ -306,7 +306,7 @@ def test_optimize_accelerated_all_invariants(tmp_path):
     ))
     assert summary.all_pass
     assert {c.name for c in summary.checks} == {
-        "step_certificates", "estimate_lower", "estimate_upper",
+        "run_completed", "step_certificates", "estimate_lower", "estimate_upper",
         "dual_optimality", "rate_bound",
     }
     _assert_emitted_exactly(summary, tmp_path,
@@ -320,13 +320,14 @@ def test_optimize_descent_all_invariants():
     ))
     assert summary.all_pass
     assert {c.name for c in summary.checks} == {
-        "monotone_descent", "step_certificates", "gap_bound",
+        "run_completed", "monotone_descent", "step_certificates", "gap_bound",
         "gap_recursion", "inverse_gap_increments",
     }
     # the quadratic certifies its level-set radius; the bounds resting on it say so
     sources = {c.name: c.extras.get("level_radius_source") for c in summary.checks}
     assert sources == {
-        "monotone_descent": None, "step_certificates": None, "gap_bound": "declared",
+        "run_completed": None, "monotone_descent": None, "step_certificates": None,
+        "gap_bound": "declared",
         "gap_recursion": "declared", "inverse_gap_increments": "declared",
     }
 
@@ -391,7 +392,7 @@ def test_restart_kind(tmp_path):
     ))
     assert summary.all_pass
     assert {c.name for c in summary.checks} == {
-        "epoch_contraction", "anchor_envelope", "final_bound",
+        "run_completed", "epoch_contraction", "anchor_envelope", "final_bound",
         "inner_epochs_completed",
     }
     _assert_emitted_exactly(summary, tmp_path, [
@@ -477,7 +478,11 @@ def test_cli_config_error_is_exit_two(tmp_path, capsys):
     {"method": "rk4"},
     {"method": "rk4_adaptive", "initial_step": -1},
     {"method": "rk4_adaptive", "abs_tol": 0},
-], ids=["rk4_without_steps", "negative_initial_step", "zero_abs_tol"])
+    {"method": "rk4", "steps": 2000, "rel_tol": 1e-12},
+    {"method": "rk4_adaptive", "steps": 3},
+    {"t_end": "20"},
+], ids=["rk4_without_steps", "negative_initial_step", "zero_abs_tol",
+        "rk4_rel_tol", "adaptive_steps", "string_t_end"])
 def test_cli_bad_integrator_controls_are_exit_two(tmp_path, capsys, integration):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"integration": integration}))
@@ -495,8 +500,11 @@ NAN = float("nan")
     ("optimize", {"algorithm": "accelerated", "p": 2, "C": NAN}),
     ("naive-demo", {"C": NAN}),
     ("optimize", {"p": 2.5}),
+    ("optimize", {"algorithm": "descent", "p": 2, "N": "3", "K": 50}),
+    ("optimize", {"algorithm": "accelerated", "p": 2, "C": True}),
 ], ids=["flow_nan_p", "compare_nan_delta", "optimize_string_K",
-        "accelerated_nan_C", "naive_nan_C", "optimize_fractional_p"])
+        "accelerated_nan_C", "naive_nan_C", "optimize_fractional_p",
+        "descent_string_N", "accelerated_bool_C"])
 def test_cli_bad_method_numbers_are_exit_two(tmp_path, capsys, command, method):
     # json reads NaN; a number that cannot run as given is a config error,
     # not a crash, a truncated order, or a run that checks nothing
@@ -525,6 +533,144 @@ def test_cli_keys_the_variant_ignores_are_exit_two(tmp_path, capsys, command, me
     assert main([command, "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and "are not used by" in err
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("optimize", {"integration": {"t_end": 5.0}}),
+    ("optimize", {"window": [1, 3]}),
+    ("dilation-check", {"window": [1, 5]}),
+    ("flow", {"method": {"family": "exponential"}, "window": [1, 5]}),
+], ids=["optimize_integration", "optimize_window", "dilation_window",
+        "exponential_window"])
+def test_cli_fields_the_run_ignores_are_exit_two(tmp_path, capsys, command, doc):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    assert main([command, "--config", str(path)]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_polynomial_flow_takes_another_method_without_its_defaults(tmp_path, capsys):
+    # rk4 on the polynomial family runs without the adaptive tolerances
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"integration": {"method": "rk4", "steps": 2000}}))
+    out = tmp_path / "out"
+    assert main(["flow", "--config", str(path), "--out", str(out)]) == 0
+    capsys.readouterr()
+    doc = json.loads((out / "summary.json").read_text())
+    assert doc["config"]["integration"] == {"method": "rk4", "steps": 2000}
+
+
+@pytest.mark.parametrize("command, doc, error", [
+    ("flow", {"x0": [1e9, 1]}, "DivergenceError"),
+    ("flow", {"x0": [1e9, 1], "method": {"family": "exponential"}}, "DivergenceError"),
+    ("compare", {"x0": [1e9, 1]}, "DivergenceError"),
+    ("dilation-check", {"x0": [1e9, 1], "method": {"p": 3}}, "DivergenceError"),
+    ("flow", {"integration": {"max_steps": 5}}, "SolverError"),
+], ids=["polynomial_diverges", "exponential_diverges", "compare_diverges",
+        "dilation_diverges", "step_budget"])
+def test_cli_typed_run_failures_are_exit_two(tmp_path, capsys, command, doc, error):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    assert main([command, "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert error in err and "internal error" not in err
+
+
+def _run_cli(tmp_path, capsys, command, doc):
+    """Exit code and summary.json of one CLI run writing under tmp_path."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    code = main([command, "--config", str(path), "--out", str(out)])
+    capsys.readouterr()
+    return code, json.loads((out / "summary.json").read_text())
+
+
+def test_cli_optimize_summary_is_json_and_complete(tmp_path, capsys):
+    code, doc = _run_cli(tmp_path, capsys, "optimize", {
+        "method": {"algorithm": "accelerated", "p": 3, "K": 30},
+    })
+    assert code == 0 and doc["all_pass"] is True
+    assert doc["config"]["method"]["p"] == 3
+    checks = {c["name"]: c for c in doc["checks"]}
+    assert set(checks) == {
+        "run_completed", "step_certificates", "estimate_lower", "estimate_upper",
+        "dual_optimality", "rate_bound",
+    }
+    assert checks["run_completed"]["extras"]["termination"] == {
+        "status": "completed", "k": None,
+    }
+    assert all(c["status"] == "pass" for c in checks.values())
+
+
+@pytest.mark.parametrize("problem, x0, source", [
+    ("quadratic", [1.0, 1.0], "declared"),
+    ("log_sum_exp", [0.3, 0.3, 0.3, 0.3], "empirical"),
+])
+def test_cli_summary_says_where_the_level_radius_came_from(tmp_path, capsys,
+                                                           problem, x0, source):
+    code, doc = _run_cli(tmp_path, capsys, "optimize", {
+        "problem": problem, "x0": x0,
+        "method": {"algorithm": "descent", "p": 2, "K": 40},
+    })
+    assert code == 0
+    gap_bound = next(c for c in doc["checks"] if c["name"] == "gap_bound")
+    assert gap_bound["extras"]["level_radius_source"] == source
+
+
+def _failing_g_step(monkeypatch, residual):
+    """Make accel's Taylor step raise SolverError on its fourth call."""
+    import accelflow.accel as accel_module
+    from accelflow.errors import SolverError
+
+    real = accel_module.g_step
+    calls = [0]
+
+    def g_step(f, x, cfg):
+        calls[0] += 1
+        if calls[0] == 4:
+            raise SolverError("inner solve stalled", best=None, residual=residual)
+        return real(f, x, cfg)
+
+    monkeypatch.setattr(accel_module, "g_step", g_step)
+
+
+@pytest.mark.parametrize("residual, written", [(0.25, 0.25), (NAN, None)],
+                         ids=["residual", "nan_residual"])
+@pytest.mark.parametrize("algorithm", ["accelerated", "descent"])
+def test_cli_summary_records_a_solver_failure(tmp_path, capsys, monkeypatch,
+                                              algorithm, residual, written):
+    _failing_g_step(monkeypatch, residual)
+    code, doc = _run_cli(tmp_path, capsys, "optimize", {
+        "method": {"algorithm": algorithm, "p": 3, "K": 10},
+    })
+    assert code == 1  # the run stopped early
+    check = next(c for c in doc["checks"] if c["name"] == "run_completed")
+    assert check["status"] == "fail"
+    assert check["extras"]["termination"] == {
+        "status": "solver_error", "k": 3, "message": "inner solve stalled",
+        "residual": written,
+    }
+    assert "stalled" not in (tmp_path / "out" / "iterates.csv").read_text()
+
+
+def test_cli_restart_records_the_epoch_that_failed(tmp_path, capsys, monkeypatch):
+    _failing_g_step(monkeypatch, 0.25)
+    code, doc = _run_cli(tmp_path, capsys, "restart", {"method": {"epochs": 2}})
+    assert code == 1
+    check = next(c for c in doc["checks"] if c["name"] == "run_completed")
+    assert check["status"] == "fail"
+    assert check["extras"]["termination"]["status"] == "solver_error"
+    assert check["extras"]["termination"]["k"] == 0  # the epoch
+
+
+def test_cli_diverged_optimize_run_is_exit_one(tmp_path, capsys):
+    code, doc = _run_cli(tmp_path, capsys, "optimize", {
+        "x0": [1e9, 1.0], "method": {"algorithm": "accelerated", "p": 2, "K": 50},
+    })
+    assert code == 1
+    check = next(c for c in doc["checks"] if c["name"] == "run_completed")
+    assert check["extras"]["termination"] == {"status": "diverged", "k": 0}
 
 
 def test_polynomial_flow_runs_the_configured_real_order(tmp_path):
@@ -613,6 +759,19 @@ def test_cli_internal_error_is_exit_three(monkeypatch, capsys):
     monkeypatch.setattr(cli_module, "run_experiment", boom)
     assert cli_module.main(["flow"]) == 3
     assert "internal error" in capsys.readouterr().err
+
+
+def test_cli_non_finite_state_is_exit_three(monkeypatch, capsys):
+    # a NaN or Inf state is a bug, not a run that diverged
+    import accelflow.harness.experiments as experiments
+    from accelflow.errors import NumericalError
+
+    def poisoned(*args, **kwargs):
+        raise NumericalError("non-finite state during integration at t = 1.0")
+
+    monkeypatch.setattr(experiments, "integrate", poisoned)
+    assert main(["flow"]) == 3
+    assert "internal error: NumericalError" in capsys.readouterr().err
 
 
 def test_cli_capability_error_is_exit_two(tmp_path, capsys):

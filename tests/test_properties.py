@@ -65,6 +65,7 @@ from accelflow.core.numerics import (  # noqa: E402
     central_diff_gradient,
     norm,
 )
+from accelflow.core.points import as_real  # noqa: E402
 from accelflow.errors import InputError, SolverError  # noqa: E402
 from accelflow.flows import build_el_system, integrate  # noqa: E402
 from accelflow.flows.integrate import DIVERGENCE_THRESHOLD  # noqa: E402
@@ -554,6 +555,29 @@ def test_every_invalid_integrator_control_raises_input_error(case):
     t_end, controls = case
     with pytest.raises(InputError):
         integrate(_FLOW, np.array([1.0, 1.0]), 0.1, t_end, controls)
+
+
+# ---------------------------------------------------------------------------
+# the real coercion configs and integrator controls go through
+
+
+@PROPERTY_SETTINGS
+@given(st.integers() | st.floats(allow_nan=True, allow_infinity=True))
+@example(10 ** 400)
+def test_as_real_is_float_bit_for_bit(v):
+    try:
+        want = float(v)
+    except OverflowError:
+        with pytest.raises(InputError):
+            as_real("v", v)
+        return
+    assert _bits(as_real("v", v)) == _bits(want)
+
+
+@pytest.mark.parametrize("v", [True, False, np.bool_(True), "3", "20", None, [1.0]])
+def test_as_real_rejects_booleans_and_strings(v):
+    with pytest.raises(InputError):
+        as_real("v", v)
 
 
 # ---------------------------------------------------------------------------
