@@ -54,7 +54,7 @@ GAP_RECURSION_TOL = 1e-9
 BOUND_RTOL = 1e-9
 # ||grad psi_k(z_k)|| must vanish relative to the dual-variable scale
 DUAL_OPT_TOL = 1e-8
-# the most iterations one accelerated run may be asked for
+# the most iterations one discrete run may be asked for (a restart: epochs * m)
 MAX_ITERS = 1_000_000
 
 CSV_COLUMNS = (
@@ -295,6 +295,11 @@ def _restart_report(rec: RunRecord) -> dict:
         checks["final_bound"] = _margin_check(
             [final_bound * (1.0 + BOUND_RTOL) - final_gap]
         )
+    final_ok = rec.extras.get("final_certificate_ok")
+    if final_ok is not None:
+        # the bound above rests on the trailing step's certificate
+        checks["final_step_certificate"] = {"ok": bool(final_ok), "checked": 1,
+                                            "worst": None}
     if rec.inner:
         done = sum(
             1 for r in rec.inner if r.termination["status"] == "completed"
@@ -382,11 +387,17 @@ class AccelConfig:
         }
 
 
-def _check_dimension(f: ObjectiveOracle, x0: np.ndarray) -> None:
+def _start(f: ObjectiveOracle, x0: Point, iterations: int, label: str = "K") -> Point:
+    """The entry check every discrete method shares: x0 as a finite point in
+    f's dimension, and 1 <= iterations <= MAX_ITERS (label names the count)."""
+    if not 1 <= iterations <= MAX_ITERS:
+        raise InputError(f"{label} = {iterations} is outside [1, MAX_ITERS = {MAX_ITERS}]")
+    x0 = as_point(x0)
     if f.dimension is not None and f.dimension != x0.size:
         raise InputError(
             f"{f.name} is {f.dimension}-dimensional, x0 has size {x0.size}"
         )
+    return x0
 
 
 def _empirical_level_radius(f, x0, xs, x_star) -> tuple[float | None, str | None]:
@@ -429,10 +440,7 @@ def higher_order_descent(
     "declared" when the oracle certifies the radius, "empirical" for the
     padded fallback, None when the bound cannot be formed.
     """
-    x0 = as_point(x0)
-    _check_dimension(f, x0)
-    if K < 1:
-        raise InputError(f"need at least one iteration, got K={K}")
+    x0 = _start(f, x0, K)
     d = x0.size
     xs = np.empty((K + 1, d))
     f_xs = np.empty(K + 1)
@@ -502,15 +510,10 @@ def accelerated(f: ObjectiveOracle, cfg: AccelConfig, K: int) -> RunRecord:
     below C k^(p) f* + D_h(x*, x_0)/eps. Those two pin the certified rate
     f(y_k) - f* <= D_h(x*, x_0) / (C eps k^(p)).
     """
-    if K < 1:
-        raise InputError(f"need at least one iteration, got K={K}")
-    if K > MAX_ITERS:
-        raise InputError(f"K={K} exceeds MAX_ITERS={MAX_ITERS}")
-    _check_dimension(f, cfg.x0)
+    x0 = _start(f, cfg.x0, K)
     h = cfg.mirror
     scfg = cfg.step_config()
     p, C, eps = cfg.p, cfg.C, cfg.epsilon
-    x0 = cfg.x0
     d = x0.size
     x_star = f.minimizer
     f_star = f.min_value
@@ -698,14 +701,11 @@ def naive_discretization(
     recorded outcome — termination says at which k the iterates left the
     admissible region — never an exception.
     """
-    x0 = as_point(x0)
-    _check_dimension(f, x0)
+    x0 = _start(f, x0, K)
     if p not in (2, 3, 4):
         raise InputError(f"supported orders are p in {{2, 3, 4}}, got {p}")
     if not (C > 0 and epsilon > 0):
         raise InputError("C and epsilon must be positive")
-    if K < 1:
-        raise InputError(f"need at least one iteration, got K={K}")
     k0 = p + 1
     xs, f_xs, termination, _ = _forward_discretization(
         f, h, x0, range(k0, k0 + K),
@@ -756,16 +756,13 @@ def exponential_discretization(
     progress ratio <grad f(x_k), x_k - x_{k+1}> / ||grad f(x_k)||, whose
     sign and size show how far the scheme is from a descent direction.
     """
-    x0 = as_point(x0)
-    _check_dimension(f, x0)
+    x0 = _start(f, x0, K)
     if not (c > 0 and delta > 0):
         raise InputError("c and delta must be positive")
     if c * delta > 1.0:
         raise InputError(
             f"need c*delta <= 1 for a convex averaging step, got {c * delta:g}"
         )
-    if K < 1:
-        raise InputError(f"need at least one iteration, got K={K}")
     if c * delta * (K - 1) > _LOG_FLOAT_MAX:
         # the exponent is formed as the loop forms it; the quotient may
         # round either way by one
@@ -813,8 +810,6 @@ def restart_accelerated(
     a factor e. A trailing Taylor step converts the last anchor's distance
     into the value bound 3 ||x0 - x*||^p / (eps p e^epochs).
     """
-    x0 = as_point(x0)
-    _check_dimension(f, x0)
     if f.uniform_convexity is None:
         raise CapabilityError(
             f"{f.name} declares no uniform convexity; restarts need (p, sigma)"
@@ -829,9 +824,8 @@ def restart_accelerated(
             f"kappa = epsilon*sigma = {kappa:g} outside (0, 1); "
             "rescale epsilon to the objective's smoothness"
         )
-    if epochs < 1:
-        raise InputError(f"need at least one epoch, got {epochs}")
     m = math.ceil(8 * p / kappa ** (1.0 / p))
+    x0 = _start(f, x0, epochs * m, f"epochs * m = {epochs} * {m}")
     C = (4.0 * p) ** (-p)
     x_star = f.minimizer
     f_star = f.min_value
@@ -865,8 +859,6 @@ def restart_accelerated(
         bounds = dist_p[0] * np.exp(-np.arange(n, dtype=np.float64))
     if termination["status"] == "completed":
         y_final, cert = g_step(f, xhat, StepConfig(p=p, epsilon=epsilon, N=2.0))
-        extras["final_point"] = [float(v) for v in y_final]
-        extras["final_value"] = f.value(y_final)
         extras["final_certificate_ok"] = cert.ok
         if f_star is not None:
             extras["final_gap"] = f.value(y_final) - f_star

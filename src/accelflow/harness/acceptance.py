@@ -9,14 +9,16 @@ short detail string naming every sub-measurement. Two scales:
 - "quick" cuts horizons/iterations for a sub-two-minute smoke pass; every
   runner documents its own reduction in its docstring.
 
-Checks share expensive artifacts through the context cache (the six
+Checks share expensive runs through the context cache (the six
 polynomial-flow integrations feed both the rate check and the energy check;
-the five accelerated runs feed three checks), and each check writes its
-trajectory/iterate CSVs plus log-log plot data under its own subdirectory.
-Checks that share cached runs form one task; tasks run concurrently in
-forked worker processes, one per usable CPU, and their results and file
-lists are merged back in registry order, so every verdict and every emitted
-byte is the same as in a serial run.
+the five accelerated runs feed three checks). The cached runs only compute;
+each check writes its own trajectory/iterate CSVs plus log-log plot data
+under its own subdirectory, so a cached run's files are written by the check
+that owns their directory. One table, _TASKS, schedules the checks: checks
+that share cached runs form one task, and the slowest tasks start first.
+Tasks run concurrently in forked worker processes, one per usable CPU, and
+their results and file lists are merged back in registry order, so every
+verdict and every emitted byte is the same as in a serial run.
 
 The tolerances, the artifact writer and every measurement a verdict is built
 from live in checks.py, which the experiment kinds share; this module holds
@@ -30,7 +32,6 @@ import math
 import multiprocessing
 import os
 import time
-from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
@@ -155,24 +156,8 @@ def _polynomial_flow_runs(ctx: SuiteContext) -> list[dict]:
             traj = integrate(build_el_system(maps[mirror_id], f, triple),
                              x0, 0.1, t_end, controls)
             runs.append({"p": p, "mirror": mirror_id, "triple": triple, "traj": traj})
-            ctx.artifacts("polynomial_flow_rate").trajectory(f"p{p}_{mirror_id}", traj)
     ctx.cache["poly_flows"] = runs
     return runs
-
-
-def _exponential_flow_run(ctx: SuiteContext):
-    """The exponential-rate flow (c = 1) on the quadratic. quick: t_end 6."""
-    if "exp_flow" not in ctx.cache:
-        f = builtin_problems()["quadratic"]
-        t_end, rel, ab = (8.0, 1e-9, 1e-12) if ctx.full() else (6.0, 1e-8, 1e-11)
-        traj = integrate(
-            build_el_system(EuclideanMap(), f, exponential_triple(1.0)),
-            np.array([1.0, 1.0]), 0.0, t_end,
-            {"method": "rk4_adaptive", "rel_tol": rel, "abs_tol": ab},
-        )
-        ctx.artifacts("energy_monotonicity").trajectory("exponential_c1", traj)
-        ctx.cache["exp_flow"] = traj
-    return ctx.cache["exp_flow"]
 
 
 def _accelerated_runs(ctx: SuiteContext) -> list[dict]:
@@ -197,7 +182,6 @@ def _accelerated_runs(ctx: SuiteContext) -> list[dict]:
         eps = smoothness_epsilon(f, p)
         rec = accelerated(f, AccelConfig(p=p, epsilon=eps, x0=np.ones(f.dimension)), K)
         runs.append({"problem": name, "p": p, "K": K, "epsilon": eps, "record": rec})
-        ctx.artifacts("accelerated_gap_bound").record(f"{name}_p{p}", rec)
     ctx.cache["accel_runs"] = runs
     return runs
 
@@ -214,13 +198,14 @@ def _check_polynomial_flow_rate(ctx: SuiteContext) -> CheckResult:
     the six (order, mirror) runs. quick: horizon and fit window end at 20
     instead of 50.
     """
-    runs = _polynomial_flow_runs(ctx)
     window = (1.0, 50.0 if ctx.full() else 20.0)
     worst_excess = -math.inf
     worst_point = 0.0
     parts = []
-    for run in runs:
+    out = ctx.artifacts("polynomial_flow_rate")
+    for run in _polynomial_flow_runs(ctx):
         traj, triple, p = run["traj"], run["triple"], run["p"]
+        out.trajectory(f"p{p}_{run['mirror']}", traj)
         slope = masked_slope(traj, window)
         excess = slope + p
         point = worst_gap_over_certificate(traj, triple)
@@ -241,9 +226,10 @@ def _check_polynomial_flow_rate(ctx: SuiteContext) -> CheckResult:
 def _check_energy_monotonicity(ctx: SuiteContext) -> CheckResult:
     """Sampled energy never rises beyond rounding on any certified flow.
 
-    Covers the six polynomial-flow runs plus the exponential flow (c = 1);
-    the largest relative step-to-step energy increase must stay within 1e-6.
-    quick: inherits the reduced horizons of the shared runs.
+    Covers the six polynomial-flow runs plus the exponential flow (c = 1)
+    on the quadratic; the largest relative step-to-step energy increase
+    must stay within 1e-6. quick: inherits the reduced horizons of the
+    shared runs; the exponential flow runs to t = 6 instead of 8.
     """
     rises = []
     parts = []
@@ -251,7 +237,15 @@ def _check_energy_monotonicity(ctx: SuiteContext) -> CheckResult:
         rise = max_relative_energy_rise(run["traj"])
         rises.append(rise)
         parts.append(f"p={run['p']} {run['mirror']}: {rise:+.2e}")
-    rise = max_relative_energy_rise(_exponential_flow_run(ctx))
+    t_end, rel, ab = (8.0, 1e-9, 1e-12) if ctx.full() else (6.0, 1e-8, 1e-11)
+    exponential = integrate(
+        build_el_system(EuclideanMap(), builtin_problems()["quadratic"],
+                        exponential_triple(1.0)),
+        np.array([1.0, 1.0]), 0.0, t_end,
+        {"method": "rk4_adaptive", "rel_tol": rel, "abs_tol": ab},
+    )
+    ctx.artifacts("energy_monotonicity").trajectory("exponential_c1", exponential)
+    rise = max_relative_energy_rise(exponential)
     rises.append(rise)
     parts.append(f"exponential c=1: {rise:+.2e}")
     worst = max(rises)
@@ -310,8 +304,10 @@ def _check_accelerated_gap_bound(ctx: SuiteContext) -> CheckResult:
     """
     worst = 0.0
     parts = []
+    out = ctx.artifacts("accelerated_gap_bound")
     for run in _accelerated_runs(ctx):
         rec = run["record"]
+        out.record(f"{run['problem']}_p{run['p']}", rec)
         report = rec.invariant_report()["rate_bound"]
         ratio = worst_bound_ratio(rec)
         worst = max(worst, ratio)
@@ -875,24 +871,25 @@ if len(set(_names)) != len(_names):  # pragma: no cover - registry typo guard
     raise RuntimeError(f"duplicate check names in registry: {_names}")
 
 
-# Checks that read the same cached runs; each group runs as one task, in
-# registry order, so every cached run is computed and emitted exactly once.
+# The pool's schedule, in start order. Checks that read the same cached
+# runs share a task, so each cached run is computed once per task; the first
+# six tasks hold the slowest checks at either scale, slowest first
+# (quick-scale seconds on one CPU: 31, 16, 6.4, 2.4, 2.0, 1.6; the rest take
+# under 0.7 s each). Every other check runs as a task of its own after these,
+# in registry order, so the short checks fill in around the long ones: the
+# wall time stays near the suite's CPU time over the worker count, and no
+# long check starts late because of which worker happened to be free first.
 # Keyed by name: callers may rebuild the registry's specs.
-_SHARED_RUNS = (
-    ("polynomial_flow_rate", "energy_monotonicity"),  # poly_flows, exp_flow
+_TASKS = (
+    ("rerun_determinism",),
+    ("polynomial_flow_rate", "energy_monotonicity"),  # poly_flows
+    ("small_mass_limit",),
+    ("damped_oscillator_threshold",),
+    ("time_dilation_match",),
+    ("hamiltonian_lagrangian_match",),
     ("accelerated_gap_bound", "estimate_sequence_invariants",
      "taylor_step_certificates"),  # accel_runs
 )
-
-# The slowest checks at either scale, slowest first (quick-scale seconds on
-# one CPU: 31, 16, 6.4, 2.4, 2.0, 1.6; the rest take under 0.7 s each). The
-# pool starts their tasks in this order and every other task after them, in
-# registry order, so the short checks fill in around the long ones: the wall
-# time stays near the suite's CPU time over the worker count, and no long
-# check starts late because of which worker happened to be free first.
-_SLOW_FIRST = ("rerun_determinism", "polynomial_flow_rate", "small_mass_limit",
-               "damped_oscillator_threshold", "time_dilation_match",
-               "hamiltonian_lagrangian_match")
 
 
 def _internal_error(name: str, exc: BaseException, **tags) -> CheckResult:
@@ -921,24 +918,13 @@ def run_check(spec: CheckSpec, ctx: SuiteContext) -> CheckResult:
 
 
 def _tasks(indices) -> list[tuple[int, ...]]:
-    """Group registry indices into tasks: the checks of one _SHARED_RUNS
-    group form one task, every other check its own; tasks are ordered by
-    their first index and hold their indices in registry order."""
-    group_of = {name: g for g, names in enumerate(_SHARED_RUNS) for name in names}
-    tasks: dict[object, tuple[int, ...]] = {}
-    for i in sorted(indices):
-        key = group_of.get(CHECKS[i].name, CHECKS[i].name)
-        tasks[key] = tasks.get(key, ()) + (i,)
-    return list(tasks.values())
-
-
-def _start_order(tasks) -> list[tuple[int, ...]]:
-    """The tasks in the order the pool starts them: those holding a
-    _SLOW_FIRST check by that list's order, then the rest as given."""
-    def rank(task):
-        return min((_SLOW_FIRST.index(CHECKS[i].name) for i in task
-                    if CHECKS[i].name in _SLOW_FIRST), default=len(_SLOW_FIRST))
-    return sorted(tasks, key=rank)
+    """The registry indices as tasks, in start order: the indices named by
+    each _TASKS entry form one task, every other index its own, in registry
+    order. Each task holds its indices in registry order."""
+    indices = sorted(indices)
+    tasks = [tuple(i for i in indices if CHECKS[i].name in names) for names in _TASKS]
+    scheduled = {i for task in tasks for i in task}
+    return [task for task in tasks if task] + [(i,) for i in indices if i not in scheduled]
 
 
 def _run_task(task, scale: str, seed: int, root) -> list:
@@ -963,14 +949,13 @@ def _run_checks(indices, scale: str, seed: int, root) -> tuple[list, list]:
     """Run the registered checks at indices; returns their results and the
     files they emitted, both in registry order.
 
-    Tasks run on one forked worker per usable CPU (in-process with one CPU
-    or without fork), the slowest started first. Workers are forked so that
+    Tasks run in _TASKS order on one forked worker per usable CPU
+    (in-process with one CPU or without fork). Workers are forked so that
     each resolves its indices in the registry exactly as this process holds
     it, runners included, and nothing but indices and results crosses the
     process boundary. Results do not depend on the worker count. A worker
     that dies (a signal, the memory limit) fails every check of each task
-    left unfinished, tagged internal_error and worker_died. A file listed
-    twice means a check read a cached run outside its task, and raises.
+    left unfinished, tagged internal_error and worker_died.
     """
     tasks = _tasks(indices)
     workers = min(_usable_cpus(), len(tasks))
@@ -982,7 +967,7 @@ def _run_checks(indices, scale: str, seed: int, root) -> tuple[list, list]:
         context = multiprocessing.get_context("fork")
         with ProcessPoolExecutor(workers, mp_context=context) as pool:
             futures = [(task, pool.submit(_run_task, task, scale, seed, root))
-                       for task in _start_order(tasks)]
+                       for task in tasks]
             for task, future in futures:
                 try:
                     done += future.result()
@@ -991,10 +976,6 @@ def _run_checks(indices, scale: str, seed: int, root) -> tuple[list, list]:
                              for i in task]
     done.sort(key=lambda item: item[0])
     files = [name for _, _, emitted in done for name in emitted]
-    repeated = sorted(name for name, n in Counter(files).items() if n > 1)
-    if repeated:
-        raise RuntimeError(f"files emitted twice, a cached run was read "
-                           f"outside its task: {repeated[:5]}")
     return [result for _, result, _ in done], files
 
 

@@ -41,8 +41,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="directory for CSVs, plot data, and summary.json")
         sub.add_argument("--seed", type=int, default=None,
                          help="run seed, recorded in the summary")
-        sub.add_argument("--scale", choices=("quick", "full"), default=None,
-                         help="suite scale (acceptance; quick is the default)")
+        if name == "acceptance":
+            sub.add_argument("--scale", choices=("quick", "full"), default=None,
+                             help="suite scale (quick is the default)")
     return parser
 
 
@@ -74,7 +75,7 @@ def main(argv=None) -> int:
     try:
         doc = load_config(args.config) if args.config else {}
         cfg = config_from(doc, kind=kind, out=args.out,
-                          seed=args.seed, scale=args.scale)
+                          seed=args.seed, scale=getattr(args, "scale", None))
         summary = run_experiment(cfg)
     except (InputError, CapabilityError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

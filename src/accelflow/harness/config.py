@@ -6,8 +6,9 @@ identifiers so configs stay diffable and machine-checkable. Method parameter
 constraints (admissible C, N > 1, epsilon > 0, ...) are owned by the method
 constructors themselves — validation here checks identifiers, field names,
 shapes, that every method number is finite (and integral where the runner
-needs an integer), and that integration controls and a fit window go only
-to runs that read them, then lets the modules reject bad numbers.
+needs an integer), and that integration controls, a fit window and a
+scale go only to runs that read them, then lets the modules reject bad
+numbers.
 """
 
 from __future__ import annotations
@@ -153,6 +154,8 @@ class ExperimentConfig:
             raise InputError(f"seed must be a nonnegative integer, got {self.seed!r}")
         if self.scale not in ("quick", "full"):
             raise InputError(f"scale must be 'quick' or 'full', got {self.scale!r}")
+        if self.scale != "quick" and self.kind != "acceptance":
+            raise InputError(f"scale is used only by acceptance, not by {self.kind}")
 
     def variant(self):
         """The flow family or optimize algorithm; None for the other kinds."""

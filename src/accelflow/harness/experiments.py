@@ -393,6 +393,7 @@ def _run_naive_demo(cfg: ExperimentConfig, emit: ArtifactWriter) -> list[CheckRe
     naive = naive_discretization(f, EuclideanMap(), p, C, epsilon, x0, K)
     emit.record("naive", naive)
     diverged = naive.termination["status"] == "diverged"
+    k = naive.termination["k"]  # None when the scheme ran all K steps
 
     accel_K = cfg.number("accel_K", 2000)
     matched = accelerated(
@@ -400,22 +401,25 @@ def _run_naive_demo(cfg: ExperimentConfig, emit: ArtifactWriter) -> list[CheckRe
         accel_K,
     )
     emit.record("accelerated", matched)
-    bound_ok = bool(matched.invariant_report()["rate_bound"]["ok"])
+    # the report omits the bound when the problem declares no f* or the run
+    # recorded no iteration k >= 1
+    report = matched.invariant_report().get("rate_bound")
+    bound_ok = report is not None and bool(report["ok"])
     return [
         CheckResult(
             name="naive_diverges",
             status="pass" if diverged else "fail",
-            measured=float(naive.termination["k"]),
+            measured=None if k is None else float(k),
             bound=float(K),
-            detail=f"naive scheme terminated {naive.termination['status']} "
-                   f"at k={naive.termination['k']}",
-            extras={"diverged": diverged,
-                    "terminated_at": int(naive.termination["k"])},
+            detail=f"naive scheme terminated {naive.termination['status']}"
+                   + ("" if k is None else f" at k={k}"),
+            extras={"diverged": diverged, "terminated_at": k},
         ),
+        _termination_check(matched),
         CheckResult(
             name="accelerated_bound",
             status="pass" if bound_ok else "fail",
-            measured=worst_bound_ratio(matched),
+            measured=None if report is None else worst_bound_ratio(matched),
             bound=1.0,
             detail=f"rate-matching run, same epsilon={epsilon:g}, K={accel_K}",
             extras={"bound_ok": bound_ok},

@@ -105,7 +105,7 @@ def test_quick_suite_through_experiment_config(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# the worker pool: tasks, merge order, worker death, the duplicate-file guard
+# the worker pool: the schedule, merge order, worker death, cached-run files
 
 POOL_SUBSET = ("accelerated_gap_bound", "estimate_sequence_invariants",
                "taylor_step_certificates", "naive_vs_matched", "force_free_motion")
@@ -131,24 +131,43 @@ def _without_runtime(check):
     return doc
 
 
-def test_tasks_group_checks_that_share_cached_runs():
-    index = {spec.name: i for i, spec in enumerate(CHECKS)}
-    tasks = acceptance._tasks(range(len(CHECKS)))
-    assert sorted(i for task in tasks for i in task) == list(range(len(CHECKS)))
-    assert tasks[0] == (index["polynomial_flow_rate"], index["energy_monotonicity"])
-    trio = tuple(index[n] for n in POOL_SUBSET[:3])
-    assert trio in tasks
-    assert len(tasks) == len(CHECKS) - 3
-    assert [task[0] for task in tasks] == sorted(task[0] for task in tasks)
+# the checks the benchmark's suite_quick workload leaves out of its registry
+# (SUITE_EXCLUDED in bench/workloads.py)
+BENCH_EXCLUDED = ("polynomial_flow_rate", "energy_monotonicity", "rerun_determinism")
+
+# the pool's tasks for the full registry, in start order: the slowest first,
+# checks that share cached runs together, then the rest in registry order
+FULL_SCHEDULE = [
+    ("rerun_determinism",),
+    ("polynomial_flow_rate", "energy_monotonicity"),
+    ("small_mass_limit",),
+    ("damped_oscillator_threshold",),
+    ("time_dilation_match",),
+    ("hamiltonian_lagrangian_match",),
+    ("accelerated_gap_bound", "estimate_sequence_invariants", "taylor_step_certificates"),
+    ("plain_method_rate",),
+    ("rescaled_flow_descent",),
+    ("naive_vs_matched",),
+    ("force_free_motion",),
+    ("uniformly_convex_discrete",),
+    ("uniformly_convex_flow",),
+    ("flow_method_correspondence",),
+]
 
 
-def test_pool_starts_the_slowest_tasks_first():
-    tasks = acceptance._tasks(range(len(CHECKS)))
-    order = acceptance._start_order(tasks)
-    slow = len(acceptance._SLOW_FIRST)
-    assert sorted(order) == sorted(tasks)
-    assert [CHECKS[task[0]].name for task in order[:slow]] == list(acceptance._SLOW_FIRST)
-    assert order[slow:] == [task for task in tasks if task not in order[:slow]]
+@pytest.mark.parametrize("excluded", [(), BENCH_EXCLUDED], ids=["full", "benchmark"])
+def test_tasks_follow_the_schedule_table(monkeypatch, excluded):
+    scheduled = [name for task in acceptance._TASKS for name in task]
+    assert len(set(scheduled)) == len(scheduled)
+    assert set(scheduled) <= set(CRITERIA)
+
+    _registry(monkeypatch, [spec for spec in CHECKS if spec.name not in excluded], 2)
+    n = len(acceptance.CHECKS)
+    tasks = acceptance._tasks(range(n))
+    assert sorted(i for task in tasks for i in task) == list(range(n))
+    assert [tuple(acceptance.CHECKS[i].name for i in task) for task in tasks] == [
+        task for task in FULL_SCHEDULE if task[0] not in excluded
+    ]
 
 
 def test_pool_results_do_not_depend_on_worker_count(monkeypatch, tmp_path):
@@ -190,16 +209,25 @@ def test_dead_worker_fails_its_checks_and_the_suite(monkeypatch, tmp_path):
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
-def test_cached_run_read_outside_its_task_trips_the_guard(monkeypatch, tmp_path, cpus):
+def test_cached_run_read_outside_its_task_writes_nothing(monkeypatch, tmp_path, cpus):
+    # the cached runs only compute; the check that owns their directory
+    # writes their files, so a stray reader leaves every file as it was
     def stray(ctx):
         acceptance._accelerated_runs(ctx)
         return CheckResult(name="stray_accel_reader", status="pass")
 
-    specs = _subset(POOL_SUBSET[:3]) + [CheckSpec("stray_accel_reader", "reads accel_runs",
-                                                  stray)]
-    _registry(monkeypatch, specs, cpus)
-    with pytest.raises(RuntimeError, match="emitted twice"):
-        acceptance_suite(scale="quick", out_dir=tmp_path, seed=0)
+    owners = _subset(POOL_SUBSET[:3])
+    runs = {}
+    for label, specs in (("owners", owners),
+                         ("stray", owners + [CheckSpec("stray_accel_reader",
+                                                       "reads accel_runs", stray)])):
+        _registry(monkeypatch, specs, cpus)
+        root = tmp_path / label
+        runs[label] = (acceptance_suite(scale="quick", out_dir=root, seed=0), root)
+    (owned, owned_root), (strayed, strayed_root) = runs["owners"], runs["stray"]
+    assert strayed.all_pass, strayed.failing()
+    assert strayed.files == owned.files
+    assert _artifacts(strayed_root) == _artifacts(owned_root)
 
 
 def test_raising_runner_is_still_exit_three(monkeypatch, tmp_path):

@@ -102,6 +102,7 @@ def test_overrides_apply_and_none_is_absent():
     assert cfg.out == "somewhere"
     cfg = config_from({"kind": "flow", "seed": 3}, seed=11)
     assert cfg.seed == 11
+    assert config_from({"kind": "acceptance"}, scale="full").scale == "full"
 
 
 @pytest.mark.parametrize("bad", [
@@ -112,6 +113,7 @@ def test_overrides_apply_and_none_is_absent():
     {"seed": -1},
     {"seed": True},
     {"scale": "huge"},
+    {"scale": "full"},  # only acceptance reads a scale
     {"integration": {"dt": 0.1}},
     {"method": {"family": "spiral"}},
 ])
@@ -393,7 +395,7 @@ def test_restart_kind(tmp_path):
     assert summary.all_pass
     assert {c.name for c in summary.checks} == {
         "run_completed", "epoch_contraction", "anchor_envelope", "final_bound",
-        "inner_epochs_completed",
+        "final_step_certificate", "inner_epochs_completed",
     }
     _assert_emitted_exactly(summary, tmp_path, [
         "anchors.csv", "anchors_gap_loglog.dat",
@@ -664,6 +666,46 @@ def test_cli_restart_records_the_epoch_that_failed(tmp_path, capsys, monkeypatch
     assert check["extras"]["termination"]["k"] == 0  # the epoch
 
 
+@pytest.mark.parametrize("doc, failing", [
+    # the accelerated run diverges at k = 0 and records no iteration
+    ({"x0": [1e9, 1]}, ["run_completed", "accelerated_bound"]),
+    # "zero" declares no f*, and the naive scheme runs all K steps
+    ({"problem": "zero", "x0": [1, 1], "method": {"K": 50, "accel_K": 20}},
+     ["naive_diverges", "accelerated_bound"]),
+], ids=["accelerated_diverges_at_once", "no_optimal_value"])
+def test_cli_naive_demo_without_a_rate_bound_is_exit_one(tmp_path, capsys, doc, failing):
+    code, summary = _run_cli(tmp_path, capsys, "naive-demo", doc)
+    assert code == 1
+    assert [c["name"] for c in summary["checks"] if c["status"] == "fail"] == failing
+    checks = {c["name"]: c for c in summary["checks"]}
+    assert checks["accelerated_bound"]["measured"] is None
+
+
+def test_cli_restart_fails_when_its_trailing_step_certificate_fails(tmp_path, capsys,
+                                                                   monkeypatch):
+    import dataclasses
+
+    import accelflow.accel as accel_module
+
+    real = accel_module.g_step
+    calls, fail_at = [0], [None]
+
+    def g_step(f, x, cfg):
+        calls[0] += 1
+        y, cert = real(f, x, cfg)
+        return y, dataclasses.replace(cert, ok=False) if calls[0] == fail_at[0] else cert
+
+    monkeypatch.setattr(accel_module, "g_step", g_step)
+    cfg = {"method": {"epochs": 2}}
+    run_experiment(ExperimentConfig(kind="restart", **cfg))
+    fail_at[0], calls[0] = calls[0], 0  # the trailing step is the run's last
+    code, doc = _run_cli(tmp_path, capsys, "restart", cfg)
+    assert code == 1
+    assert [c["name"] for c in doc["checks"] if c["status"] == "fail"] == [
+        "final_step_certificate",
+    ]
+
+
 def test_cli_diverged_optimize_run_is_exit_one(tmp_path, capsys):
     code, doc = _run_cli(tmp_path, capsys, "optimize", {
         "x0": [1e9, 1.0], "method": {"algorithm": "accelerated", "p": 2, "K": 50},
@@ -709,18 +751,39 @@ def test_cli_exponential_weight_overflow_is_exit_two(tmp_path, capsys):
     assert "config error" in err and "largest admissible K is 710" in err
 
 
-def test_cli_module_runs_under_warnings_as_errors():
-    # `python -m accelflow.harness.cli` must not find the module already
-    # imported by its package (runpy's RuntimeWarning)
+def _cli_process(*args, timeout=120):
+    """Run `python <args>` on this source tree in a child process."""
     src = str(Path(accelflow.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")
     env = {**os.environ, "PYTHONPATH": src if not path else src + os.pathsep + path}
-    proc = subprocess.run(
-        [sys.executable, "-W", "error", "-m", "accelflow.harness.cli", "--help"],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=timeout)
+
+
+def test_cli_module_runs_under_warnings_as_errors():
+    # `python -m accelflow.harness.cli` must not find the module already
+    # imported by its package (runpy's RuntimeWarning)
+    proc = _cli_process("-W", "error", "-m", "accelflow.harness.cli", "--help")
     assert proc.returncode == 0, proc.stderr
     assert "usage: accelflow" in proc.stdout
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("optimize", {"method": {"algorithm": "descent", "K": 1e12}}),
+    ("restart", {"method": {"epochs": 1e12}}),
+    ("naive-demo", {"problem": "zero", "x0": [1, 1], "method": {"K": 1e12}}),
+    ("optimize", {"problem": "zero", "x0": [1, 1], "method": {
+        "algorithm": "exponential", "c": 1e-9, "delta": 1e-9, "K": 1e12}}),
+], ids=["descent", "restart", "naive", "exponential"])
+def test_cli_iterations_past_the_cap_are_exit_two(tmp_path, command, doc):
+    # each would allocate terabytes or run until killed; a child process
+    # with a timeout keeps a regression from hanging the suite
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    proc = _cli_process("-m", "accelflow.harness.cli", command, "--config", str(path),
+                        timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert "config error" in proc.stderr and "MAX_ITERS" in proc.stderr
 
 
 @pytest.mark.parametrize("family, skipped", [
@@ -747,6 +810,7 @@ def test_cli_flow_without_known_minimum_skips_checks(tmp_path, capsys, family, s
 
 def test_cli_usage_error_is_exit_two(capsys):
     assert main(["flow", "--scale", "gigantic"]) == 2
+    assert main(["dilation-check", "--scale", "full"]) == 2  # acceptance only
     capsys.readouterr()
 
 
