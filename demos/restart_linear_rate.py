@@ -16,11 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from accelflow.accel import (
-    higher_order_descent,
-    restart_accelerated,
-    uniformly_convex_descent_rate_check,
-)
+from accelflow.accel import higher_order_descent, restart_accelerated
 from accelflow.core import builtin_problems
 from accelflow.taylorstep import StepConfig
 
@@ -34,12 +30,12 @@ def main() -> None:
 
     print("plain order-2 method on the strongly convex quadratic, 500 steps")
     rec = higher_order_descent(f, StepConfig(2, 0.1, 2.0), x0, 500)
-    linear = uniformly_convex_descent_rate_check(rec, f)
-    print(f"  geometric bound gap_k <= {linear['prefactor']:.3f} * "
-          f"{linear['rate']:.4f}^(k-1) held at all {linear['checked']} covered rows: "
-          f"{linear['bound_ok']}")
-    print(f"  per-step inverse-gap increments >= {linear['required_increment']:.4f}: "
-          f"{linear['increment_ok']}")
+    report = rec.invariant_report()
+    print(f"  geometric bound gap_k <= {rec.extras['linear_prefactor']:.3f} * "
+          f"{rec.extras['linear_rate']:.4f}^(k-1), k >= 1")
+    for name, entry in report.items():
+        print(f"  {name}: {'ok' if entry['ok'] else 'VIOLATED'} "
+              f"({entry['checked']} checked, worst margin {entry['worst']})")
     print(f"  final gap {rec.final_gap_x:.2e}")
     rec.to_csv(OUT / "descent.csv")
 

@@ -225,28 +225,26 @@ def _descent_report(rec: RunRecord) -> dict:
         checks["gap_recursion"] = _margin_check(
             (prev - drop + GAP_RECURSION_TOL - nxt)[ok_prev]
         )
-        live, incs, inc_min = _inverse_gap_increments(gaps, rec.f_star, p, eps, N, R)
+        # e_k = gap_k^{-1/(p-1)} gains at least (1/p)(eps/((N+1)R^p))^{1/(p-1)}
+        # per step; pairs with a gap below 1e-12 (1 + |f*|) are skipped, the
+        # difference no longer carries precision there
+        inc_min = (1.0 / p) * (eps / denom) ** (1.0 / (p - 1.0))
+        floor = 1e-12 * (1.0 + abs(rec.f_star))
+        live = (prev > floor) & (nxt > floor)
         if np.any(live):
+            incs = nxt[live] ** (-1.0 / (p - 1.0)) - prev[live] ** (-1.0 / (p - 1.0))
             checks["inverse_gap_increments"] = _margin_check(
                 incs - inc_min * (1.0 - BOUND_RTOL)
             )
+    rho = rec.extras.get("linear_rate")
+    if rec.f_star is not None and rho is not None:
+        # the iterates after the first step; the initial gap is unconstrained
+        ks = np.asarray(rec.ks[1:], dtype=np.float64)
+        envelope = rec.extras["linear_prefactor"] * rho ** (ks - 1.0)
+        checks["geometric_bound"] = _margin_check(
+            envelope * (1.0 + BOUND_RTOL) + 1e-15 * (1.0 + abs(rec.f_star)) - gaps[1:]
+        )
     return checks
-
-
-def _inverse_gap_increments(gaps, f_star, p, eps, N, R):
-    """Increments of e_k = gap_k^{-1/(p-1)} and the floor they must clear.
-
-    The plain method gains at least (1/p)(eps/((N+1)R^p))^{1/(p-1)} per
-    step. Pairs where either gap is below 1e-12 (1 + |f*|) are skipped: the
-    difference no longer carries precision there. Returns the live mask
-    over consecutive pairs, the live increments and the required increment.
-    """
-    inc_min = (1.0 / p) * (eps / ((N + 1.0) * R**p)) ** (1.0 / (p - 1.0))
-    floor = 1e-12 * (1.0 + abs(f_star))
-    prev, nxt = gaps[:-1], gaps[1:]
-    live = (prev > floor) & (nxt > floor)
-    incs = nxt[live] ** (-1.0 / (p - 1.0)) - prev[live] ** (-1.0 / (p - 1.0))
-    return live, incs, inc_min
 
 
 def _accelerated_report(rec: RunRecord) -> dict:
@@ -438,7 +436,10 @@ def higher_order_descent(
     residual, and truncates the run. R and its provenance go to extras
     "level_radius" and "level_radius_source":
     "declared" when the oracle certifies the radius, "empirical" for the
-    padded fallback, None when the bound cannot be formed.
+    padded fallback, None when the bound cannot be formed. When f is
+    uniformly convex of order p and knows its minimizer, the geometric rate
+    rho and prefactor of the linear bound go to "linear_rate" and
+    "linear_prefactor", which the invariant report checks.
     """
     x0 = _start(f, x0, K)
     d = x0.size
@@ -474,6 +475,18 @@ def higher_order_descent(
         bounds[1:] = (
             cfg.p ** (cfg.p - 1) * (cfg.N + 1.0) * R**cfg.p / (cfg.epsilon * ks ** (cfg.p - 1))
         )
+    extras = {"level_radius": R, "level_radius_source": R_source}
+    uc = f.uniform_convexity
+    if uc is not None and uc[0] == cfg.p and x_star is not None:
+        # sigma-uniform convexity of order p gives, for k >= 1,
+        # gap_k <= (N+1) ||x0 - x*||^p / (eps p) rho^{k-1},
+        # rho = 1 / (1 + M kappa^{1/(p-1)}), kappa = eps sigma
+        p, eps, N = cfg.p, float(cfg.epsilon), float(cfg.N)
+        M = progress_coefficient(p, N)
+        kappa = eps * uc[1]
+        dist0 = norm(x0 - x_star)
+        extras["linear_rate"] = 1.0 / (1.0 + M * kappa ** (1.0 / (p - 1.0)))
+        extras["linear_prefactor"] = (N + 1.0) * dist0**p / (eps * p)
     return RunRecord(
         algorithm="higher_order_descent",
         config={
@@ -491,7 +504,7 @@ def higher_order_descent(
         termination=termination,
         certificates=certs,
         bound_values=bounds,
-        extras={"level_radius": R, "level_radius_source": R_source},
+        extras=extras,
     )
 
 
@@ -891,76 +904,3 @@ def restart_accelerated(
         inner=inner,
     )
 
-
-def uniformly_convex_descent_rate_check(record: RunRecord, f: ObjectiveOracle) -> dict:
-    """Compare a plain-descent run against the linear rate uniform convexity buys.
-
-    On an objective that is sigma-uniformly convex of the method's own order
-    p, the plain method's gap obeys, for k >= 1,
-
-        f(x_k) - f* <= (N+1) ||x0 - x*||^p / (eps p) * rho^{k-1},
-        rho = 1 / (1 + M kappa^{1/(p-1)}),  kappa = eps sigma,
-
-    with M the step progress coefficient (the geometric decay starts after
-    the first step; the initial gap itself is unconstrained), and the
-    inverse-gap transform e_k = gap^{-1/(p-1)} still gains at least
-    (1/p)(eps/((N+1)R^p))^{1/(p-1)} per step. Violations are reported in
-    the returned dict, never raised.
-    """
-    if record.algorithm != "higher_order_descent":
-        raise InputError(
-            f"rate check applies to higher_order_descent records, got {record.algorithm}"
-        )
-    if f.uniform_convexity is None:
-        raise CapabilityError(f"{f.name} declares no uniform convexity")
-    if f.minimizer is None or f.min_value is None:
-        raise CapabilityError(f"{f.name} has no known minimizer to measure against")
-    q, sigma = f.uniform_convexity
-    p = record.config["p"]
-    if q != p:
-        raise InputError(
-            f"objective is uniformly convex of order {q}, method has p={p}"
-        )
-    eps = record.config["epsilon"]
-    N = record.config["N"]
-    M = progress_coefficient(p, N)
-    kappa = eps * sigma
-    x0 = np.asarray(record.config["x0"], dtype=np.float64)
-    dist0 = norm(x0 - f.minimizer)
-    rho = 1.0 / (1.0 + M * kappa ** (1.0 / (p - 1.0)))
-    prefactor = (N + 1.0) * dist0**p / (eps * p)
-    gaps = record.f_gaps_x
-    ks = np.asarray(record.ks, dtype=np.float64)
-    # the bound covers the iterates after the first step only
-    covered = ks >= 1
-    bounds = np.where(covered, prefactor * rho ** (ks - 1.0), np.inf)
-    tol = 1e-15 * (1.0 + abs(record.f_star))
-    bound_violations = [
-        {"k": int(ks[i]), "gap": float(gaps[i]), "bound": float(bounds[i])}
-        for i in range(len(ks))
-        if gaps[i] > bounds[i] * (1.0 + BOUND_RTOL) + tol
-    ]
-    report = {
-        "p": p,
-        "N": float(N),
-        "kappa": float(kappa),
-        "rate": float(rho),
-        "prefactor": float(prefactor),
-        "checked": int(covered.sum()),
-        "bound_ok": not bound_violations,
-        "bound_violations": bound_violations,
-    }
-    R = f.level_set_radius(x0)
-    if R is not None and len(ks) > 1:
-        live, incs, inc_min = _inverse_gap_increments(gaps, record.f_star, p, eps, N, R)
-        bad = incs < inc_min * (1.0 - BOUND_RTOL)
-        report["required_increment"] = float(inc_min)
-        report["checked_increments"] = int(live.sum())
-        report["min_increment"] = float(np.min(incs)) if incs.size else None
-        report["increment_ok"] = not bool(np.any(bad))
-        report["increment_violations"] = [
-            {"k": int(k)}
-            for k, flag in zip(np.asarray(record.ks)[:-1][live], bad)
-            if flag
-        ]
-    return report

@@ -17,6 +17,9 @@ from ..core.points import as_integer, as_point, as_real
 from ..errors import DivergenceError, InputError, NumericalError, SolverError
 
 DIVERGENCE_THRESHOLD = 1e8
+# the most steps one integration may take: rk4's steps, rk4_adaptive's
+# default max_steps
+MAX_STEPS = 2_000_000
 
 # the controls each integration method reads (defaults in integrate)
 METHOD_CONTROLS = {
@@ -189,14 +192,15 @@ def integrate(sys, x0, t0: float, t_end: float, controls: dict,
     controls is one of
       {"method": "rk4", "steps": n, "record_every": k}
       {"method": "rk4_adaptive", "rel_tol": 1e-8, "abs_tol": 1e-12,
-       "initial_step": (t_end - t0) / 100, "max_steps": 2_000_000,
+       "initial_step": (t_end - t0) / 100, "max_steps": MAX_STEPS,
        "record_every": k}
     with the defaults shown; record_every defaults to 1 and steps has none.
     METHOD_CONTROLS lists the keys each method reads; any other key, steps
     on rk4_adaptive or a tolerance on rk4, raises InputError. steps,
-    record_every and max_steps are integers >= 1; initial_step and abs_tol
-    are finite and positive, rel_tol finite and nonnegative. A violation
-    raises InputError, as does t0 before the system's domain. Deterministic
+    record_every and max_steps are integers >= 1, steps at most MAX_STEPS;
+    initial_step and abs_tol are finite and positive, rel_tol finite and
+    nonnegative. A violation raises InputError, as do t0 before the
+    system's domain and an x0 outside the system's dimension. Deterministic
     given controls.
 
     rk4 takes steps fixed steps of 4 field evaluations. rk4_adaptive selects
@@ -224,7 +228,7 @@ def integrate(sys, x0, t0: float, t_end: float, controls: dict,
     if t_end <= t0:
         raise InputError(f"need t_end > t0, got [{t0}, {t_end}]")
     method = controls.get("method")
-    if method not in METHOD_CONTROLS:
+    if not isinstance(method, str) or method not in METHOD_CONTROLS:
         raise InputError(f"unknown integration method {method!r}")
     unread = set(controls) - METHOD_CONTROLS[method]
     if unread:
@@ -235,13 +239,13 @@ def integrate(sys, x0, t0: float, t_end: float, controls: dict,
         raise InputError("record_every must be >= 1")
     if method == "rk4":
         steps = as_integer("steps", controls.get("steps"))
-        if steps < 1:
-            raise InputError("rk4 needs steps >= 1")
+        if not 1 <= steps <= MAX_STEPS:
+            raise InputError(f"rk4 steps = {steps} is outside [1, MAX_STEPS = {MAX_STEPS}]")
     else:
         rel_tol = as_real("rel_tol", controls.get("rel_tol", 1e-8))
         abs_tol = as_real("abs_tol", controls.get("abs_tol", 1e-12))
         h = as_real("initial_step", controls.get("initial_step", (t_end - t0) / 100.0))
-        max_steps = as_integer("max_steps", controls.get("max_steps", 2_000_000))
+        max_steps = as_integer("max_steps", controls.get("max_steps", MAX_STEPS))
         if not (math.isfinite(rel_tol) and rel_tol >= 0.0):
             raise InputError(f"rel_tol must be finite and >= 0, got {rel_tol}")
         if not (math.isfinite(abs_tol) and abs_tol > 0.0):
@@ -256,7 +260,12 @@ def integrate(sys, x0, t0: float, t_end: float, controls: dict,
         if y0.ndim != 1 or y0.size % len(sys.blocks):
             raise InputError("initial_state does not match the system layout")
     else:
-        y0 = sys.initial_state_from(as_point(x0), t0)
+        x0 = as_point(x0)
+        if sys.dimension not in (None, x0.size):
+            raise InputError(
+                f"the {sys.kind} system is {sys.dimension}-dimensional, x0 has size {x0.size}"
+            )
+        y0 = sys.initial_state_from(x0, t0)
     d = y0.size // len(sys.blocks)
     rec = _Recorder(sys, d)
 

@@ -27,7 +27,9 @@ class FlowSystem:
     """ODE system dy/dt = vector_field(t, y) with named equal-size blocks.
 
     The state dimension is len(blocks) * d where d is fixed by the initial
-    point, block i occupying state[i*d:(i+1)*d]. Systems are immutable and
+    point, block i occupying state[i*d:(i+1)*d]; dimension is the d the
+    objective or the mirror map settles (None when neither fixes one), which
+    integrate checks x0 against. Systems are immutable and
     the field is pure, so integrations may run concurrently. The f-gap of a
     state is that of its first block, available when the objective declares
     its minimum value; energy is the Lyapunov functional, when the builder
@@ -36,7 +38,7 @@ class FlowSystem:
     """
 
     def __init__(self, kind, blocks, vector_field, initial_state_from,
-                 valid_from=0.0, objective=None, energy=None):
+                 valid_from=0.0, objective=None, energy=None, dimension=None):
         self.kind = kind
         self.blocks = tuple(blocks)
         self.vector_field = vector_field
@@ -44,6 +46,7 @@ class FlowSystem:
         self.valid_from = float(valid_from)
         self.objective = objective
         self._energy = energy
+        self.dimension = dimension
 
     @property
     def has_energy(self) -> bool:
@@ -69,6 +72,18 @@ def _probe_grid(valid_from: float):
     return [valid_from + dt for dt in (0.01, 0.1, 1.0, 10.0)]
 
 
+def _dimension(f: ObjectiveOracle, h: MirrorMap) -> int | None:
+    """The dimension f or h fixes (None when neither does); InputError when
+    they fix different ones."""
+    dims = {f.dimension, h.dimension} - {None}
+    if len(dims) > 1:
+        raise InputError(
+            f"{f.name} is {f.dimension}-dimensional, the mirror map {h.name} "
+            f"is {h.dimension}-dimensional"
+        )
+    return dims.pop() if dims else None
+
+
 def build_el_system(h: MirrorMap, f: ObjectiveOracle, s: ScalingTriple,
                     kind: str = "euler_lagrange") -> FlowSystem:
     """The variational flow in (X, W) form.
@@ -79,6 +94,7 @@ def build_el_system(h: MirrorMap, f: ObjectiveOracle, s: ScalingTriple,
     gamma_dot = e^{alpha}, which is what collapses the second-order equation
     to this pair. Initial state (x0, grad h(x0)): zero initial velocity.
     """
+    dimension = _dimension(f, h)
     report = ideal_scaling_check(s, _probe_grid(s.valid_from))
     if not report.gamma_ok:
         raise InputError(
@@ -110,8 +126,8 @@ def build_el_system(h: MirrorMap, f: ObjectiveOracle, s: ScalingTriple,
             d = y.size // 2
             return energy_at(h, f, s, t, y[:d], y[d:], x_star)
 
-    return FlowSystem(kind, ("X", "W"), field, init,
-                      valid_from=s.valid_from, objective=f, energy=energy)
+    return FlowSystem(kind, ("X", "W"), field, init, valid_from=s.valid_from,
+                      objective=f, energy=energy, dimension=dimension)
 
 
 def build_massless_system(h: MirrorMap, f: ObjectiveOracle, m: float) -> FlowSystem:
@@ -137,6 +153,7 @@ def build_hamiltonian_system(h: MirrorMap, f: ObjectiveOracle,
         raise CapabilityError(
             f"{h.name} provides no dense Hessian; the momentum equation needs it"
         )
+    dimension = _dimension(f, h)
     report = ideal_scaling_check(s, _probe_grid(s.valid_from))
     if not report.gamma_ok:
         raise InputError("scaling triple violates gamma_dot = e^alpha")
@@ -170,8 +187,8 @@ def build_hamiltonian_system(h: MirrorMap, f: ObjectiveOracle,
             w = h.gradient(x) + math.exp(-s.gamma(t)) * pp
             return energy_at(h, f, s, t, x, w, x_star)
 
-    return FlowSystem("hamiltonian", ("X", "P"), field, init,
-                      valid_from=s.valid_from, objective=f, energy=energy)
+    return FlowSystem("hamiltonian", ("X", "P"), field, init, valid_from=s.valid_from,
+                      objective=f, energy=energy, dimension=dimension)
 
 
 def build_rescaled_gradient_flow(f: ObjectiveOracle, p: float) -> FlowSystem:
@@ -193,7 +210,7 @@ def build_rescaled_gradient_flow(f: ObjectiveOracle, p: float) -> FlowSystem:
         return -g / n ** expo
 
     return FlowSystem("rescaled_gradient", ("X",), field,
-                      lambda x0, t0: as_point(x0), objective=f)
+                      lambda x0, t0: as_point(x0), objective=f, dimension=f.dimension)
 
 
 def build_natural_gradient_flow(h: MirrorMap, f: ObjectiveOracle) -> FlowSystem:
@@ -201,6 +218,7 @@ def build_natural_gradient_flow(h: MirrorMap, f: ObjectiveOracle) -> FlowSystem:
     Hessian metric of h, and the m -> 0 limit of the massless flow."""
     if type(h).hessian_dense is MirrorMap.hessian_dense:
         raise CapabilityError(f"{h.name} provides no dense Hessian")
+    dimension = _dimension(f, h)
 
     def field(t, y):
         H = h.hessian_dense(y)
@@ -212,7 +230,7 @@ def build_natural_gradient_flow(h: MirrorMap, f: ObjectiveOracle) -> FlowSystem:
             ) from None
 
     return FlowSystem("natural_gradient", ("X",), field,
-                      lambda x0, t0: as_point(x0), objective=f)
+                      lambda x0, t0: as_point(x0), objective=f, dimension=dimension)
 
 
 def build_euclidean_r_system(f: ObjectiveOracle, r: float,
@@ -255,4 +273,4 @@ def build_euclidean_r_system(f: ObjectiveOracle, r: float,
         return np.concatenate([x0, np.zeros_like(x0)])
 
     return FlowSystem("euclidean_r", ("X", "V"), field, init,
-                      valid_from=0.1, objective=f)
+                      valid_from=0.1, objective=f, dimension=f.dimension)

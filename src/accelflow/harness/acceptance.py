@@ -46,7 +46,6 @@ from ..accel import (
     higher_order_descent,
     naive_discretization,
     restart_accelerated,
-    uniformly_convex_descent_rate_check,
 )
 from ..core import (
     EuclideanMap,
@@ -413,8 +412,7 @@ def _check_plain_method_rate(ctx: SuiteContext) -> CheckResult:
         report = rec.invariant_report()
         bad = [k for k, v in report.items() if not v["ok"]]
         ok = ok and not bad
-        mask = np.isfinite(rec.bound_values) & (rec.bound_values > 0)
-        ratio = float(np.max(rec.f_gaps_x[mask] / rec.bound_values[mask]))
+        ratio = worst_bound_ratio(rec)
         worst_ratio = max(worst_ratio, ratio)
         parts.append(
             f"p={p} K={K}: gap/bound {ratio:.4f}"
@@ -673,12 +671,14 @@ def _check_uniformly_convex_discrete(ctx: SuiteContext) -> CheckResult:
     quad = problems["quadratic"]
     K = 500 if ctx.full() else 200
     rec = higher_order_descent(quad, StepConfig(2, 0.1, 2.0), np.array([1.0, 1.0]), K)
-    linear = uniformly_convex_descent_rate_check(rec, quad)
+    report = rec.invariant_report()
+    bound_ok = report["geometric_bound"]["ok"]
+    increments_ok = report["inverse_gap_increments"]["ok"]
     ctx.artifacts("uniformly_convex_discrete").record("geometric_descent", rec)
     parts = [
-        f"geometric bound {'ok' if linear['bound_ok'] else 'VIOLATED'} "
-        f"(rate {linear['rate']:.4f}), increments "
-        f"{'ok' if linear['increment_ok'] else 'VIOLATED'}"
+        f"geometric bound {'ok' if bound_ok else 'VIOLATED'} "
+        f"(rate {rec.extras['linear_rate']:.4f}), increments "
+        f"{'ok' if increments_ok else 'VIOLATED'}"
     ]
     worst_ratio = 0.0
     restarts_ok = True
@@ -696,15 +696,14 @@ def _check_uniformly_convex_discrete(ctx: SuiteContext) -> CheckResult:
             + (f", failing: {bad}" if bad else "")
         )
         ctx.artifacts("uniformly_convex_discrete").record(f"restart_{name}", restart)
-    ok = linear["bound_ok"] and linear["increment_ok"] and restarts_ok \
-        and worst_ratio <= math.exp(-1.0)
+    ok = bound_ok and increments_ok and restarts_ok and worst_ratio <= math.exp(-1.0)
     return CheckResult(
         name="uniformly_convex_discrete",
         status="pass" if ok else "fail",
         measured=worst_ratio,
         bound=math.exp(-1.0),
         detail="; ".join(parts),
-        extras={"linear_rate": linear["rate"], "linear_prefactor": linear["prefactor"]},
+        extras={key: rec.extras[key] for key in ("linear_rate", "linear_prefactor")},
     )
 
 

@@ -92,8 +92,7 @@ class ArtifactWriter:
             return
         rec.to_csv(self.root / f"{label}.csv")
         self.files.append(f"{self.prefix}{label}.csv")
-        gaps = rec.f_gaps_y if rec.f_gaps_y is not None else rec.f_gaps_x
-        lx, ly = log_gap_columns(np.asarray(rec.ks, dtype=np.float64), gaps)
+        lx, ly = log_gap_columns(np.asarray(rec.ks, dtype=np.float64), _gaps(rec))
         self.plot(f"{label}_gap_loglog.dat", lx, ly, "log10 k   log10 f-gap")
 
 
@@ -212,9 +211,15 @@ def gap_ratios(f, rec, flow, delta: float, lo: float, hi: float):
     return np.asarray(times), ratios, worst
 
 
+def _gaps(rec):
+    """The gaps a record's bound certifies: f(y_k) - f* where it has y-gaps,
+    f(x_k) - f* otherwise."""
+    return rec.f_gaps_y if rec.f_gaps_y is not None else rec.f_gaps_x
+
+
 def worst_bound_ratio(rec) -> float:
-    """Largest f(y_k) - f* over its certified bound, for k >= 1."""
-    return float(np.max(rec.f_gaps_y[1:] / rec.bound_values[1:]))
+    """Largest gap over its certified bound, for k >= 1."""
+    return float(np.max(_gaps(rec)[1:] / rec.bound_values[1:]))
 
 
 def report_checks(report: dict) -> list[CheckResult]:

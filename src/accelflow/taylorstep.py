@@ -33,6 +33,11 @@ RESIDUAL_TARGET = 1e-9  # relative, p in {2, 3}
 RESIDUAL_LIMIT_P4 = 1e-6
 
 
+def _check_order(p) -> None:
+    if p not in (2, 3, 4):
+        raise InputError(f"supported orders are p in {{2, 3, 4}}, got {p}")
+
+
 @dataclass(frozen=True)
 class StepConfig:
     """Parameters (p, epsilon, N) of the update operator.
@@ -46,8 +51,7 @@ class StepConfig:
     N: float = 2.0
 
     def __post_init__(self):
-        if self.p not in (2, 3, 4):
-            raise InputError(f"supported orders are p in {{2, 3, 4}}, got {self.p}")
+        _check_order(self.p)
         if not self.epsilon > 0:
             raise InputError(f"epsilon must be positive, got {self.epsilon}")
         if not self.N > 0:
@@ -87,9 +91,10 @@ def progress_coefficient(p: int, N: float) -> float:
 def smoothness_epsilon(f, p: int) -> float:
     """Largest epsilon the theory certifies: (p-1)! / L_{p-1}.
 
-    Raises CapabilityError when f does not declare a Lipschitz constant for
-    its order-(p-1) derivative.
+    Raises InputError for p outside {2, 3, 4} and CapabilityError when f
+    does not declare a Lipschitz constant for its order-(p-1) derivative.
     """
+    _check_order(p)
     return math.factorial(p - 1) / f.smoothness_constant(p - 1)
 
 

@@ -42,7 +42,6 @@ from accelflow.accel import (
     higher_order_descent,
     naive_discretization,
     restart_accelerated,
-    uniformly_convex_descent_rate_check,
 )
 from accelflow.errors import CapabilityError, InputError
 from accelflow.taylorstep import (
@@ -654,36 +653,46 @@ def test_restart_requires_uniform_convexity_and_sane_kappa():
 
 
 # ---------------------------------------------------------------------------
-# uniform-convexity rate check for the plain method
+# the plain method's linear rate under uniform convexity
 
 
-def test_rate_check_quadratic_linear_rate():
+def test_descent_report_checks_the_quadratic_linear_rate():
     f = builtin_problems()["quadratic"]
     x0 = np.array([1.0, 1.0])
     rec = higher_order_descent(f, StepConfig(2, 0.1, 2.0), x0, 350)
-    report = uniformly_convex_descent_rate_check(rec, f)
     # rho = 1/(1 + M kappa): M = 1/4, kappa = 0.1
-    assert report["rate"] == pytest.approx(1.0 / 1.025, rel=1e-15)
-    assert report["prefactor"] == pytest.approx(15.0 * 2.0, rel=1e-12)
-    assert report["bound_ok"], report["bound_violations"][:3]
-    assert report["increment_ok"]
+    assert rec.extras["linear_rate"] == pytest.approx(1.0 / 1.025, rel=1e-15)
+    assert rec.extras["linear_prefactor"] == pytest.approx(15.0 * 2.0, rel=1e-12)
+    report = rec.invariant_report()
+    assert report["geometric_bound"]["ok"], report["geometric_bound"]
+    assert report["inverse_gap_increments"]["ok"]
     # rows k = 1..350 are covered by the geometric bound; k = 0 is not
-    assert report["checked"] == 350
+    assert report["geometric_bound"]["checked"] == 350
 
 
-def test_rate_check_validation():
+@pytest.mark.parametrize("problem, p, x0, present", [
+    ("quadratic", 2, [1.0, 1.0], True),
+    ("power_3", 3, [1.0, 1.0, 1.0], True),
+    ("power_4", 4, [1.0, 1.0, 1.0], True),
+    ("quadratic", 3, [1.0, 1.0], False),  # uniformly convex of order 2 only
+    ("log_sum_exp", 2, [0.1] * 4, False),  # declares no uniform convexity
+    ("zero", 2, [1.0, 1.0], False),  # declares neither
+])
+def test_geometric_bound_needs_uniform_convexity_of_order_p(problem, p, x0, present):
+    f = builtin_problems()[problem]
+    rec = higher_order_descent(f, StepConfig(p, 0.05, 2.0), np.array(x0), 5)
+    assert ("geometric_bound" in rec.invariant_report()) is present
+    assert ("linear_rate" in rec.extras) is present
+
+
+def test_geometric_bound_fails_on_a_gap_above_its_envelope():
     f = builtin_problems()["quadratic"]
-    rec = higher_order_descent(f, StepConfig(3, 0.5, 2.0), np.ones(2), 5)
-    with pytest.raises(InputError):
-        uniformly_convex_descent_rate_check(rec, f)  # order mismatch (2 vs 3)
-    lse = builtin_problems()["log_sum_exp"]
-    rec2 = higher_order_descent(lse, StepConfig(2, 0.05, 2.0), 0.1 * np.ones(4), 5)
-    with pytest.raises(CapabilityError):
-        uniformly_convex_descent_rate_check(rec2, lse)
-    cfg = AccelConfig(p=2, epsilon=0.1, x0=np.ones(2))
-    arec = accelerated(f, cfg, 5)
-    with pytest.raises(InputError):
-        uniformly_convex_descent_rate_check(arec, f)
+    rec = higher_order_descent(f, StepConfig(2, 0.1, 2.0), np.array([1.0, 1.0]), 40)
+    assert rec.invariant_report()["geometric_bound"]["ok"]
+    rho, prefactor = rec.extras["linear_rate"], rec.extras["linear_prefactor"]
+    rec.f_xs[20] = f.min_value + 1.01 * prefactor * rho**19
+    entry = rec.invariant_report()["geometric_bound"]
+    assert not entry["ok"] and entry["worst"] < 0
 
 
 # ---------------------------------------------------------------------------

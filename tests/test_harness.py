@@ -323,7 +323,7 @@ def test_optimize_descent_all_invariants():
     assert summary.all_pass
     assert {c.name for c in summary.checks} == {
         "run_completed", "monotone_descent", "step_certificates", "gap_bound",
-        "gap_recursion", "inverse_gap_increments",
+        "gap_recursion", "inverse_gap_increments", "geometric_bound",
     }
     # the quadratic certifies its level-set radius; the bounds resting on it say so
     sources = {c.name: c.extras.get("level_radius_source") for c in summary.checks}
@@ -331,6 +331,7 @@ def test_optimize_descent_all_invariants():
         "run_completed": None, "monotone_descent": None, "step_certificates": None,
         "gap_bound": "declared",
         "gap_recursion": "declared", "inverse_gap_increments": "declared",
+        "geometric_bound": None,
     }
 
 
@@ -483,8 +484,11 @@ def test_cli_config_error_is_exit_two(tmp_path, capsys):
     {"method": "rk4", "steps": 2000, "rel_tol": 1e-12},
     {"method": "rk4_adaptive", "steps": 3},
     {"t_end": "20"},
+    {"method": []},
+    {"method": {}},
 ], ids=["rk4_without_steps", "negative_initial_step", "zero_abs_tol",
-        "rk4_rel_tol", "adaptive_steps", "string_t_end"])
+        "rk4_rel_tol", "adaptive_steps", "string_t_end", "list_method",
+        "dict_method"])
 def test_cli_bad_integrator_controls_are_exit_two(tmp_path, capsys, integration):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"integration": integration}))
@@ -504,12 +508,18 @@ NAN = float("nan")
     ("optimize", {"p": 2.5}),
     ("optimize", {"algorithm": "descent", "p": 2, "N": "3", "K": 50}),
     ("optimize", {"algorithm": "accelerated", "p": 2, "C": True}),
+    ("optimize", {"algorithm": "descent", "p": 0}),
+    ("optimize", {"algorithm": "descent", "p": -1}),
+    ("optimize", {"algorithm": "accelerated", "p": 0}),
+    ("optimize", {"algorithm": "accelerated", "p": -1}),
 ], ids=["flow_nan_p", "compare_nan_delta", "optimize_string_K",
         "accelerated_nan_C", "naive_nan_C", "optimize_fractional_p",
-        "descent_string_N", "accelerated_bool_C"])
+        "descent_string_N", "accelerated_bool_C", "descent_p0",
+        "descent_negative_p", "accelerated_p0", "accelerated_negative_p"])
 def test_cli_bad_method_numbers_are_exit_two(tmp_path, capsys, command, method):
     # json reads NaN; a number that cannot run as given is a config error,
-    # not a crash, a truncated order, or a run that checks nothing
+    # not a crash, a truncated order, or a run that checks nothing; an order
+    # is checked before epsilon is derived from it
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"method": method}))
     assert main([command, "--config", str(path)]) == 2
@@ -576,6 +586,40 @@ def test_cli_typed_run_failures_are_exit_two(tmp_path, capsys, command, doc, err
     assert main([command, "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert error in err and "internal error" not in err
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("flow", {"problem": "quadratic_10d", "x0": [1, 0],
+              "method": {"family": "rescaled"}}),
+    ("flow", {"problem": "quadratic_10d", "x0": [1, 0],
+              "method": {"family": "massless"}}),
+    ("flow", {"problem": "quadratic_10d", "x0": [1, 0],
+              "method": {"family": "polynomial"}}),
+    ("dilation-check", {"problem": "quadratic_10d", "x0": [1, 0]}),
+    ("flow", {"problem": "least_squares",
+              "method": {"family": "polynomial", "mirror": "diagonal_2_5"}}),
+], ids=["rescaled_x0", "massless_x0", "polynomial_x0", "dilation_x0",
+        "polynomial_mirror"])
+def test_cli_flow_dimension_mismatch_is_exit_two(tmp_path, capsys, command, doc):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    assert main([command, "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "-dimensional" in err
+
+
+@pytest.mark.parametrize("problem, p", [
+    ("quadratic", 2), ("quadratic_10d", 2), ("least_squares", 2), ("power_2", 2),
+    ("power_3", 3), ("power_4", 4),
+])
+def test_cli_descent_checks_the_geometric_bound(tmp_path, capsys, problem, p):
+    # each problem is uniformly convex of the method's order
+    code, doc = _run_cli(tmp_path, capsys, "optimize", {
+        "problem": problem, "method": {"algorithm": "descent", "p": p},
+    })
+    assert code == 0
+    geometric = next(c for c in doc["checks"] if c["name"] == "geometric_bound")
+    assert geometric["status"] == "pass" and geometric["measured"] >= 0
 
 
 def _run_cli(tmp_path, capsys, command, doc):
@@ -768,14 +812,17 @@ def test_cli_module_runs_under_warnings_as_errors():
     assert "usage: accelflow" in proc.stdout
 
 
-@pytest.mark.parametrize("command, doc", [
-    ("optimize", {"method": {"algorithm": "descent", "K": 1e12}}),
-    ("restart", {"method": {"epochs": 1e12}}),
-    ("naive-demo", {"problem": "zero", "x0": [1, 1], "method": {"K": 1e12}}),
+@pytest.mark.parametrize("command, doc, cap", [
+    ("optimize", {"method": {"algorithm": "descent", "K": 1e12}}, "MAX_ITERS"),
+    ("restart", {"method": {"epochs": 1e12}}, "MAX_ITERS"),
+    ("naive-demo", {"problem": "zero", "x0": [1, 1], "method": {"K": 1e12}},
+     "MAX_ITERS"),
     ("optimize", {"problem": "zero", "x0": [1, 1], "method": {
-        "algorithm": "exponential", "c": 1e-9, "delta": 1e-9, "K": 1e12}}),
-], ids=["descent", "restart", "naive", "exponential"])
-def test_cli_iterations_past_the_cap_are_exit_two(tmp_path, command, doc):
+        "algorithm": "exponential", "c": 1e-9, "delta": 1e-9, "K": 1e12}}, "MAX_ITERS"),
+    ("flow", {"method": {"family": "rescaled"}, "integration": {"steps": 1e300}},
+     "MAX_STEPS"),
+], ids=["descent", "restart", "naive", "exponential", "rk4_steps"])
+def test_cli_iterations_past_the_cap_are_exit_two(tmp_path, command, doc, cap):
     # each would allocate terabytes or run until killed; a child process
     # with a timeout keeps a regression from hanging the suite
     path = tmp_path / "cfg.json"
@@ -783,7 +830,7 @@ def test_cli_iterations_past_the_cap_are_exit_two(tmp_path, command, doc):
     proc = _cli_process("-m", "accelflow.harness.cli", command, "--config", str(path),
                         timeout=60)
     assert proc.returncode == 2, proc.stderr
-    assert "config error" in proc.stderr and "MAX_ITERS" in proc.stderr
+    assert "config error" in proc.stderr and cap in proc.stderr
 
 
 @pytest.mark.parametrize("family, skipped", [
