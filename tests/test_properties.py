@@ -439,6 +439,8 @@ def _step_cases(draw):
 
 @PROPERTY_SETTINGS
 @given(_step_cases())
+@example(("power_4", 4, 1.5, np.array([0.0, 0.0, 7.42762023987522e-158])))
+@example(("power_3", 3, 1.5, np.array([0.0, 0.0, 7.42762023987522e-158])))
 def test_step_at_certified_epsilon_is_certified(case):
     name, p, N, x = case
     f = PROBLEMS[name]
