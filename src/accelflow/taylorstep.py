@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .core.numerics import norm
 from .core.points import Point, as_point
@@ -31,6 +30,8 @@ from .errors import CapabilityError, InputError, SolverError
 CERT_TOL = 1e-8
 RESIDUAL_TARGET = 1e-9  # relative, p in {2, 3}
 RESIDUAL_LIMIT_P4 = 1e-6
+BRENT_RTOL = 4.0 * np.finfo(float).eps
+BRENT_MAXITER = 200
 
 
 def _check_order(p) -> None:
@@ -110,6 +111,71 @@ def _model_gradient(f, x: Point, g: Point, u: Point, cfg: StepConfig) -> Point:
     return out
 
 
+def _brentq(f, xa: float, xb: float, xtol: float) -> float:
+    """A root of f in [xa, xb] by Brent's method (Brent 1973, ch. 4).
+
+    The floating-point operations and their order are those of scipy's
+    brentq with rtol = BRENT_RTOL and maxiter = BRENT_MAXITER, so the root
+    and the number of f calls are the same bit for bit. Each iteration tries
+    inverse quadratic extrapolation (the secant while only two points are
+    distinct) and bisects unless the trial step is short. Raises SolverError
+    when f is NaN at a point it evaluates, when f(xa) and f(xb) have the
+    same sign, and after BRENT_MAXITER iterations.
+    """
+    def value(x):
+        fx = f(x)
+        if math.isnan(fx):
+            raise SolverError(f"secular solve found no root bracket: the "
+                              f"value at r = {x!r} is NaN",
+                              residual=float("nan"))
+        return fx
+
+    xpre, xcur = xa, xb
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise SolverError("secular solve found no root bracket: f(a) and "
+                          "f(b) must have different signs",
+                          residual=float("nan"))
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(BRENT_MAXITER):
+        if (fpre < 0.0) != (fcur < 0.0):  # fcur = 0 returns below
+            xblk, fblk = xpre, fpre  # the other end of the bracket
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):  # xcur holds the smaller |f|
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        stry = math.inf  # bisect unless a short trial step is found
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic extrapolation
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                den = dblk * dpre * (fblk - fpre)
+                if den != 0.0:  # C's x / 0 is +-inf or NaN: a bisection
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / den
+        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = value(xcur)
+    raise SolverError(f"secular solve did not converge in {BRENT_MAXITER} "
+                      f"iterations (r = {xcur!r})", residual=float("nan"))
+
+
 def _secular_displacement(eigvals, eigvecs, g, scale: float, power: int,
                           r_hi: float):
     """Solve u = -(H + scale * r^power I)^{-1} g with r = ||u||.
@@ -118,10 +184,11 @@ def _secular_displacement(eigvals, eigvecs, g, scale: float, power: int,
     decreasing with phi(0+) > 0, and r_hi = (||g||/scale)^{1/(power+1)}
     satisfies phi(r_hi) <= 0 because ||(H + cI)^{-1} g|| <= ||g||/c for
     H >= 0. Tiny negative eigenvalues (symmetric-eig roundoff) are clamped.
-    brentq finds the root in (1e-16 r_hi, r_hi]; when it lies lower still,
-    the bracket moves down by factors of 1e-16 until phi changes sign (or
-    1e-300 is passed). Raises SolverError when no bracket holds a root (for
-    example, a non-finite gradient makes phi NaN).
+    Brent's method (_brentq) finds the root in (1e-16 r_hi, r_hi]; when it
+    lies lower still, the bracket moves down by factors of 1e-16 until phi
+    changes sign (or 1e-300 is passed). Raises SolverError when no bracket
+    holds a root (for example, a non-finite gradient makes phi NaN) or the
+    root is not found in BRENT_MAXITER iterations.
     """
     lam = np.maximum(eigvals, 0.0)
     coords = eigvecs.T @ g
@@ -145,12 +212,7 @@ def _secular_displacement(eigvals, eigvecs, g, scale: float, power: int,
             hi *= 2.0
             tries += 1
         xtol = 1e-15 * r_hi + 1e-300
-    try:
-        r = brentq(phi, lo, hi, xtol=xtol, rtol=4.0 * np.finfo(float).eps,
-                   maxiter=200)
-    except ValueError as exc:  # no sign change, or phi is NaN
-        raise SolverError(f"secular solve found no root bracket: {exc}",
-                          residual=float("nan")) from exc
+    r = _brentq(phi, lo, hi, xtol)
     return -(eigvecs @ coords_u(r))
 
 
@@ -210,8 +272,9 @@ def g_step(f, x: Point, cfg: StepConfig) -> tuple[Point, StepCertificate]:
 
     Returns the new point and the evaluated certificate. Raises
     CapabilityError when f lacks order-(p-1) derivatives and SolverError when
-    the model is not convex, the secular solve finds no root bracket, or the
-    inner iteration cannot reach its residual target.
+    the model is not convex, the secular solve (Brent's method on one scalar
+    equation) finds no root bracket or no root in BRENT_MAXITER iterations,
+    or the inner iteration cannot reach its residual target.
     """
     x = as_point(x)
     if f.derivative_order < cfg.p - 1:

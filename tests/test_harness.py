@@ -17,9 +17,11 @@ Oracles used here, written before the implementations they check:
 
 from __future__ import annotations
 
+import ast
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -826,6 +828,46 @@ def test_cli_module_runs_under_warnings_as_errors():
     proc = _cli_process("-W", "error", "-m", "accelflow.harness.cli", "--help")
     assert proc.returncode == 0, proc.stderr
     assert "usage: accelflow" in proc.stdout
+
+
+_NO_SCIPY_CHILD = """
+import sys
+from accelflow.harness import cli
+codes = [cli.main(["optimize", "--config", path]) for path in sys.argv[1:]]
+print(codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_p3_and_p4_runs_import_no_scipy(tmp_path):
+    # scipy is a test dependency only: the secular solve of the p = 3 and
+    # p = 4 steps must not import it, at the top or lazily
+    paths = []
+    for p in (3, 4):
+        path = tmp_path / f"p{p}.json"
+        path.write_text(json.dumps({"method": {"algorithm": "accelerated", "p": p,
+                                               "K": 10}}))
+        paths.append(str(path))
+    proc = _cli_process("-c", _NO_SCIPY_CHILD, *paths)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[0, 0] []"
+
+
+def test_source_imports_only_declared_dependencies():
+    tomllib = pytest.importorskip("tomllib")
+    src = Path(accelflow.__file__).resolve().parent
+    with open(src.parents[1] / "pyproject.toml", "rb") as fh:
+        declared = {re.match(r"[A-Za-z0-9_.-]+", dep).group().lower()
+                    for dep in tomllib.load(fh)["project"]["dependencies"]}
+    imported = set()
+    for path in src.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - {"accelflow"}
+    assert "numpy" in third_party  # the walk sees the imports
+    assert third_party <= declared, third_party - declared
 
 
 @pytest.mark.parametrize("command, doc, cap", [

@@ -10,10 +10,15 @@ local-minimality probes of the model itself.
 from __future__ import annotations
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import brentq
 
+from accelflow import taylorstep
 from accelflow.core import (
     DiagonalQuadratic,
     ObjectiveOracle,
@@ -23,7 +28,10 @@ from accelflow.core import (
 )
 from accelflow.errors import CapabilityError, InputError, SolverError
 from accelflow.taylorstep import (
+    BRENT_MAXITER,
+    BRENT_RTOL,
     StepConfig,
+    _brentq,
     _secular_displacement,
     g_step,
     progress_coefficient,
@@ -373,3 +381,121 @@ def test_g_step_at_tiny_point_of_quadratic_power_norm():
     except SolverError:
         return
     assert np.all(np.isfinite(y)) and cert.ok
+
+
+# ---------------------------------------------------------------------------
+# Brent's method against scipy's brentq, float for float
+
+
+def _counted(f):
+    def wrapped(r):
+        wrapped.calls += 1
+        return f(r)
+    wrapped.calls = 0
+    return wrapped
+
+
+def _brent_is_scipys(f, a, b, xtol):
+    """_brentq's root of f in [a, b], checked against scipy's brentq with
+    rtol = 4 eps and maxiter = 200: the same root to the last bit (the sign
+    of a zero included) and the same number of f calls."""
+    ours, theirs = _counted(f), _counted(f)
+    root = _brentq(ours, a, b, xtol)
+    ref, info = brentq(theirs, a, b, xtol=xtol, rtol=4 * np.finfo(float).eps,
+                       maxiter=200, full_output=True)
+    assert float(root).hex() == float(ref).hex()
+    assert ours.calls == theirs.calls == info.function_calls
+    return root
+
+
+def _solve_against_scipy(lam, vecs, g, scale, power):
+    """Run the secular solve with its root-finder checked by
+    _brent_is_scipys; returns the call's (phi, lo, hi, root)."""
+    r_hi = (float(np.linalg.norm(g)) / scale) ** (1.0 / (power + 1.0))
+    calls = []
+
+    def spy(phi, lo, hi, xtol):
+        root = _brent_is_scipys(phi, lo, hi, xtol)
+        calls.append((phi, lo, hi, root))
+        return root
+
+    with mock.patch.object(taylorstep, "_brentq", spy):
+        _secular_displacement(lam, vecs, g, scale, power, r_hi)
+    assert len(calls) == 1
+    return calls[0]
+
+
+@st.composite
+def _secular_problems(draw):
+    """d in 1..10, half of the cases with zero eigenvalues, power 1 or 2,
+    and gradient norms from 1e-60 to 1e10: without a zero eigenvalue and
+    below about 1e-32 lam^2 / s, the root lies under 1e-16 r_hi and the
+    bracket moves down."""
+    power = draw(st.sampled_from((1, 2)))
+    d = draw(st.integers(1, 10))
+    lam = 10.0 ** np.array(draw(st.lists(st.floats(-3.0, 3.0),
+                                         min_size=d, max_size=d)))
+    if draw(st.booleans()):  # a zero eigenvalue keeps the root near r_hi
+        lam[:draw(st.integers(1, d))] = 0.0
+    direction = np.array(draw(st.lists(
+        st.floats(-1.0, 1.0).filter(lambda v: abs(v) > 1e-3),
+        min_size=d, max_size=d)))
+    g = 10.0 ** draw(st.floats(-60.0, 10.0)) * direction
+    scale = 10.0 ** draw(st.floats(-6.0, 6.0))
+    vecs = np.linalg.qr(np.array(draw(st.lists(
+        st.lists(st.floats(-1.0, 1.0), min_size=d, max_size=d),
+        min_size=d, max_size=d))) + 3.0 * np.eye(d))[0]
+    return lam, vecs, vecs @ g, scale, power
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_secular_problems())
+def test_secular_root_is_scipys_brentq_bit_for_bit(case):
+    _solve_against_scipy(*case)
+
+
+@pytest.mark.parametrize("power", [1, 2])
+def test_secular_root_below_the_bracket_is_scipys_bit_for_bit(power):
+    # ||g|| = 1e-40 and lam = 1 put the root near 1e-40, far under
+    # lo = 1e-16 r_hi, so the bracket moves down and hi is the old lo
+    g = np.array([1e-40, 0.0])
+    _, lo, hi, root = _solve_against_scipy(np.array([1.0, 0.0]), np.eye(2), g,
+                                           1.0, power)
+    r_hi = 1e-40 ** (1.0 / (power + 1.0))
+    assert hi == 1e-16 * r_hi and lo < root <= hi
+
+
+@pytest.mark.parametrize("power, gnorm", [(1, 4.0), (2, 8.0)])
+def test_secular_root_at_an_exact_zero_endpoint_is_scipys(power, gnorm):
+    # lam = 0 and s = 1: phi(r) = ||g|| / r^power - r vanishes exactly at
+    # r_hi = 2, the bracket's upper end, which both return after two calls
+    phi, _, hi, root = _solve_against_scipy(np.array([0.0]), np.eye(1),
+                                            np.array([gnorm]), 1.0, power)
+    assert hi == 2.0 and phi(hi) == 0.0 and root == hi
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-160, 1e-100])
+@pytest.mark.parametrize("r0", [0.3, 0.7])
+def test_brent_on_tiny_values_is_scipys_bit_for_bit(scale, r0):
+    # the extrapolation's denominator, a product of three differences of
+    # tiny values, underflows to 0, where C divides to +-inf or NaN and so
+    # bisects
+    def cubic(r):
+        return scale * (r - r0) ** 3
+
+    _brent_is_scipys(cubic, 0.0, 1.0, 1e-300)
+
+
+def test_brent_past_its_iteration_budget_is_solver_error():
+    # a sign jump at 1e-300 in [0, 1e300] needs about 2000 halvings;
+    # scipy's brentq raises RuntimeError there, which no caller maps to a
+    # typed error
+    def jump(r):
+        return 1.0 if r < 1e-300 else -1.0
+
+    with pytest.raises(RuntimeError, match="Failed to converge"):
+        brentq(jump, 0.0, 1e300, xtol=1e-300, rtol=BRENT_RTOL, maxiter=BRENT_MAXITER)
+    counted = _counted(jump)
+    with pytest.raises(SolverError, match="did not converge in 200 iterations"):
+        _brentq(counted, 0.0, 1e300, 1e-300)
+    assert counted.calls == 2 + BRENT_MAXITER
