@@ -17,10 +17,11 @@ accelerated method into a linearly convergent one on uniformly convex
 objectives.
 
 Every run returns a RunRecord holding the iterates, raw objective values,
-step certificates, estimate-sequence values, and the theoretical rate bound
-evaluated at each iteration, plus a termination status. Records export to
-CSV (stable columns, repr floats) and to an invariant report with one
-pass/fail entry per invariant the algorithm guarantees.
+step certificates (one structured row per step), estimate-sequence values,
+and the theoretical rate bound evaluated at each iteration, plus a
+termination status. Records export to CSV (stable columns, repr floats) and
+to an invariant report with one pass/fail entry per invariant the algorithm
+guarantees.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .core.points import Point, as_point
 from .errors import CapabilityError, InputError, SolverError
 from .flows.integrate import DIVERGENCE_THRESHOLD
 from .taylorstep import (
-    StepCertificate,
+    CERTIFICATE_DTYPE,
     StepConfig,
     g_step,
     progress_coefficient,
@@ -93,9 +94,12 @@ class RunRecord:
     divergence or a solver failure at iteration k, rows 0..k-1 remain and
     termination records where and why the run stopped. Optional fields are
     None for algorithms that do not produce them (e.g. only the accelerated
-    method has an estimate sequence). For restart runs, rows are epoch
-    anchors rather than single iterations and ``bound_values`` tracks the
-    certified contraction envelope of ||anchor - x*||^p.
+    method has an estimate sequence). ``certificates`` is a structured
+    array of CERTIFICATE_DTYPE with one row per Taylor step: the step from
+    xs[k] for either method, so the plain method has one row fewer than it
+    has iterates. For restart runs, rows are epoch anchors rather than
+    single iterations and ``bound_values`` tracks the certified contraction
+    envelope of ||anchor - x*||^p.
     """
 
     algorithm: str
@@ -109,7 +113,7 @@ class RunRecord:
     zs: np.ndarray | None = None
     f_ys: np.ndarray | None = None
     grad_ys: np.ndarray | None = None
-    certificates: list[StepCertificate] | None = None
+    certificates: np.ndarray | None = None
     psi_values: np.ndarray | None = None
     psi_grad_norms: np.ndarray | None = None
     psi_grad_scales: np.ndarray | None = None
@@ -150,14 +154,14 @@ class RunRecord:
         runs produce byte-identical files; absent quantities are empty cells.
         """
         n = len(self.ks)
-        certs = self.certificates or []
+        certs = self.certificates
         columns = [
             [str(int(k)) for k in self.ks],
             *(_csv_cells(values, n) for values in (
                 self.f_gaps_x, self.f_gaps_y, self.bound_values,
                 self.psi_values, self.ckp_fy,
             )),
-            *(_csv_cells([getattr(c, name) for c in certs], n)
+            *(_csv_cells(None if certs is None else certs[name], n)
               for name in ("progress", "progress_lower", "move_norm")),
         ]
         with open(path, "w", encoding="utf-8") as out:
@@ -191,8 +195,8 @@ def _margin_check(margins) -> dict:
     return {"ok": bool(worst >= 0.0), "checked": int(margins.size), "worst": worst}
 
 
-def _certificate_check(certs) -> dict:
-    bad = sum(0 if c.ok else 1 for c in certs)
+def _certificate_check(certs: np.ndarray) -> dict:
+    bad = len(certs) - int(np.count_nonzero(certs["ok"]))
     return {"ok": bad == 0, "checked": len(certs), "worst": None, "failures": bad}
 
 
@@ -201,7 +205,7 @@ def _descent_report(rec: RunRecord) -> dict:
     checks["monotone_descent"] = _margin_check(
         rec.f_xs[:-1] - rec.f_xs[1:] + DESCENT_TOL
     )
-    if rec.certificates:
+    if rec.certificates is not None and rec.certificates.size:
         checks["step_certificates"] = _certificate_check(rec.certificates)
     gaps = rec.f_gaps_x
     if rec.f_star is not None and rec.bound_values is not None:
@@ -249,7 +253,7 @@ def _descent_report(rec: RunRecord) -> dict:
 
 def _accelerated_report(rec: RunRecord) -> dict:
     checks = {}
-    if rec.certificates:
+    if rec.certificates is not None and rec.certificates.size:
         checks["step_certificates"] = _certificate_check(rec.certificates)
     if rec.psi_values is not None and rec.ckp_fy is not None:
         checks["estimate_lower"] = _margin_check(
@@ -307,6 +311,9 @@ def _restart_report(rec: RunRecord) -> dict:
             "checked": len(rec.inner),
             "worst": None,
         }
+        checks["inner_step_certificates"] = _certificate_check(
+            np.concatenate([r.certificates for r in rec.inner])
+        )
     return checks
 
 
@@ -445,7 +452,7 @@ def higher_order_descent(
     d = x0.size
     xs = np.empty((K + 1, d))
     f_xs = np.empty(K + 1)
-    certs: list[StepCertificate] = []
+    certs = np.empty(K, CERTIFICATE_DTYPE)
     termination = {"status": "completed", "k": None}
     xs[0] = x0
     f_xs[0] = f.value(x0)
@@ -460,7 +467,7 @@ def higher_order_descent(
         if _blown(y):
             termination = {"status": "diverged", "k": k + 1}
             break
-        certs.append(cert)
+        certs[k] = cert.row()
         xs[k + 1] = y
         f_xs[k + 1] = f.value(y)
         n += 1
@@ -502,7 +509,7 @@ def higher_order_descent(
         f_xs=f_xs,
         f_star=f_star,
         termination=termination,
-        certificates=certs,
+        certificates=certs[:n - 1],
         bound_values=bounds,
         extras=extras,
     )
@@ -546,7 +553,7 @@ def accelerated(f: ObjectiveOracle, cfg: AccelConfig, K: int) -> RunRecord:
     psi_upper = np.full(m, np.nan)
     ckp_fy = np.empty(m)
     bounds = np.full(m, np.nan)
-    certs: list[StepCertificate] = []
+    certs = np.empty(m, CERTIFICATE_DTYPE)
     termination = {"status": "completed", "k": None}
 
     w0 = h.gradient(x0)
@@ -575,7 +582,7 @@ def accelerated(f: ObjectiveOracle, cfg: AccelConfig, K: int) -> RunRecord:
         if _blown(y) or _blown(z):
             termination = {"status": "diverged", "k": k}
             break
-        certs.append(cert)
+        certs[k] = cert.row()
         ys[k] = y
         zs[k] = z
         f_ys[k] = f.value(y)
@@ -611,7 +618,7 @@ def accelerated(f: ObjectiveOracle, cfg: AccelConfig, K: int) -> RunRecord:
         zs=zs[:n],
         f_ys=f_ys[:n],
         grad_ys=grad_ys[:n],
-        certificates=certs,
+        certificates=certs[:n],
         psi_values=psi_values[:n],
         psi_grad_norms=psi_grad_norms[:n],
         psi_grad_scales=psi_grad_scales[:n],

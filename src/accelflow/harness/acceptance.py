@@ -367,9 +367,9 @@ def _check_taylor_step_certificates(ctx: SuiteContext) -> CheckResult:
     failures = 0
     checked = 0
     for run in _accelerated_runs(ctx):
-        for cert in run["record"].certificates:
-            checked += 1
-            failures += 0 if cert.ok else 1
+        ok = run["record"].certificates["ok"]
+        checked += len(ok)
+        failures += len(ok) - int(np.count_nonzero(ok))
     problems = builtin_problems()
     per_problem = 50 if ctx.full() else 15
     rng = np.random.default_rng(ctx.seed)

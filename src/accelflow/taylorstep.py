@@ -64,7 +64,6 @@ class StepCertificate:
     """Evaluated progress and move-norm inequalities for one update pair.
 
     grad_y is grad f(y), which callers reuse instead of evaluating it again.
-    Runs keep one certificate per iteration, so instances carry no __dict__.
     """
 
     x: Point
@@ -77,6 +76,26 @@ class StepCertificate:
     move_bounds: tuple[float, float]
     residual: float
     ok: bool
+
+    def row(self) -> tuple:
+        """The scalars, in the field order of CERTIFICATE_DTYPE."""
+        return (self.grad_y_norm, self.progress, self.progress_lower,
+                self.move_norm, *self.move_bounds, self.residual, self.ok)
+
+
+# A run's certificates: one row per certified step with the scalars of its
+# StepCertificate (move_lo, move_hi are move_bounds). The step's x, y and
+# grad_y are the run's own xs, ys and grad_ys.
+CERTIFICATE_DTYPE = np.dtype([
+    ("grad_y_norm", np.float64),
+    ("progress", np.float64),
+    ("progress_lower", np.float64),
+    ("move_norm", np.float64),
+    ("move_lo", np.float64),
+    ("move_hi", np.float64),
+    ("residual", np.float64),
+    ("ok", np.bool_),
+])
 
 
 def progress_coefficient(p: int, N: float) -> float:
@@ -111,19 +130,20 @@ def _model_gradient(f, x: Point, g: Point, u: Point, cfg: StepConfig) -> Point:
     return out
 
 
-def _brentq(f, xa: float, xb: float, xtol: float) -> float:
+def _brentq(f, xa: float, xb: float, xtol: float, fa: float, fb: float) -> float:
     """A root of f in [xa, xb] by Brent's method (Brent 1973, ch. 4).
 
+    fa and fb are f(xa) and f(xb), which the caller has already evaluated.
     The floating-point operations and their order are those of scipy's
     brentq with rtol = BRENT_RTOL and maxiter = BRENT_MAXITER, so the root
-    and the number of f calls are the same bit for bit. Each iteration tries
-    inverse quadratic extrapolation (the secant while only two points are
-    distinct) and bisects unless the trial step is short. Raises SolverError
-    when f is NaN at a point it evaluates, when f(xa) and f(xb) have the
-    same sign, and after BRENT_MAXITER iterations.
+    is the same bit for bit, and f is called two times fewer than there.
+    Each iteration tries inverse quadratic extrapolation (the secant while
+    only two points are distinct) and bisects unless the trial step is
+    short. Raises SolverError when f is NaN at an end or at a point it
+    evaluates, when fa and fb have the same sign, and after BRENT_MAXITER
+    iterations.
     """
-    def value(x):
-        fx = f(x)
+    def checked(x, fx):
         if math.isnan(fx):
             raise SolverError(f"secular solve found no root bracket: the "
                               f"value at r = {x!r} is NaN",
@@ -131,7 +151,7 @@ def _brentq(f, xa: float, xb: float, xtol: float) -> float:
         return fx
 
     xpre, xcur = xa, xb
-    fpre, fcur = value(xpre), value(xcur)
+    fpre, fcur = checked(xpre, fa), checked(xcur, fb)
     if fpre == 0.0:
         return xpre
     if fcur == 0.0:
@@ -171,7 +191,7 @@ def _brentq(f, xa: float, xb: float, xtol: float) -> float:
             xcur += scur
         else:
             xcur += delta if sbis > 0 else -delta
-        fcur = value(xcur)
+        fcur = checked(xcur, f(xcur))
     raise SolverError(f"secular solve did not converge in {BRENT_MAXITER} "
                       f"iterations (r = {xcur!r})", residual=float("nan"))
 
@@ -200,19 +220,23 @@ def _secular_displacement(eigvals, eigvecs, g, scale: float, power: int,
         return norm(coords_u(r)) - r
 
     lo = 1e-16 * r_hi
-    if phi(lo) <= 0.0:  # the root lies in (0, lo]
-        hi = lo
-        while phi(lo) <= 0.0 and lo > 1e-300:
+    phi_lo = phi(lo)
+    if phi_lo <= 0.0:  # the root lies in (0, lo]
+        hi, phi_hi = lo, phi_lo
+        while phi_lo <= 0.0 and lo > 1e-300:
             lo *= 1e-16
+            phi_lo = phi(lo)
         xtol = 1e-15 * hi + 1e-300
     else:
         hi = r_hi
+        phi_hi = phi(hi)
         tries = 0
-        while phi(hi) > 0.0 and tries < 60:  # roundoff guard; phi(r_hi) <= 0
+        while phi_hi > 0.0 and tries < 60:  # roundoff guard; phi(r_hi) <= 0
             hi *= 2.0
+            phi_hi = phi(hi)
             tries += 1
         xtol = 1e-15 * r_hi + 1e-300
-    r = _brentq(phi, lo, hi, xtol)
+    r = _brentq(phi, lo, hi, xtol, phi_lo, phi_hi)
     return -(eigvecs @ coords_u(r))
 
 
@@ -296,8 +320,11 @@ def g_step(f, x: Point, cfg: StepConfig) -> tuple[Point, StepCertificate]:
         y = x - (cfg.epsilon / cfg.N) * g
         return y, _certify(f, x, y, cfg, g)
 
-    H = f.hessian_dense(x)
-    eigvals, eigvecs = np.linalg.eigh(H)
+    if f.constant_hessian is None:
+        H = f.hessian_dense(x)
+        eigvals, eigvecs = np.linalg.eigh(H)
+    else:
+        H, eigvals, eigvecs = f.constant_hessian
     if eigvals[0] < -1e-8 * max(1.0, float(np.max(np.abs(eigvals)))):
         raise SolverError(
             f"Taylor model at x is not convex (eigenvalue {eigvals[0]:.3e}); "

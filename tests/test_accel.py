@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -45,6 +46,7 @@ from accelflow.accel import (
 )
 from accelflow.errors import CapabilityError, InputError
 from accelflow.taylorstep import (
+    CERTIFICATE_DTYPE,
     StepConfig,
     progress_coefficient,
     smoothness_epsilon,
@@ -221,7 +223,8 @@ def test_descent_solver_error_truncates_record():
     assert "not convex" in term["message"]
     assert math.isnan(term["residual"])  # the solver stopped before a residual
     assert len(rec.ks) == 1  # only x0 recorded
-    assert rec.certificates == []
+    assert rec.certificates.dtype == CERTIFICATE_DTYPE
+    assert rec.certificates.shape == (0,)
 
 
 def _failing_g_step(monkeypatch, fail_at):
@@ -256,7 +259,7 @@ def test_solver_error_records_message_and_residual(monkeypatch, tmp_path, algori
                 "message": "inner solve stalled at residual 2.500e-01",
                 "residual": 0.25}
     assert rec.termination == expected
-    assert len(rec.certificates) == 3
+    assert rec.certificates.shape == (3,) and rec.certificates["ok"].all()
     # the record goes to summaries only: the CSV holds the iterations
     rec.to_csv(tmp_path / "run.csv")
     text = (tmp_path / "run.csv").read_text()
@@ -319,10 +322,34 @@ def test_accelerated_makes_two_gradient_calls_per_iteration(p):
     assert rec.termination["status"] == "completed"
     assert f.gradient_calls == 2 * (K + 1)
     # the reused values are bit for bit what fresh evaluations give
-    for k, cert in enumerate(rec.certificates):
+    fresh = []
+    for k in range(K + 1):
         np.testing.assert_array_equal(rec.grad_ys[k], f.inner.gradient(rec.ys[k]))
-        fresh = verify_step_progress(f.inner, rec.xs[k], rec.ys[k], cfg.step_config())
-        assert cert.residual == fresh.residual
+        cert = verify_step_progress(f.inner, rec.xs[k], rec.ys[k], cfg.step_config())
+        fresh.append(cert.row())
+    fresh = np.array(fresh, CERTIFICATE_DTYPE)
+    assert rec.certificates.dtype == CERTIFICATE_DTYPE
+    for name in CERTIFICATE_DTYPE.names:
+        assert rec.certificates[name].tobytes() == fresh[name].tobytes(), name
+
+
+def test_accelerated_record_retains_under_250_bytes_per_iteration():
+    # the per-iteration arrays plus one 57-byte certificate row: about 203 B
+    # on the 2-d quadratic; a record that kept a StepCertificate object per
+    # iteration (copies of x, y and grad f(y), boxed scalars) retains ~870 B
+    f = builtin_problems()["quadratic"]
+    cfg = AccelConfig(p=3, epsilon=smoothness_epsilon(f, 3), x0=np.ones(2))
+    K = 2000
+    accelerated(f, cfg, 5)  # first-call allocations stay out of the count
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        rec = accelerated(f, cfg, K)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert rec.termination["status"] == "completed"
+    assert retained / K < 250, retained / K
 
 
 def test_accelerated_first_coupling_keeps_x0():
@@ -712,6 +739,23 @@ def test_run_record_csv_header_and_determinism(tmp_path):
     assert lines[1].split(",")[3] == ""
     # k = 1 row is fully populated
     assert all(cell != "" for cell in lines[2].split(","))
+
+
+def test_descent_csv_has_no_certificate_after_the_last_iterate(tmp_path):
+    # a step goes from each iterate but the last: K rows for K + 1 iterates
+    f = builtin_problems()["quadratic"]
+    rec = higher_order_descent(f, StepConfig(3, smoothness_epsilon(f, 3), 2.0),
+                               np.ones(2), 6)
+    assert rec.termination["status"] == "completed"
+    assert (len(rec.ks), len(rec.certificates)) == (7, 6)
+    path = tmp_path / "descent.csv"
+    rec.to_csv(path)
+    rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+    assert len(rows) == 7
+    for row, cert in zip(rows, rec.certificates):
+        assert row[6:] == [repr(float(cert[name])) for name in
+                           ("progress", "progress_lower", "move_norm")]
+    assert rows[-1][6:] == ["", "", ""]
 
 
 def test_run_record_csv_sparse_columns_for_naive(tmp_path):

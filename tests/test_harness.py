@@ -398,7 +398,7 @@ def test_restart_kind(tmp_path):
     assert summary.all_pass
     assert {c.name for c in summary.checks} == {
         "run_completed", "epoch_contraction", "anchor_envelope", "final_bound",
-        "final_step_certificate", "inner_epochs_completed",
+        "final_step_certificate", "inner_epochs_completed", "inner_step_certificates",
     }
     _assert_emitted_exactly(summary, tmp_path, [
         "anchors.csv", "anchors_gap_loglog.dat",
@@ -766,6 +766,28 @@ def test_cli_restart_fails_when_its_trailing_step_certificate_fails(tmp_path, ca
     assert [c["name"] for c in doc["checks"] if c["status"] == "fail"] == [
         "final_step_certificate",
     ]
+
+
+def test_cli_restart_fails_when_an_inner_step_certificate_fails(tmp_path, capsys,
+                                                              monkeypatch):
+    import dataclasses
+
+    import accelflow.accel as accel_module
+
+    real = accel_module.g_step
+    calls = [0]
+
+    def g_step(f, x, cfg):
+        calls[0] += 1
+        y, cert = real(f, x, cfg)
+        return y, dataclasses.replace(cert, ok=False) if calls[0] == 5 else cert
+
+    monkeypatch.setattr(accel_module, "g_step", g_step)
+    code, doc = _run_cli(tmp_path, capsys, "restart", {"method": {"epochs": 2}})
+    assert code == 1
+    failed = [c for c in doc["checks"] if c["status"] == "fail"]
+    assert [c["name"] for c in failed] == ["inner_step_certificates"]
+    assert failed[0]["detail"].startswith(f"{calls[0] - 1} inequalities checked")
 
 
 def test_cli_diverged_optimize_run_is_exit_one(tmp_path, capsys):

@@ -9,6 +9,7 @@ local-minimality probes of the model itself.
 
 from __future__ import annotations
 
+import copy
 import math
 from unittest import mock
 
@@ -305,6 +306,39 @@ def test_secular_bracket_without_sign_change_is_solver_error():
         _secular_displacement(lam, vecs, np.array([1.0, 1.0]), 20.0, 1, 1e-300)
 
 
+@pytest.mark.parametrize("fa, fb", [(math.nan, -1.0), (1.0, math.nan)])
+def test_brent_with_a_nan_end_value_is_no_root_bracket(fa, fb):
+    def never(r):
+        raise AssertionError("evaluated past a NaN end")
+
+    with pytest.raises(SolverError, match="no root bracket: the value at r = "):
+        _brentq(never, 0.0, 1.0, 1e-300, fa, fb)
+
+
+@pytest.mark.parametrize("key", ["quadratic", "quadratic_10d", "least_squares"])
+def test_constant_hessian_decomposition_matches_a_per_call_eigh(key):
+    # the stored decomposition is bit for bit the eigh of hessian_dense, so
+    # steps taken with it equal steps that decompose at every call
+    f = builtin_problems()[key]
+    H, lam, vecs = f.constant_hessian
+    fresh = f.hessian_dense(f.minimizer)
+    assert H.tobytes() == fresh.tobytes()
+    for stored, ref in zip((lam, vecs), np.linalg.eigh(fresh)):
+        assert stored.tobytes() == ref.tobytes()
+    assert not any(a.flags.writeable for a in (H, lam, vecs))
+    per_call = copy.copy(f)
+    per_call.constant_hessian = None
+    rng = np.random.default_rng(RNG_SEED)
+    for p in (3, 4):
+        cfg = StepConfig(p, smoothness_epsilon(f, p), 2.0)
+        for _ in range(5):
+            x = rng.normal(size=f.dimension)
+            y, cert = g_step(f, x, cfg)
+            y_ref, cert_ref = g_step(per_call, x, cfg)
+            assert y.tobytes() == y_ref.tobytes()
+            assert cert.row() == cert_ref.row()
+
+
 class _StiffPlusLinear(ObjectiveOracle):
     """f = (L/2) x_0^2 + b x_1: curvature L along x_0 and none along x_1,
     where only the regularizer sets the step. Powers of two keep the Newton
@@ -395,16 +429,19 @@ def _counted(f):
     return wrapped
 
 
-def _brent_is_scipys(f, a, b, xtol):
-    """_brentq's root of f in [a, b], checked against scipy's brentq with
-    rtol = 4 eps and maxiter = 200: the same root to the last bit (the sign
-    of a zero included) and the same number of f calls."""
+def _brent_is_scipys(f, a, b, xtol, fa, fb):
+    """_brentq's root of f in [a, b] from the end values fa = f(a) and
+    fb = f(b), checked against scipy's brentq with rtol = 4 eps and
+    maxiter = 200: the same root to the last bit (the sign of a zero
+    included), and exactly two f calls fewer, the two ends."""
+    assert float(fa).hex() == float(f(a)).hex()
+    assert float(fb).hex() == float(f(b)).hex()
     ours, theirs = _counted(f), _counted(f)
-    root = _brentq(ours, a, b, xtol)
+    root = _brentq(ours, a, b, xtol, fa, fb)
     ref, info = brentq(theirs, a, b, xtol=xtol, rtol=4 * np.finfo(float).eps,
                        maxiter=200, full_output=True)
     assert float(root).hex() == float(ref).hex()
-    assert ours.calls == theirs.calls == info.function_calls
+    assert ours.calls == theirs.calls - 2 == info.function_calls - 2
     return root
 
 
@@ -414,8 +451,8 @@ def _solve_against_scipy(lam, vecs, g, scale, power):
     r_hi = (float(np.linalg.norm(g)) / scale) ** (1.0 / (power + 1.0))
     calls = []
 
-    def spy(phi, lo, hi, xtol):
-        root = _brent_is_scipys(phi, lo, hi, xtol)
+    def spy(phi, lo, hi, xtol, phi_lo, phi_hi):
+        root = _brent_is_scipys(phi, lo, hi, xtol, phi_lo, phi_hi)
         calls.append((phi, lo, hi, root))
         return root
 
@@ -468,7 +505,8 @@ def test_secular_root_below_the_bracket_is_scipys_bit_for_bit(power):
 @pytest.mark.parametrize("power, gnorm", [(1, 4.0), (2, 8.0)])
 def test_secular_root_at_an_exact_zero_endpoint_is_scipys(power, gnorm):
     # lam = 0 and s = 1: phi(r) = ||g|| / r^power - r vanishes exactly at
-    # r_hi = 2, the bracket's upper end, which both return after two calls
+    # r_hi = 2, the bracket's upper end, which scipy returns after two calls
+    # and _brentq from the end values alone
     phi, _, hi, root = _solve_against_scipy(np.array([0.0]), np.eye(1),
                                             np.array([gnorm]), 1.0, power)
     assert hi == 2.0 and phi(hi) == 0.0 and root == hi
@@ -483,7 +521,7 @@ def test_brent_on_tiny_values_is_scipys_bit_for_bit(scale, r0):
     def cubic(r):
         return scale * (r - r0) ** 3
 
-    _brent_is_scipys(cubic, 0.0, 1.0, 1e-300)
+    _brent_is_scipys(cubic, 0.0, 1.0, 1e-300, cubic(0.0), cubic(1.0))
 
 
 def test_brent_past_its_iteration_budget_is_solver_error():
@@ -497,5 +535,5 @@ def test_brent_past_its_iteration_budget_is_solver_error():
         brentq(jump, 0.0, 1e300, xtol=1e-300, rtol=BRENT_RTOL, maxiter=BRENT_MAXITER)
     counted = _counted(jump)
     with pytest.raises(SolverError, match="did not converge in 200 iterations"):
-        _brentq(counted, 0.0, 1e300, 1e-300)
-    assert counted.calls == 2 + BRENT_MAXITER
+        _brentq(counted, 0.0, 1e300, 1e-300, jump(0.0), jump(1e300))
+    assert counted.calls == BRENT_MAXITER
