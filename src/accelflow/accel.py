@@ -77,6 +77,12 @@ def _blown(v: np.ndarray) -> bool:
     return not norm(v) <= DIVERGENCE_THRESHOLD
 
 
+def _kept(buf: np.ndarray, n: int) -> np.ndarray:
+    """The first n rows of a buffer preallocated for a whole run, copied when
+    the run stopped short of it so that the record does not keep the rest."""
+    return buf[:n] if n == len(buf) else buf[:n].copy()
+
+
 def _csv_cells(values, n: int) -> list[str]:
     """n CSV cells: the repr of each value, '' for NaN, for a missing
     quantity (values None) and for rows past the end of values."""
@@ -472,7 +478,7 @@ def higher_order_descent(
         f_xs[k + 1] = f.value(y)
         n += 1
         x = y
-    xs, f_xs = xs[:n], f_xs[:n]
+    xs, f_xs = _kept(xs, n), _kept(f_xs, n)
     x_star = f.minimizer
     f_star = f.min_value
     R, R_source = _empirical_level_radius(f, x0, xs, x_star)
@@ -509,7 +515,7 @@ def higher_order_descent(
         f_xs=f_xs,
         f_star=f_star,
         termination=termination,
-        certificates=certs[:n - 1],
+        certificates=_kept(certs, n - 1),
         bound_values=bounds,
         extras=extras,
     )
@@ -610,22 +616,22 @@ def accelerated(f: ObjectiveOracle, cfg: AccelConfig, K: int) -> RunRecord:
         algorithm="accelerated",
         config={**cfg.snapshot(), "K": int(K), "objective": f.name},
         ks=np.arange(n),
-        xs=xs[:n],
-        f_xs=f_xs[:n],
+        xs=_kept(xs, n),
+        f_xs=_kept(f_xs, n),
         f_star=f_star,
         termination=termination,
-        ys=ys[:n],
-        zs=zs[:n],
-        f_ys=f_ys[:n],
-        grad_ys=grad_ys[:n],
-        certificates=certs[:n],
-        psi_values=psi_values[:n],
-        psi_grad_norms=psi_grad_norms[:n],
-        psi_grad_scales=psi_grad_scales[:n],
-        psi_at_minimizer=psi_at_min[:n] if x_star is not None else None,
-        psi_upper_envelope=psi_upper[:n] if f_star is not None else None,
-        ckp_fy=ckp_fy[:n],
-        bound_values=bounds[:n],
+        ys=_kept(ys, n),
+        zs=_kept(zs, n),
+        f_ys=_kept(f_ys, n),
+        grad_ys=_kept(grad_ys, n),
+        certificates=_kept(certs, n),
+        psi_values=_kept(psi_values, n),
+        psi_grad_norms=_kept(psi_grad_norms, n),
+        psi_grad_scales=_kept(psi_grad_scales, n),
+        psi_at_minimizer=_kept(psi_at_min, n) if x_star is not None else None,
+        psi_upper_envelope=_kept(psi_upper, n) if f_star is not None else None,
+        ckp_fy=_kept(ckp_fy, n),
+        bound_values=_kept(bounds, n),
         extras={"dh_star_x0": dh_star},
     )
 

@@ -18,15 +18,6 @@ from .points import Point, as_point
 
 CATALOG_SEED = 1723
 
-
-def _decomposed(H: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(H, eigenvalues, eigenvectors) from np.linalg.eigh, all read-only."""
-    parts = (H, *np.linalg.eigh(H))
-    for part in parts:
-        part.flags.writeable = False
-    return parts
-
-
 class ObjectiveOracle:
     """Base class for objectives. Subclasses fill in values and derivatives."""
 
@@ -37,9 +28,6 @@ class ObjectiveOracle:
     minimizer: Point | None = None
     min_value: float | None = None
     dimension: int | None = None
-    # (H, *np.linalg.eigh(H)) for a Hessian H that does not depend on x,
-    # formed once; the Taylor step reads it instead of decomposing each time
-    constant_hessian: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     def value(self, x: Point) -> float:
         raise NotImplementedError
@@ -111,7 +99,6 @@ class DiagonalQuadratic(ObjectiveOracle):
         self.uniform_convexity = (2.0, float(np.min(lam)))
         self.minimizer = np.zeros(lam.size)
         self.min_value = 0.0
-        self.constant_hessian = _decomposed(np.diag(lam))
 
     def value(self, x):
         x = np.asarray(x, dtype=np.float64)
@@ -149,7 +136,6 @@ class LeastSquares(ObjectiveOracle):
         self.name = name
         self.dimension = A.shape[1]
         self.gram = A.T @ A
-        self.constant_hessian = _decomposed(self.gram.copy())
         eigs = np.linalg.eigvalsh(self.gram)
         self.smoothness = {1: float(eigs[-1]), 2: 2.0, 3: 6.0}
         if eigs[0] > 1e-12:

@@ -19,6 +19,7 @@ smoothness constant shows up as a flagged violation, not silent nonsense.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,33 +60,9 @@ class StepConfig:
             raise InputError(f"N must be positive, got {self.N}")
 
 
-@dataclass(slots=True)
-class StepCertificate:
-    """Evaluated progress and move-norm inequalities for one update pair.
-
-    grad_y is grad f(y), which callers reuse instead of evaluating it again.
-    """
-
-    x: Point
-    y: Point
-    grad_y: Point
-    grad_y_norm: float
-    progress: float
-    progress_lower: float
-    move_norm: float
-    move_bounds: tuple[float, float]
-    residual: float
-    ok: bool
-
-    def row(self) -> tuple:
-        """The scalars, in the field order of CERTIFICATE_DTYPE."""
-        return (self.grad_y_norm, self.progress, self.progress_lower,
-                self.move_norm, *self.move_bounds, self.residual, self.ok)
-
-
-# A run's certificates: one row per certified step with the scalars of its
-# StepCertificate (move_lo, move_hi are move_bounds). The step's x, y and
-# grad_y are the run's own xs, ys and grad_ys.
+# A run's certificates: one row per certified step with the scalar fields of
+# its StepCertificate, by name. The step's x, y and grad_y are the run's own
+# xs, ys and grad_ys.
 CERTIFICATE_DTYPE = np.dtype([
     ("grad_y_norm", np.float64),
     ("progress", np.float64),
@@ -96,6 +73,32 @@ CERTIFICATE_DTYPE = np.dtype([
     ("residual", np.float64),
     ("ok", np.bool_),
 ])
+_certificate_fields = operator.attrgetter(*CERTIFICATE_DTYPE.names)
+
+
+@dataclass(slots=True)
+class StepCertificate:
+    """Evaluated progress and move-norm inequalities for one update pair.
+
+    grad_y is grad f(y), which callers reuse instead of evaluating it again.
+    move_lo and move_hi bound move_norm from below and above.
+    """
+
+    x: Point
+    y: Point
+    grad_y: Point
+    grad_y_norm: float
+    progress: float
+    progress_lower: float
+    move_norm: float
+    move_lo: float
+    move_hi: float
+    residual: float
+    ok: bool
+
+    def row(self) -> tuple:
+        """The fields named by CERTIFICATE_DTYPE, in its order."""
+        return _certificate_fields(self)
 
 
 def progress_coefficient(p: int, N: float) -> float:
@@ -320,11 +323,8 @@ def g_step(f, x: Point, cfg: StepConfig) -> tuple[Point, StepCertificate]:
         y = x - (cfg.epsilon / cfg.N) * g
         return y, _certify(f, x, y, cfg, g)
 
-    if f.constant_hessian is None:
-        H = f.hessian_dense(x)
-        eigvals, eigvecs = np.linalg.eigh(H)
-    else:
-        H, eigvals, eigvecs = f.constant_hessian
+    H = f.hessian_dense(x)
+    eigvals, eigvecs = np.linalg.eigh(H)
     if eigvals[0] < -1e-8 * max(1.0, float(np.max(np.abs(eigvals)))):
         raise SolverError(
             f"Taylor model at x is not convex (eigenvalue {eigvals[0]:.3e}); "
@@ -402,5 +402,5 @@ def _certify(f, x: Point, y: Point, cfg: StepConfig, gx: Point) -> StepCertifica
     return StepCertificate(
         x=x, y=y, grad_y=gy, grad_y_norm=gy_norm, progress=progress,
         progress_lower=lower, move_norm=move_norm,
-        move_bounds=(move_lo, move_hi), residual=residual, ok=ok,
+        move_lo=move_lo, move_hi=move_hi, residual=residual, ok=ok,
     )

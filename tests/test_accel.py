@@ -352,6 +352,32 @@ def test_accelerated_record_retains_under_250_bytes_per_iteration():
     assert retained / K < 250, retained / K
 
 
+def test_runs_cut_short_keep_no_buffer_sized_for_K():
+    # from x0 = (1e9, 1) both methods diverge at once; a record holding
+    # views of its K-row buffers would retain about 1.6 MB (descent) and
+    # 3.9 MB (accelerated) here
+    f = builtin_problems()["quadratic"]
+    x0 = np.array([1e9, 1.0])
+    eps = smoothness_epsilon(f, 3)
+    cfg = AccelConfig(p=3, epsilon=eps, x0=x0)
+    K = 20_000
+    runs = {
+        "accelerated": lambda: accelerated(f, cfg, K),
+        "descent": lambda: higher_order_descent(f, StepConfig(3, eps, 2.0), x0, K),
+    }
+    for name, run in runs.items():
+        run()  # first-call allocations stay out of the count
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            rec = run()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert rec.termination["status"] == "diverged", name
+        assert retained < 16_000, (name, retained)
+
+
 def test_accelerated_first_coupling_keeps_x0():
     _, _, rec = _quadratic_run(2, K=3)
     # x1 = (p/p) z0 + 0 * y0 = z0 = x0 (the k = 0 mirror weight vanishes)
