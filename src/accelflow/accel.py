@@ -466,14 +466,14 @@ def higher_order_descent(
     x = x0
     for k in range(K):
         try:
-            y, cert = g_step(f, x, cfg)
+            y, _, cert = g_step(f, x, cfg)
         except SolverError as exc:
             termination = _solver_failure(k, exc)
             break
         if _blown(y):
             termination = {"status": "diverged", "k": k + 1}
             break
-        certs[k] = cert.row()
+        certs[k] = cert
         xs[k + 1] = y
         f_xs[k + 1] = f.value(y)
         n += 1
@@ -577,18 +577,17 @@ def accelerated(f: ObjectiveOracle, cfg: AccelConfig, K: int) -> RunRecord:
         xs[k] = x
         f_xs[k] = f.value(x)
         try:
-            y, cert = g_step(f, x, scfg)
+            y, g, cert = g_step(f, x, scfg)
         except SolverError as exc:
             termination = _solver_failure(k, exc)
             break
-        g = cert.grad_y
         weight = rising_factorial(k, p - 1)
         w = w - (eps * C * p * weight) * g
         z = h.dual_gradient(w)
         if _blown(y) or _blown(z):
             termination = {"status": "diverged", "k": k}
             break
-        certs[k] = cert.row()
+        certs[k] = cert
         ys[k] = y
         zs[k] = z
         f_ys[k] = f.value(y)
@@ -884,7 +883,7 @@ def restart_accelerated(
         extras["distance_powers"] = dist_p
         bounds = dist_p[0] * np.exp(-np.arange(n, dtype=np.float64))
     if termination["status"] == "completed":
-        y_final, cert = g_step(f, xhat, StepConfig(p=p, epsilon=epsilon, N=2.0))
+        y_final, _, cert = g_step(f, xhat, StepConfig(p=p, epsilon=epsilon, N=2.0))
         extras["final_certificate_ok"] = cert.ok
         if f_star is not None:
             extras["final_gap"] = f.value(y_final) - f_star

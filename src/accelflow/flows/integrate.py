@@ -252,7 +252,8 @@ def integrate(sys, x0, t0: float, t_end: float, controls: dict,
     on rk4_adaptive or a tolerance on rk4, raises InputError. steps,
     record_every and max_steps are integers >= 1, steps at most MAX_STEPS;
     initial_step and abs_tol are finite and positive, rel_tol finite and
-    nonnegative. A violation raises InputError, as do t0 before the
+    nonnegative, and rk4_adaptive needs t_end - t0 above its end tolerance
+    1e-14 * max(1, |t_end|). A violation raises InputError, as do t0 before the
     system's domain and an x0 outside the system's dimension. Deterministic
     given controls.
 
@@ -308,6 +309,10 @@ def integrate(sys, x0, t0: float, t_end: float, controls: dict,
             raise InputError(f"initial_step must be finite and > 0, got {h}")
         if max_steps < 1:
             raise InputError("max_steps must be >= 1")
+        near_end = t_end - 1e-14 * max(1.0, abs(t_end))
+        if t0 >= near_end:
+            raise InputError(f"rk4_adaptive needs t_end - t0 above its end tolerance "
+                             f"1e-14 * max(1, |t_end|), got [{t0!r}, {t_end!r}]")
 
     if initial_state is not None:
         y0 = np.array(initial_state, dtype=np.float64)
@@ -371,7 +376,6 @@ def integrate(sys, x0, t0: float, t_end: float, controls: dict,
     t = t0
     accepted = rejected = evals = 0
     h_min_seen, h_max_seen = np.inf, 0.0
-    near_end = t_end - 1e-14 * max(1.0, abs(t_end))
     err_prev = _ERR_FLOOR
     after_reject = False
 

@@ -381,7 +381,7 @@ def _check_taylor_step_certificates(ctx: SuiteContext) -> CheckResult:
                 cfg = StepConfig(p, smoothness_epsilon(f, p), N)
                 for _ in range(per_problem):
                     x = 0.5 * rng.standard_normal(f.dimension)
-                    _, cert = g_step(f, x, cfg)
+                    _, _, cert = g_step(f, x, cfg)
                     checked += 1
                     failures += 0 if cert.ok else 1
     return CheckResult(

@@ -228,14 +228,16 @@ def _run_flow(cfg: ExperimentConfig, emit: ArtifactWriter) -> list[CheckResult]:
 
 
 def _rescaled_monitor_checks(f, p: int, traj) -> list[CheckResult]:
-    """The two descent monitors, where the problem declares a minimizer."""
+    """The two descent monitors, where the problem declares a minimizer and
+    certifies the level-set radius through the initial point."""
+    missing = None
     if f.minimizer is None:
-        skip = CheckResult(
-            name="primary_monitor", status="skip",
-            detail="problem declares no minimizer; monitors need x*",
-        )
-        return [skip, CheckResult(name="alternative_monitor", status="skip",
-                                  detail=skip.detail)]
+        missing = "problem declares no minimizer; monitors need x*"
+    elif f.level_set_radius(traj.states[0][: traj.d]) is None:
+        missing = "problem certifies no level-set radius at x0; monitors need R"
+    if missing is not None:
+        return [CheckResult(name=name, status="skip", detail=missing)
+                for name in ("primary_monitor", "alternative_monitor")]
     _, margin, alt_margin = rescaled_monitor_margins(f, p, traj)
     return [
         CheckResult(
@@ -309,11 +311,26 @@ def _run_compare(cfg: ExperimentConfig, emit: ArtifactWriter) -> list[CheckResul
     factor = cfg.number("factor", CORRESPONDENCE_FACTOR)
     if f.min_value is None:
         raise InputError("compare needs a problem with a declared optimal value")
-    acfg = AccelConfig(p=p, epsilon=delta**p, x0=x0, N=cfg.number("N", 2.0),
+    try:
+        epsilon = delta**p
+    except OverflowError:
+        raise InputError(f"epsilon = delta**p overflows at delta = {delta:g}, "
+                         f"p = {p}") from None
+    acfg = AccelConfig(p=p, epsilon=epsilon, x0=x0, N=cfg.number("N", 2.0),
                        C=cfg.number("C"))
 
     lo, hi = tuple(cfg.window) if cfg.window else (1.0, 10.0)
-    K = int(math.ceil(hi / delta)) + 1
+    last = hi / delta
+    if not math.isfinite(last):
+        raise InputError(f"window end {hi:g} is out of reach at delta = {delta:g}")
+    K = int(math.ceil(last)) + 1
+    # t = delta k grows with k: the last sample at most hi is within one
+    # step of floor(hi / delta)
+    near = math.floor(last)
+    if not any(lo <= delta * k <= hi
+               for k in range(max(near - 1, 0), near + 2)):
+        raise InputError(f"window [{lo:g}, {hi:g}] holds no sample time "
+                         f"t = delta k at delta = {delta:g}")
     rec = accelerated(f, acfg, K)
     flow = integrate(
         build_el_system(EuclideanMap(), f, polynomial_triple(p, acfg.C)),

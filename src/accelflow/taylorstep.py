@@ -19,8 +19,8 @@ smoothness constant shows up as a flagged violation, not silent nonsense.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -60,33 +60,14 @@ class StepConfig:
             raise InputError(f"N must be positive, got {self.N}")
 
 
-# A run's certificates: one row per certified step with the scalar fields of
-# its StepCertificate, by name. The step's x, y and grad_y are the run's own
-# xs, ys and grad_ys.
-CERTIFICATE_DTYPE = np.dtype([
-    ("grad_y_norm", np.float64),
-    ("progress", np.float64),
-    ("progress_lower", np.float64),
-    ("move_norm", np.float64),
-    ("move_lo", np.float64),
-    ("move_hi", np.float64),
-    ("residual", np.float64),
-    ("ok", np.bool_),
-])
-_certificate_fields = operator.attrgetter(*CERTIFICATE_DTYPE.names)
-
-
-@dataclass(slots=True)
-class StepCertificate:
+class StepCertificate(NamedTuple):
     """Evaluated progress and move-norm inequalities for one update pair.
 
-    grad_y is grad f(y), which callers reuse instead of evaluating it again.
-    move_lo and move_hi bound move_norm from below and above.
+    move_lo and move_hi bound move_norm from below and above. A run stores
+    each certificate as it is, a row of CERTIFICATE_DTYPE; the step's x, y
+    and grad f(y) are the run's own xs, ys and grad_ys.
     """
 
-    x: Point
-    y: Point
-    grad_y: Point
     grad_y_norm: float
     progress: float
     progress_lower: float
@@ -96,9 +77,9 @@ class StepCertificate:
     residual: float
     ok: bool
 
-    def row(self) -> tuple:
-        """The fields named by CERTIFICATE_DTYPE, in its order."""
-        return _certificate_fields(self)
+
+CERTIFICATE_DTYPE = np.dtype([(name, np.bool_ if name == "ok" else np.float64)
+                              for name in StepCertificate._fields])
 
 
 def progress_coefficient(p: int, N: float) -> float:
@@ -294,10 +275,11 @@ def _newton_polish_p4(f, x, g, H, u0, scale: float, target: float):
     return u
 
 
-def g_step(f, x: Point, cfg: StepConfig) -> tuple[Point, StepCertificate]:
+def g_step(f, x: Point, cfg: StepConfig) -> tuple[Point, Point, StepCertificate]:
     """One update y = argmin_y f_{p-1}(y; x) + (N/(eps p)) ||y - x||^p.
 
-    Returns the new point and the evaluated certificate. Raises
+    Returns (y, grad f(y), certificate), which callers reuse instead of
+    evaluating the gradient again; y is a new array. Raises
     CapabilityError when f lacks order-(p-1) derivatives and SolverError when
     the model is not convex, the secular solve (Brent's method on one scalar
     equation) finds no root bracket or no root in BRENT_MAXITER iterations,
@@ -317,11 +299,10 @@ def g_step(f, x: Point, cfg: StepConfig) -> tuple[Point, StepCertificate]:
         # stationary point of the model (all benchmark objectives are convex
         # with their higher Taylor terms vanishing only alongside the
         # gradient at the minimizer)
-        return x.copy(), _certify(f, x, x, cfg, g)
+        return _certify(f, x, x, cfg, g)
 
     if cfg.p == 2:
-        y = x - (cfg.epsilon / cfg.N) * g
-        return y, _certify(f, x, y, cfg, g)
+        return _certify(f, x, x - (cfg.epsilon / cfg.N) * g, cfg, g)
 
     H = f.hessian_dense(x)
     eigvals, eigvecs = np.linalg.eigh(H)
@@ -335,29 +316,27 @@ def g_step(f, x: Point, cfg: StepConfig) -> tuple[Point, StepCertificate]:
     if cfg.p == 3:
         r_hi = math.sqrt(gnorm / s)
         u = _secular_displacement(eigvals, eigvecs, g, s, 1, r_hi)
-        y = x + u
-        cert = _certify(f, x, y, cfg, g)
+        y, gy, cert = _certify(f, x, x + u, cfg, g)
         if cert.residual > RESIDUAL_TARGET * (1.0 + gnorm):
             raise SolverError(
                 f"secular solve left residual {cert.residual:.3e}",
                 best=y, residual=cert.residual,
             )
-        return y, cert
+        return y, gy, cert
 
     # p = 4: quartic-regularized quadratic solve, then Newton on the full model
     r_hi = (gnorm / s) ** (1.0 / 3.0)
     u0 = _secular_displacement(eigvals, eigvecs, g, s, 2, r_hi)
     target = 1e-10 * (1.0 + gnorm)
     u = _newton_polish_p4(f, x, g, H, u0, s, target)
-    y = x + u
-    cert = _certify(f, x, y, cfg, g)
+    y, gy, cert = _certify(f, x, x + u, cfg, g)
     if cert.residual > RESIDUAL_LIMIT_P4:
         raise SolverError(
             f"inner solve stalled at residual {cert.residual:.3e} "
             f"(limit {RESIDUAL_LIMIT_P4:g})",
             best=y, residual=cert.residual,
         )
-    return y, cert
+    return y, gy, cert
 
 
 def verify_step_progress(f, x: Point, y: Point, cfg: StepConfig) -> StepCertificate:
@@ -368,15 +347,14 @@ def verify_step_progress(f, x: Point, y: Point, cfg: StepConfig) -> StepCertific
     with it.
     """
     x = as_point(x)
-    return _certify(f, x, y, cfg, f.gradient(x))
+    return _certify(f, x, y, cfg, f.gradient(x))[2]
 
 
-def _certify(f, x: Point, y: Point, cfg: StepConfig, gx: Point) -> StepCertificate:
-    """verify_step_progress with gx = grad f(x) already evaluated.
+def _certify(f, x: Point, y, cfg: StepConfig, gx: Point):
+    """(y, grad f(y), certificate) at (x, y), with gx = grad f(x) evaluated.
 
-    x must be a point from as_point, which the certificate keeps. y goes
-    through as_point here, so the certificate owns a copy of it and a
-    non-finite or mis-sized y raises InputError.
+    x must be a point from as_point. y goes through as_point here, so the
+    returned y is a copy and a non-finite or mis-sized y raises InputError.
     """
     y = as_point(y, dim=x.size)
     gy = f.gradient(y)
@@ -399,8 +377,5 @@ def _certify(f, x: Point, y: Point, cfg: StepConfig, gx: Point) -> StepCertifica
         progress >= lower - CERT_TOL
         and move_lo - CERT_TOL <= move_norm <= move_hi + CERT_TOL
     )
-    return StepCertificate(
-        x=x, y=y, grad_y=gy, grad_y_norm=gy_norm, progress=progress,
-        progress_lower=lower, move_norm=move_norm,
-        move_lo=move_lo, move_hi=move_hi, residual=residual, ok=ok,
-    )
+    return y, gy, StepCertificate(gy_norm, progress, lower, move_norm,
+                                  move_lo, move_hi, residual, ok)

@@ -322,12 +322,10 @@ def test_accelerated_makes_two_gradient_calls_per_iteration(p):
     assert rec.termination["status"] == "completed"
     assert f.gradient_calls == 2 * (K + 1)
     # the reused values are bit for bit what fresh evaluations give
-    fresh = []
+    fresh = np.empty(K + 1, CERTIFICATE_DTYPE)
     for k in range(K + 1):
         np.testing.assert_array_equal(rec.grad_ys[k], f.inner.gradient(rec.ys[k]))
-        cert = verify_step_progress(f.inner, rec.xs[k], rec.ys[k], cfg.step_config())
-        fresh.append(cert.row())
-    fresh = np.array(fresh, CERTIFICATE_DTYPE)
+        fresh[k] = verify_step_progress(f.inner, rec.xs[k], rec.ys[k], cfg.step_config())
     assert rec.certificates.dtype == CERTIFICATE_DTYPE
     for name in CERTIFICATE_DTYPE.names:
         assert rec.certificates[name].tobytes() == fresh[name].tobytes(), name

@@ -457,6 +457,17 @@ def test_integrate_rejects_bad_controls(t0, t_end, controls):
         integrate(sys, np.array([1.0, 1.0]), t0, t_end, controls)
 
 
+def test_adaptive_horizon_within_the_end_tolerance_is_input_error():
+    # the adaptive loop stops within 1e-14 * max(1, |t_end|) of t_end; a
+    # shorter horizon used to return the single sample at t0
+    sys = _growth_system()
+    for t0, t_end in ((0.0, 1e-15), (0.0, 1e-14), (1.0, 1.0 + 1e-15)):
+        with pytest.raises(InputError, match="end tolerance"):
+            integrate(sys, np.array([1.0]), t0, t_end, {"method": "rk4_adaptive"})
+    traj = integrate(sys, np.array([1.0]), 0.0, 2e-14, {"method": "rk4_adaptive"})
+    assert traj.times[-1] == 2e-14 and len(traj) > 1
+
+
 def test_integrate_admits_integral_float_counts():
     sys = _growth_system()
     a = integrate(sys, np.array([1.0]), 0.0, 1.0,

@@ -610,6 +610,37 @@ def test_cli_flow_dimension_mismatch_is_exit_two(tmp_path, capsys, command, doc)
     assert "config error" in err and "-dimensional" in err
 
 
+@pytest.mark.parametrize("command, doc, message", [
+    ("compare", {"method": {"delta": 1.0}, "window": [1.2, 1.5]},
+     "window [1.2, 1.5] holds no sample time t = delta k"),
+    ("compare", {"method": {"delta": 1e300}}, "epsilon = delta**p overflows"),
+    ("compare", {"method": {"delta": 0.05}, "window": [1.0, 1e308]},
+     "window end 1e+308 is out of reach"),
+    ("flow", {"method": {"family": "exponential"}, "integration": {"t_end": 1e-15}},
+     "above its end tolerance"),
+], ids=["compare_empty_window", "compare_delta_overflow", "compare_window_overflow",
+        "adaptive_horizon_within_tolerance"])
+def test_cli_runs_with_nothing_to_sample_are_exit_two(tmp_path, capsys, command, doc,
+                                                      message):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    assert main([command, "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and message in err
+
+
+def test_cli_rescaled_flow_without_a_level_set_radius_skips_its_monitors(tmp_path,
+                                                                       capsys):
+    # log_sum_exp knows its minimizer but certifies no level-set radius
+    code, doc = _run_cli(tmp_path, capsys, "flow", {
+        "problem": "log_sum_exp", "method": {"family": "rescaled", "p": 3},
+    })
+    assert code in (0, 1)
+    status = {c["name"]: c["status"] for c in doc["checks"]}
+    assert status["primary_monitor"] == status["alternative_monitor"] == "skip"
+    assert status["rate_slope"] != "skip"
+
+
 @pytest.mark.parametrize("problem, p", [
     ("quadratic", 2), ("quadratic_10d", 2), ("least_squares", 2), ("power_2", 2),
     ("power_3", 3), ("power_4", 4),
@@ -745,8 +776,6 @@ def test_cli_naive_demo_without_a_rate_bound_is_exit_one(tmp_path, capsys, doc, 
 
 def test_cli_restart_fails_when_its_trailing_step_certificate_fails(tmp_path, capsys,
                                                                    monkeypatch):
-    import dataclasses
-
     import accelflow.accel as accel_module
 
     real = accel_module.g_step
@@ -754,8 +783,8 @@ def test_cli_restart_fails_when_its_trailing_step_certificate_fails(tmp_path, ca
 
     def g_step(f, x, cfg):
         calls[0] += 1
-        y, cert = real(f, x, cfg)
-        return y, dataclasses.replace(cert, ok=False) if calls[0] == fail_at[0] else cert
+        y, gy, cert = real(f, x, cfg)
+        return y, gy, cert._replace(ok=False) if calls[0] == fail_at[0] else cert
 
     monkeypatch.setattr(accel_module, "g_step", g_step)
     cfg = {"method": {"epochs": 2}}
@@ -770,8 +799,6 @@ def test_cli_restart_fails_when_its_trailing_step_certificate_fails(tmp_path, ca
 
 def test_cli_restart_fails_when_an_inner_step_certificate_fails(tmp_path, capsys,
                                                               monkeypatch):
-    import dataclasses
-
     import accelflow.accel as accel_module
 
     real = accel_module.g_step
@@ -779,8 +806,8 @@ def test_cli_restart_fails_when_an_inner_step_certificate_fails(tmp_path, capsys
 
     def g_step(f, x, cfg):
         calls[0] += 1
-        y, cert = real(f, x, cfg)
-        return y, dataclasses.replace(cert, ok=False) if calls[0] == 5 else cert
+        y, gy, cert = real(f, x, cfg)
+        return y, gy, cert._replace(ok=False) if calls[0] == 5 else cert
 
     monkeypatch.setattr(accel_module, "g_step", g_step)
     code, doc = _run_cli(tmp_path, capsys, "restart", {"method": {"epochs": 2}})

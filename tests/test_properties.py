@@ -444,7 +444,7 @@ def _step_cases(draw):
 def test_step_at_certified_epsilon_is_certified(case):
     name, p, N, x = case
     f = PROBLEMS[name]
-    _, cert = g_step(f, x, StepConfig(p, smoothness_epsilon(f, p), N))
+    _, _, cert = g_step(f, x, StepConfig(p, smoothness_epsilon(f, p), N))
     assert cert.ok, (name, p, N, cert)
     if p == 3:
         assert cert.residual <= RESIDUAL_TARGET * (1.0 + norm(f.gradient(x)))

@@ -82,7 +82,7 @@ def test_smoothness_epsilon_catalog_values():
 
 def test_g_step_p2_is_exact_gradient_step():
     f = DiagonalQuadratic((1.0, 1.0))
-    y, cert = g_step(f, np.array([1.0, 0.0]), StepConfig(2, 1.0, 1.0))
+    y, _, cert = g_step(f, np.array([1.0, 0.0]), StepConfig(2, 1.0, 1.0))
     np.testing.assert_array_equal(y, np.zeros(2))  # unit quadratic, one step
     assert cert.residual == 0.0
     assert cert.ok
@@ -92,14 +92,14 @@ def test_g_step_p2_formula_bitwise():
     f = builtin_problems()["quadratic"]
     x = np.array([0.7, -0.4])
     cfg = StepConfig(2, 0.1, 2.0)
-    y, _ = g_step(f, x, cfg)
+    y, _, _ = g_step(f, x, cfg)
     np.testing.assert_array_equal(y, x - (cfg.epsilon / cfg.N) * f.gradient(x))
 
 
 def test_g_step_p3_scalar_oracle():
     f = DiagonalQuadratic((1.0,))
     cfg = StepConfig(3, 1.0, 2.0)
-    y, cert = g_step(f, np.array([1.0]), cfg)
+    y, _, cert = g_step(f, np.array([1.0]), cfg)
     assert abs(y[0] - 0.5) < 1e-9
     # brute force the same subproblem on a grid
     us = np.linspace(-2.0, 0.0, 40001)
@@ -113,7 +113,7 @@ def test_g_step_p3_scalar_oracle():
 def test_g_step_fixed_point_at_minimizer(p):
     f = builtin_problems()["quadratic"]
     cfg = StepConfig(p, smoothness_epsilon(f, p), 2.0)
-    y, cert = g_step(f, np.zeros(2), cfg)
+    y, _, cert = g_step(f, np.zeros(2), cfg)
     np.testing.assert_array_equal(y, np.zeros(2))
     assert cert.residual == 0.0
     assert cert.move_norm == 0.0
@@ -130,7 +130,7 @@ def test_g_step_minimizes_the_model(key, p):
     rng = np.random.default_rng(RNG_SEED)
     d = f.minimizer.size
     x = rng.normal(size=d)
-    y, cert = g_step(f, x, cfg)
+    y, _, cert = g_step(f, x, cfg)
     base = reg_model_value(f, x, y, cfg)
     for scale in (1e-3, 1e-2, 1e-1):
         for _ in range(60):
@@ -146,7 +146,7 @@ def test_g_step_p4_pure_quadratic_residual():
     f = builtin_problems()["quadratic"]
     cfg = StepConfig(4, 1.0, 2.0)
     x = np.array([1.0, 1.0])
-    y, cert = g_step(f, x, cfg)
+    y, _, cert = g_step(f, x, cfg)
     assert cert.residual <= 1e-10 * (1.0 + float(np.linalg.norm(f.gradient(x))))
     g = f.gradient(x)
     H = f.hessian_dense(x)
@@ -161,8 +161,8 @@ def test_g_step_deterministic(p):
     f = builtin_problems()[key]
     cfg = StepConfig(p, smoothness_epsilon(f, p), 2.0)
     x = np.array([0.9, -0.3, 0.4])
-    y1, _ = g_step(f, x, cfg)
-    y2, _ = g_step(f, x, cfg)
+    y1, _, _ = g_step(f, x, cfg)
+    y2, _, _ = g_step(f, x, cfg)
     assert float(np.max(np.abs(y1 - y2))) <= 1e-12
 
 
@@ -180,7 +180,7 @@ def test_g_step_checks_derivative_order():
     with pytest.raises(CapabilityError):
         g_step(GradOnly(), np.array([1.0]), StepConfig(3, 1.0, 2.0))
     # p = 2 needs only the gradient and must still work
-    y, _ = g_step(GradOnly(), np.array([1.0]), StepConfig(2, 1.0, 1.0))
+    y, _, _ = g_step(GradOnly(), np.array([1.0]), StepConfig(2, 1.0, 1.0))
     np.testing.assert_array_equal(y, np.zeros(1))
 
 
@@ -224,8 +224,7 @@ def test_certificate_input_errors_and_copies():
     for y in ([0.5, math.nan], [0.5, math.inf], [0.5, 0.0, 0.0]):
         with pytest.raises(InputError):
             verify_step_progress(f, x, y, cfg)
-    cert = verify_step_progress(f, x, [0.5, 0.0], cfg)
-    assert cert.y.tolist() == [0.5, 0.0]
+    assert verify_step_progress(f, x, [0.5, 0.0], cfg).move_norm == 0.5
 
     class Exploding(DiagonalQuadratic):
         def gradient(self, x):
@@ -234,9 +233,13 @@ def test_certificate_input_errors_and_copies():
     # the step lands on a non-finite point, which the certificate rejects
     with pytest.raises(InputError, match="non-finite"):
         g_step(Exploding((1.0, 1.0)), np.array(x), cfg)
-    y, cert = g_step(f, np.array(x), cfg)
-    y[0] = 7.0
-    assert cert.y[0] != 7.0 and cert.x.tolist() == x
+    # the returned y is a new array, at a stationary point too
+    for start in (x, [0.0, 0.0]):
+        x_arr = np.array(start)
+        y, gy, _ = g_step(f, x_arr, cfg)
+        np.testing.assert_array_equal(gy, f.gradient(y))
+        y[0] = 7.0
+        assert x_arr.tolist() == start
 
 
 def test_verify_step_progress_flags_overlarge_epsilon():
@@ -245,7 +248,7 @@ def test_verify_step_progress_flags_overlarge_epsilon():
     f = builtin_problems()["quadratic"]
     x = np.array([1.0, 1.0])
     cfg = StepConfig(2, 10.0, 2.0)
-    y, cert = g_step(f, x, cfg)
+    y, _, cert = g_step(f, x, cfg)
     assert not cert.ok
     assert cert.progress < cert.progress_lower
 
@@ -270,7 +273,7 @@ def test_step_progress_sweep(p, N):
         d = f.minimizer.size
         for i in range(100):
             x = rng.normal(size=d) * (0.3, 1.0, 3.0)[i % 3]
-            y, cert = g_step(f, x, cfg)
+            y, _, cert = g_step(f, x, cfg)
             assert cert.progress >= cert.progress_lower - 1e-8, (key, p, N, i)
             assert cert.move_lo - 1e-8 <= cert.move_norm, (key, p, N, i)
             assert cert.move_norm <= cert.move_hi + 1e-8, (key, p, N, i)
@@ -365,7 +368,7 @@ def test_secular_shortcut_region_with_a_live_regularizer_is_certified():
     assert abs(r - 1.0) <= 1e-12
     np.testing.assert_allclose(u, [-x[0], -1.0], rtol=1e-12, atol=0)
     assert verify_step_progress(f, x, x + u, cfg).ok
-    y, cert = g_step(f, x, cfg)
+    y, _, cert = g_step(f, x, cfg)
     assert cert.ok and np.array_equal(y, x + u)
 
 
@@ -386,7 +389,7 @@ def test_g_step_at_tiny_point_of_quadratic_power_norm():
     f = builtin_problems()["power_2"]
     x = np.array([1e-160, 0.0, 0.0])
     try:
-        y, cert = g_step(f, x, StepConfig(3, 0.5, 2.0))
+        y, _, cert = g_step(f, x, StepConfig(3, 0.5, 2.0))
     except SolverError:
         return
     assert np.all(np.isfinite(y)) and cert.ok
