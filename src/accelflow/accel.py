@@ -27,13 +27,12 @@ guarantees.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core.mirrors import EuclideanMap, MirrorMap, ScaledPthPowerMap
-from .core.numerics import norm, rising_factorial
+from .core.numerics import LOG_FLOAT_MAX, norm, rising_factorial
 from .core.oracles import ObjectiveOracle
 from .core.points import Point, as_point
 from .errors import CapabilityError, InputError, SolverError
@@ -543,7 +542,12 @@ def accelerated(f: ObjectiveOracle, cfg: AccelConfig, K: int) -> RunRecord:
     d = x0.size
     x_star = f.minimizer
     f_star = f.min_value
-    dh_star = h.bregman(x_star, x0) if x_star is not None else None
+    try:
+        h_x0 = h.value(x0)  # D_h(z, x0) = h(z) - h(x0) - <w0, z - x0>
+        dh_star = h.bregman(x_star, x0) if x_star is not None else None
+    except OverflowError:
+        raise InputError(f"h(x0) or D_h(x*, x0) overflows a float under the mirror "
+                         f"map {h.name}; start nearer the minimizer") from None
 
     m = K + 1  # iterations 0..K inclusive
     xs = np.empty((m, d))
@@ -564,7 +568,6 @@ def accelerated(f: ObjectiveOracle, cfg: AccelConfig, K: int) -> RunRecord:
 
     w0 = h.gradient(x0)
     w0_norm = norm(w0)
-    h_x0 = h.value(x0)  # D_h(z, x0) = h(z) - h(x0) - <w0, z - x0>
     w = w0.copy()
     S1 = 0.0
     S2 = np.zeros(d)
@@ -758,9 +761,6 @@ def naive_discretization(
     )
 
 
-_LOG_FLOAT_MAX = math.log(sys.float_info.max)  # e^x is finite iff x <= this
-
-
 def exponential_discretization(
     f: ObjectiveOracle,
     h: MirrorMap,
@@ -788,11 +788,11 @@ def exponential_discretization(
         raise InputError(
             f"need c*delta <= 1 for a convex averaging step, got {c * delta:g}"
         )
-    if c * delta * (K - 1) > _LOG_FLOAT_MAX:
+    if c * delta * (K - 1) > LOG_FLOAT_MAX:
         # the exponent is formed as the loop forms it; the quotient may
         # round either way by one
-        K_max = int(_LOG_FLOAT_MAX / (c * delta)) + 2
-        while c * delta * (K_max - 1) > _LOG_FLOAT_MAX:
+        K_max = int(LOG_FLOAT_MAX / (c * delta)) + 2
+        while c * delta * (K_max - 1) > LOG_FLOAT_MAX:
             K_max -= 1
         raise InputError(
             f"the weight e^(c delta k) overflows at k = {K - 1}; with "

@@ -18,6 +18,9 @@ import numpy as np
 
 from ..errors import CapabilityError, InputError
 
+# the largest x whose e^x is a finite float
+LOG_FLOAT_MAX = math.log(np.finfo(np.float64).max)
+
 
 def norm(v: np.ndarray) -> float:
     """Euclidean norm of a float64 array, bitwise float(np.linalg.norm(v))."""

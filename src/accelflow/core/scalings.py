@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from ..errors import InputError
+from .numerics import LOG_FLOAT_MAX
 
 SCALING_TOL = 1e-10
 
@@ -48,11 +49,15 @@ class ScalingTriple:
 
 def polynomial_triple(p: float, C: float = 1.0, t_min: float = 0.1) -> ScalingTriple:
     """The O(1/t^p) family: alpha = log p - log t, beta = p log t + log C,
-    gamma = p log t. Singular at t = 0, hence valid_from = t_min."""
+    gamma = p log t. Singular at t = 0, hence valid_from = t_min, where
+    e^alpha = p / t is largest; it must be a finite float."""
     if p <= 0 or C <= 0 or t_min <= 0:
         raise InputError("polynomial triple needs p > 0, C > 0, t_min > 0")
     p, C = float(p), float(C)
     logp, logC = math.log(p), math.log(C)
+    if logp - math.log(t_min) > LOG_FLOAT_MAX:
+        raise InputError(f"e^alpha = p / t overflows a float at t = {t_min:g} "
+                         f"with p = {p:g}")
 
     def alpha_beta(t):
         log_t = math.log(t)

@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from ..core.mirrors import MirrorMap
-from ..core.numerics import norm
+from ..core.numerics import LOG_FLOAT_MAX, norm
 from ..core.oracles import ObjectiveOracle
 from ..core.points import as_point
 from ..core.scalings import ScalingTriple, ideal_scaling_check, massless_triple
@@ -22,8 +22,6 @@ from ..errors import CapabilityError, InputError, NumericalError
 from .energy import energy_at
 
 GRADIENT_FLOOR = 1e-12
-# the largest x whose e^x is a finite float
-LOG_FLOAT_MAX = math.log(np.finfo(np.float64).max)
 
 class FlowSystem:
     """ODE system dy/dt = vector_field(t, y) with named equal-size blocks.

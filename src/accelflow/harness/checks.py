@@ -112,11 +112,19 @@ def max_relative_energy_rise(traj) -> float:
     return float(np.max(np.diff(e) / np.maximum(e[:-1], 1e-300)))
 
 
-def worst_gap_over_certificate(traj, triple) -> float:
-    """Largest f-gap over its slackened energy certificate E_{t0} e^{-beta_t}."""
+def worst_gap_over_certificate(traj, triple) -> tuple[float, bool]:
+    """The f-gap against its slackened energy certificate E_{t0} e^{-beta_t}.
+
+    Returns the largest gap over certificate where the certificate is
+    positive, floored at 0.0, and whether gap <= certificate holds at every
+    sample; a zero gap under a zero certificate, a flow that starts at rest
+    at the minimizer, holds.
+    """
     beta = np.array([triple.beta(t) for t in traj.times])
-    certificate = traj.energy[0] * np.exp(-beta)
-    return float(np.max(traj.f_gap / (certificate * (1.0 + POINTWISE_REL_SLACK))))
+    certificate = traj.energy[0] * np.exp(-beta) * (1.0 + POINTWISE_REL_SLACK)
+    positive = certificate > 0.0
+    worst = float(np.max(traj.f_gap[positive] / certificate[positive], initial=0.0))
+    return worst, bool(np.all(traj.f_gap <= certificate))
 
 
 def rescaled_monitor_margins(f, p: int, traj) -> tuple[float, float, float]:
@@ -194,21 +202,28 @@ def limit_distance(traj, limit, check_times) -> float:
 # discrete-method measurements
 
 
-def gap_ratios(f, rec, flow, delta: float, lo: float, hi: float):
-    """Method gap over flow gap at t = delta k, for lo <= t <= hi.
+def gap_ratios(f, rec, flow, delta: float, lo: float, hi: float, factor: float):
+    """Method gap against flow gap at t = delta k, for lo <= t <= hi.
 
-    Returns the times, the ratios and the worst factor max(r, 1/r).
+    The two are within factor when each gap is at most factor times the
+    other, so a pair of zero gaps (a run from the minimizer) holds. Returns
+    the times and ratios of the samples where both gaps are positive, the
+    worst factor max(r, 1/r) over them (1.0 where there is none), and
+    whether every sample holds.
     """
-    times, ratios = [], []
+    times, gaps, flow_gaps = [], [], []
     for k, gap in zip(rec.ks, rec.f_gaps_x):
         t = delta * k
         if lo <= t <= hi:
-            flow_gap = f.value(flow.interp_state(t)[: flow.d]) - f.min_value
             times.append(t)
-            ratios.append(gap / flow_gap)
-    ratios = np.asarray(ratios)
-    worst = float(np.max(np.maximum(ratios, 1.0 / ratios)))
-    return np.asarray(times), ratios, worst
+            gaps.append(gap)
+            flow_gaps.append(f.value(flow.interp_state(t)[: flow.d]) - f.min_value)
+    times, gaps, flow_gaps = np.asarray(times), np.asarray(gaps), np.asarray(flow_gaps)
+    holds = bool(np.all((gaps <= factor * flow_gaps) & (flow_gaps <= factor * gaps)))
+    positive = (gaps > 0.0) & (flow_gaps > 0.0)
+    ratios = gaps[positive] / flow_gaps[positive]
+    worst = float(np.max(np.maximum(ratios, 1.0 / ratios), initial=1.0))
+    return times[positive], ratios, worst, holds
 
 
 def _gaps(rec):

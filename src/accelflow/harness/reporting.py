@@ -17,8 +17,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from jsonschema import ValidationError as _SchemaValidationError
-from jsonschema import validate as _jsonschema_validate
 
 from ..errors import InputError
 
@@ -189,10 +187,16 @@ class ReportSummary:
 
 
 def validate_summary(doc: dict) -> None:
-    """jsonschema validation against the pinned summary layout."""
+    """jsonschema validation against the pinned summary layout.
+
+    jsonschema is imported here, not at the top, so that a run that writes
+    no summary never loads it.
+    """
+    from jsonschema import ValidationError, validate
+
     try:
-        _jsonschema_validate(instance=doc, schema=SUMMARY_SCHEMA)
-    except _SchemaValidationError as exc:
+        validate(instance=doc, schema=SUMMARY_SCHEMA)
+    except ValidationError as exc:
         raise InputError(f"summary document violates its schema: {exc.message}") from exc
 
 

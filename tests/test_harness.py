@@ -671,6 +671,43 @@ def test_cli_flow_out_of_float_range_is_exit_two(tmp_path, capsys, doc, message)
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, doc, message", [
+    ("optimize", {"problem": "quadratic", "x0": [1e154, 1.0],
+                  "method": {"algorithm": "accelerated", "p": 3, "K": 20}},
+     "D_h(x*, x0) overflows a float"),
+    ("naive-demo", {"problem": "quadratic", "x0": [1e154, 1.0],
+                    "method": {"p": 3, "K": 20}},
+     "D_h(x*, x0) overflows a float"),
+    ("flow", {"method": {"family": "polynomial", "p": 1e308, "C": 7}},
+     "e^alpha = p / t overflows a float at t = 0.1"),
+], ids=["accelerated_far_x0", "naive_demo_far_x0", "polynomial_flow_huge_p"])
+def test_cli_inputs_that_overflow_are_exit_two(tmp_path, capsys, command, doc, message):
+    # each overflowed a Python float (exit 3); now it is rejected before any
+    # run, so no file is written
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and message in err
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("command, doc, check", [
+    ("compare", {"x0": [0, 0]}, "within_factor"),
+    ("flow", {"x0": [0, 0], "method": {"family": "exponential", "c": 1.0,
+                                       "mirror": "scaled_power_3"}},
+     "pointwise_certificate"),
+], ids=["compare", "exponential_flow"])
+def test_cli_run_from_the_minimizer_passes(tmp_path, capsys, command, doc, check):
+    # every gap is 0, and so is its flow gap or certificate: 0 <= 0 holds
+    code, summary = _run_cli(tmp_path, capsys, command, doc)
+    assert code == 0
+    result = next(c for c in summary["checks"] if c["name"] == check)
+    assert result["status"] == "pass"
+    assert math.isfinite(result["measured"]) and result["measured"] <= result["bound"]
+
+
 def _run_cli(tmp_path, capsys, command, doc):
     """Exit code and summary.json of one CLI run writing under tmp_path."""
     path = tmp_path / "cfg.json"
@@ -899,6 +936,30 @@ def test_p3_and_p4_runs_import_no_scipy(tmp_path):
     proc = _cli_process("-c", _NO_SCIPY_CHILD, *paths)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[0, 0] []"
+
+
+_LAZY_IMPORTS_CHILD = """
+import sys
+import accelflow.harness.cli
+print(sorted(m for m in sys.modules
+             if m.split(".")[0] in ("jsonschema", "concurrent", "multiprocessing")))
+from accelflow.errors import InputError
+from accelflow.harness import validate_summary
+try:
+    validate_summary({"kind": "flow"})
+except InputError as exc:
+    print("InputError:", exc)
+"""
+
+
+def test_cli_import_loads_neither_jsonschema_nor_the_pool():
+    # a run that writes no summary and runs no suite needs neither; both are
+    # imported by the one function that uses them
+    proc = _cli_process("-c", _LAZY_IMPORTS_CHILD)
+    assert proc.returncode == 0, proc.stderr
+    loaded, validated = proc.stdout.splitlines()
+    assert loaded == "[]"
+    assert validated.startswith("InputError: summary document violates its schema")
 
 
 def test_source_imports_only_declared_dependencies():
