@@ -56,7 +56,7 @@ def taylor_model(f, x, order: int, y) -> float:
     d = y - x
     val = f.value(x) + float(f.gradient(x) @ d)
     if order >= 2:
-        val += 0.5 * float(d @ f.hessian_apply(x, d))
+        val += 0.5 * float(d @ (f.hessian_dense(x) @ d))
     if order >= 3:
         val += float(f.third_apply(x, d, d) @ d) / 6.0
     return val

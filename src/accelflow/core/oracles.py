@@ -1,6 +1,9 @@
 """Objective oracles: convex benchmark functions with analytic derivatives.
 
-Each oracle exposes derivatives up to derivative_order (at most 3), declared
+An oracle implements value and gradient, and up to its derivative_order (at
+most 3) hessian_dense (the d x d matrix nabla^2 f(x), the one definition of
+the Hessian: a Hessian-vector product is hessian_dense(x) @ v) and
+third_apply (the vector nabla^3 f(x)[u, v, .]). It also declares
 smoothness constants L_s (Lipschitz constants of nabla^s f, possibly
 conservative: a larger declared constant is always valid), optional uniform
 convexity (p, sigma) certifying D_f(y,x) >= (sigma/p)||y-x||^p, and the exact
@@ -19,7 +22,8 @@ from .points import Point, as_point
 CATALOG_SEED = 1723
 
 class ObjectiveOracle:
-    """Base class for objectives. Subclasses fill in values and derivatives."""
+    """Base class for objectives: a subclass implements value, gradient and,
+    up to its derivative_order, hessian_dense and third_apply."""
 
     name = "objective"
     derivative_order = 1
@@ -34,9 +38,6 @@ class ObjectiveOracle:
 
     def gradient(self, x: Point) -> Point:
         raise NotImplementedError
-
-    def hessian_apply(self, x: Point, v: Point) -> Point:
-        raise CapabilityError(f"{self.name} has no second derivatives")
 
     def hessian_dense(self, x: Point) -> np.ndarray:
         raise CapabilityError(f"{self.name} has no second derivatives")
@@ -73,8 +74,7 @@ class ObjectiveOracle:
         q, sigma = self.uniform_convexity
         if sigma <= 0:
             return None
-        gap = self.value(x) - self.min_value
-        return (q * max(gap, 0.0) / sigma) ** (1.0 / q)
+        return (q * max(self.gap(x), 0.0) / sigma) ** (1.0 / q)
 
 
 class DiagonalQuadratic(ObjectiveOracle):
@@ -106,9 +106,6 @@ class DiagonalQuadratic(ObjectiveOracle):
 
     def gradient(self, x):
         return self.lam * np.asarray(x, dtype=np.float64)
-
-    def hessian_apply(self, x, v):
-        return self.lam * np.asarray(v, dtype=np.float64)
 
     def hessian_dense(self, x):
         return np.diag(self.lam)
@@ -150,9 +147,6 @@ class LeastSquares(ObjectiveOracle):
 
     def gradient(self, x):
         return self.A.T @ (self.A @ np.asarray(x, dtype=np.float64) - self.b)
-
-    def hessian_apply(self, x, v):
-        return self.gram @ np.asarray(v, dtype=np.float64)
 
     def hessian_dense(self, x):
         return self.gram.copy()
@@ -206,11 +200,6 @@ class LogSumExp(ObjectiveOracle):
         pi = self._weights(x)[2]
         return self.A.T @ pi
 
-    def hessian_apply(self, x, v):
-        pi = self._weights(x)[2]
-        s = self.A @ np.asarray(v, dtype=np.float64)
-        return self.A.T @ (pi * s) - float(pi @ s) * (self.A.T @ pi)
-
     def hessian_dense(self, x):
         pi = self._weights(x)[2]
         ap = self.A.T @ pi
@@ -258,9 +247,6 @@ class PowerNorm(ObjectiveOracle):
     def gradient(self, x):
         return self._power.gradient(x)
 
-    def hessian_apply(self, x, v):
-        return self.hessian_dense(x) @ np.asarray(v, dtype=np.float64)
-
     def hessian_dense(self, x):
         return self._power.hessian_dense(x)
 
@@ -297,9 +283,6 @@ class ZeroObjective(ObjectiveOracle):
         return 0.0
 
     def gradient(self, x):
-        return np.zeros(len(x))
-
-    def hessian_apply(self, x, v):
         return np.zeros(len(x))
 
     def hessian_dense(self, x):

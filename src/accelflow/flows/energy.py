@@ -10,26 +10,25 @@ from ..errors import InputError
 
 
 def energy_at(h, f, s, t: float, X, W, x_star) -> float:
-    """Certificate value E_t = D_h(x*, Z) + e^{beta_t} (f(X) - f(x*)).
+    """Certificate value E_t = D_h(x*, Z) + e^{beta_t} f.gap(X).
 
     Z = X + e^{-alpha} X_dot is recovered from the dual state as
     Z = grad h*(W), so the velocity never needs to be reconstructed.
     Nonincreasing along ideally scaled variational flows.
     """
     z = h.dual_gradient(np.asarray(W, dtype=np.float64))
-    return h.bregman(x_star, z) + math.exp(s.beta(t)) * (
-        f.value(X) - f.value(x_star)
-    )
+    return h.bregman(x_star, z) + math.exp(s.beta(t)) * f.gap(X)
 
 
-def rescaled_flow_energy(f, p: int, t: float, X, x_star) -> tuple[float, float]:
+def rescaled_flow_energy(f, p: int, t: float, X) -> tuple[float, float]:
     """The two descent monitors for the rescaled gradient flow.
 
-    primary = gap^{-1/(p-1)}, which grows at least linearly in t along the
-    flow (+inf once the gap is nonpositive); alternative = t^p * gap, whose
-    increments are bounded by (p-1)^{p-1} R^p per unit time.
+    With gap = f.gap(X): primary = gap^{-1/(p-1)}, which grows at least
+    linearly in t along the flow (+inf once the gap is nonpositive);
+    alternative = t^p * gap, whose increments are bounded by
+    (p-1)^{p-1} R^p per unit time.
     """
-    gap = f.value(X) - f.value(x_star)
+    gap = f.gap(X)
     primary = math.inf if gap <= 0.0 else gap ** (-1.0 / (p - 1.0))
     return primary, float(t) ** p * gap
 

@@ -68,8 +68,20 @@ class FlowSystem:
         return self.objective.gap(state[:d])
 
 
-def _probe_grid(valid_from: float):
-    return [valid_from + dt for dt in (0.01, 0.1, 1.0, 10.0)]
+def _require_ideal_damping(s: ScalingTriple, form: str) -> None:
+    """InputError unless gamma_dot = e^alpha at four times past s.valid_from."""
+    report = ideal_scaling_check(s, [s.valid_from + dt for dt in (0.01, 0.1, 1.0, 10.0)])
+    if not report.gamma_ok:
+        raise InputError(
+            "scaling triple violates gamma_dot = e^alpha "
+            f"(max defect {report.max_gamma_defect:.3e}); "
+            f"the {form} is only valid under it"
+        )
+
+
+def _require_mirror_hessian(h: MirrorMap, user: str) -> None:
+    if type(h).hessian_dense is MirrorMap.hessian_dense:
+        raise CapabilityError(f"{h.name} provides no dense Hessian; the {user} needs it")
 
 
 def _dimension(f: ObjectiveOracle, h: MirrorMap) -> int | None:
@@ -99,13 +111,7 @@ def build_el_system(h: MirrorMap, f: ObjectiveOracle, s: ScalingTriple,
     can represent.
     """
     dimension = _dimension(f, h)
-    report = ideal_scaling_check(s, _probe_grid(s.valid_from))
-    if not report.gamma_ok:
-        raise InputError(
-            "scaling triple violates gamma_dot = e^alpha "
-            f"(max defect {report.max_gamma_defect:.3e}); "
-            "the (X, W) reduction is only valid under it"
-        )
+    _require_ideal_damping(s, "(X, W) reduction")
 
     def field(t, y):
         d = y.size // 2
@@ -127,7 +133,7 @@ def build_el_system(h: MirrorMap, f: ObjectiveOracle, s: ScalingTriple,
         return np.concatenate([x0, h.gradient(x0)])
 
     energy = None
-    if f.minimizer is not None:
+    if f.minimizer is not None and f.min_value is not None:
         x_star = f.minimizer
 
         def energy(t, y):
@@ -157,14 +163,9 @@ def build_hamiltonian_system(h: MirrorMap, f: ObjectiveOracle,
     Needs the mirror Hessian, hence the capability check. Initial state
     (x0, 0), which matches the (X, W) system's zero initial velocity.
     """
-    if type(h).hessian_dense is MirrorMap.hessian_dense:
-        raise CapabilityError(
-            f"{h.name} provides no dense Hessian; the momentum equation needs it"
-        )
+    _require_mirror_hessian(h, "momentum equation")
     dimension = _dimension(f, h)
-    report = ideal_scaling_check(s, _probe_grid(s.valid_from))
-    if not report.gamma_ok:
-        raise InputError("scaling triple violates gamma_dot = e^alpha")
+    _require_ideal_damping(s, "(X, P) form")
 
     def field(t, y):
         d = y.size // 2
@@ -186,7 +187,7 @@ def build_hamiltonian_system(h: MirrorMap, f: ObjectiveOracle,
         return np.concatenate([x0, np.zeros_like(x0)])
 
     energy = None
-    if f.minimizer is not None:
+    if f.minimizer is not None and f.min_value is not None:
         x_star = f.minimizer
 
         def energy(t, y):
@@ -224,8 +225,7 @@ def build_rescaled_gradient_flow(f: ObjectiveOracle, p: float) -> FlowSystem:
 def build_natural_gradient_flow(h: MirrorMap, f: ObjectiveOracle) -> FlowSystem:
     """X_dot solves grad^2 h(X) v = -grad f(X): steepest descent in the
     Hessian metric of h, and the m -> 0 limit of the massless flow."""
-    if type(h).hessian_dense is MirrorMap.hessian_dense:
-        raise CapabilityError(f"{h.name} provides no dense Hessian")
+    _require_mirror_hessian(h, "natural gradient field")
     dimension = _dimension(f, h)
 
     def field(t, y):

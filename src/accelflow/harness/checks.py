@@ -136,11 +136,11 @@ def rescaled_monitor_margins(f, p: int, traj) -> tuple[float, float, float]:
     at least PRIMARY_MONITOR_FLOOR. The t^p-weighted gap's increments must
     stay under (p-1)^{p-1} R^p dt + MONITOR_ABS_SLACK; that margin holds when
     nonnegative. R is the level-set radius through the initial state. Needs
-    the problem's minimizer.
+    the problem's minimum value.
     """
     R = f.level_set_radius(traj.states[0][: traj.d])
     monitors = np.array([
-        rescaled_flow_energy(f, p, t, state[: traj.d], f.minimizer)
+        rescaled_flow_energy(f, p, t, state[: traj.d])
         for t, state in zip(traj.times, traj.states)
     ])
     primary, alternative = monitors[:, 0], monitors[:, 1]
@@ -217,7 +217,7 @@ def gap_ratios(f, rec, flow, delta: float, lo: float, hi: float, factor: float):
         if lo <= t <= hi:
             times.append(t)
             gaps.append(gap)
-            flow_gaps.append(f.value(flow.interp_state(t)[: flow.d]) - f.min_value)
+            flow_gaps.append(f.gap(flow.interp_state(t)[: flow.d]))
     times, gaps, flow_gaps = np.asarray(times), np.asarray(gaps), np.asarray(flow_gaps)
     holds = bool(np.all((gaps <= factor * flow_gaps) & (flow_gaps <= factor * gaps)))
     positive = (gaps > 0.0) & (flow_gaps > 0.0)

@@ -92,7 +92,7 @@ class ExperimentConfig:
                 f"unknown experiment kind {self.kind!r}; choose from {EXPERIMENT_KINDS}"
             )
         problems = builtin_problems()
-        if self.problem not in problems:
+        if not isinstance(self.problem, str) or self.problem not in problems:
             raise InputError(
                 f"unknown problem id {self.problem!r}; "
                 f"catalog has {sorted(problems)}"
@@ -135,10 +135,11 @@ class ExperimentConfig:
                 f"unknown integration controls {sorted(unknown)}; "
                 f"admitted: {sorted(_INTEGRATION_KEYS)}"
             )
-        if self.x0 is not None:
-            arr = np.asarray(self.x0, dtype=np.float64)
-            if arr.ndim != 1 or arr.size == 0 or not np.all(np.isfinite(arr)):
-                raise InputError("x0 must be a non-empty list of finite numbers")
+        if self.x0 is not None and not (
+            isinstance(self.x0, (list, tuple)) and self.x0
+            and all(math.isfinite(as_real("x0 coordinate", v)) for v in self.x0)
+        ):
+            raise InputError("x0 must be a non-empty list of finite numbers")
         if self.window is not None:
             if (self.kind, variant) not in _WINDOW_USERS:
                 raise InputError(
@@ -147,7 +148,8 @@ class ExperimentConfig:
             if (
                 not isinstance(self.window, (list, tuple))
                 or len(self.window) != 2
-                or not self.window[0] < self.window[1]
+                or not as_real("window lo", self.window[0])
+                < as_real("window hi", self.window[1])
             ):
                 raise InputError(f"window must be [lo, hi] with lo < hi, got {self.window!r}")
         if not isinstance(self.seed, int) or isinstance(self.seed, bool) or self.seed < 0:

@@ -25,6 +25,7 @@ from ..accel import (
     restart_accelerated,
 )
 from ..core import EuclideanMap, exponential_triple, polynomial_triple
+from ..core.numerics import LOG_FLOAT_MAX
 from ..core.points import as_real
 from ..errors import InputError
 from ..flows import (
@@ -101,7 +102,7 @@ def _slope_check(traj, window, limit) -> CheckResult:
 
 def _energy_check(traj) -> CheckResult:
     if traj.energy is None:
-        return CheckResult("energy_monotone", "skip", detail="problem declares no x*")
+        return CheckResult("energy_monotone", "skip", detail="problem declares no x* or no f*")
     rise = max_relative_energy_rise(traj)
     return CheckResult(
         name="energy_monotone",
@@ -228,13 +229,23 @@ def _run_flow(cfg: ExperimentConfig, emit: ArtifactWriter) -> list[CheckResult]:
 
 
 def _rescaled_monitor_checks(f, p: int, traj) -> list[CheckResult]:
-    """The two descent monitors, where the problem declares a minimizer and
-    certifies the level-set radius through the initial point."""
+    """The two descent monitors, where the problem declares f* and certifies
+    the level-set radius R through x0, and where their largest terms fit a
+    float: t^p (f(x0) - f*), which bounds t^p (f(X) - f*) along the
+    descending flow, and the increment cap (p-1)^(p-1) R^p (t_end - t0)."""
     missing = None
-    if f.minimizer is None:
-        missing = "problem declares no minimizer; monitors need x*"
-    elif f.level_set_radius(traj.states[0][: traj.d]) is None:
+    R = f.level_set_radius(traj.states[0][: traj.d])
+    if f.min_value is None:
+        missing = "problem declares no minimum value; monitors need f*"
+    elif R is None:
         missing = "problem certifies no level-set radius at x0; monitors need R"
+    else:
+        t0, t_end = traj.times[0], traj.times[-1]
+        ln = lambda v: math.log(max(v, 1.0))  # noqa: E731
+        top = max(p * ln(t_end) + ln(traj.f_gap[0]),
+                  (p - 1.0) * ln(p - 1.0) + p * ln(R) + ln(t_end - t0))
+        if not top <= LOG_FLOAT_MAX:
+            missing = f"the monitors' terms reach e^{top:.6g}, beyond the float range"
     if missing is not None:
         return [CheckResult(name=name, status="skip", detail=missing)
                 for name in ("primary_monitor", "alternative_monitor")]

@@ -108,7 +108,7 @@ def _model_gradient(f, x: Point, g: Point, u: Point, cfg: StepConfig) -> Point:
     r = norm(u)
     out = g + s * r ** (cfg.p - 2.0) * u
     if cfg.p >= 3:
-        out = out + f.hessian_apply(x, u)
+        out = out + f.hessian_dense(x) @ u
     if cfg.p == 4:
         out = out + 0.5 * f.third_apply(x, u, u)
     return out
@@ -191,9 +191,13 @@ def _secular_displacement(eigvals, eigvecs, g, scale: float, power: int,
     Brent's method (_brentq) finds the root in (1e-16 r_hi, r_hi]; when it
     lies lower still, the bracket moves down by factors of 1e-16 until phi
     changes sign (or 1e-300 is passed). Raises SolverError when no bracket
-    holds a root (for example, a non-finite gradient makes phi NaN) or the
-    root is not found in BRENT_MAXITER iterations.
+    holds a root (for example, a non-finite gradient makes phi NaN, and a
+    gradient whose norm overflows leaves r_hi infinite) or the root is not
+    found in BRENT_MAXITER iterations.
     """
+    if not r_hi < math.inf:
+        raise SolverError(f"secular solve found no root bracket: the bound "
+                          f"r_hi = {r_hi!r} is not finite", residual=float("nan"))
     lam = np.maximum(eigvals, 0.0)
     coords = eigvecs.T @ g
 

@@ -211,9 +211,6 @@ def test_descent_solver_error_truncates_record():
         def hessian_dense(self, x):
             return np.diag([1.0, -1.0])
 
-        def hessian_apply(self, x, v):
-            return self.hessian_dense(x) @ v
-
         def third_apply(self, x, u, v):
             return np.zeros(2)
 

@@ -148,9 +148,9 @@ def test_el_rejects_broken_damping():
         gamma_dot=lambda t: 1.0,
         valid_from=0.1,
     )
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="max defect"):
         build_el_system(EuclideanMap(), quadratic_2d(), bad)
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="max defect"):
         build_hamiltonian_system(EuclideanMap(), quadratic_2d(), bad)
 
 
@@ -823,7 +823,7 @@ def test_rescaled_flow_primary_monitor_rate():
     xs = traj.block("X")
     radius = float(np.max(np.linalg.norm(xs, axis=1)))
     primary = np.array(
-        [rescaled_flow_energy(f, p, t, x, f.minimizer)[0]
+        [rescaled_flow_energy(f, p, t, x)[0]
          for t, x in zip(traj.times, xs)]
     )
     assert np.all(np.diff(primary) > 0)

@@ -693,6 +693,59 @@ def test_cli_inputs_that_overflow_are_exit_two(tmp_path, capsys, command, doc, m
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize("doc, message", [
+    ({"problem": [1.0]}, "unknown problem id"),
+    ({"problem": {}}, "unknown problem id"),
+    ({"x0": "a"}, "x0 must be a non-empty list"),
+    ({"x0": [1.0, "quadratic"]}, "x0 coordinate must be a number"),
+    ({"x0": [[], 1.0]}, "x0 coordinate must be a number"),
+    ({"x0": [10**400, 1.0]}, "x0 coordinate is out of the float range"),
+    ({"window": [[1.0], 3]}, "window lo must be a number"),
+    ({"window": [1, [1e308, 1]]}, "window hi must be a number"),
+], ids=["problem_list", "problem_dict", "x0_string", "x0_string_coordinate",
+        "x0_nested_list", "x0_huge_int", "window_list_lo", "window_list_hi"])
+def test_cli_config_values_of_the_wrong_type_are_exit_two(tmp_path, capsys, doc, message):
+    # each raised TypeError, ValueError or OverflowError in validation (exit 3)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"method": {"family": "rescaled"}, **doc}))
+    assert main(["flow", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and message in err
+
+
+@pytest.mark.parametrize("p", [3, 4])
+def test_cli_step_whose_gradient_norm_overflows_is_a_solver_failure(tmp_path, p):
+    # grad f(x0) = (1e308, 10) is finite, but its norm overflows, so the
+    # secular solve's bracket bound r_hi is infinite; the bracket search
+    # never ended. A child process with a timeout keeps a regression from
+    # hanging the suite.
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"x0": [1e308, 1.0],
+                                "method": {"algorithm": "descent", "p": p, "K": 20}}))
+    out = tmp_path / "out"
+    proc = _cli_process("-W", "ignore", "-m", "accelflow.harness.cli", "optimize",
+                        "--config", str(path), "--out", str(out), timeout=60)
+    assert proc.returncode == 1, proc.stderr
+    check = json.loads((out / "summary.json").read_text())["checks"][0]
+    assert (check["name"], check["status"]) == ("run_completed", "fail")
+    term = check["extras"]["termination"]
+    assert (term["status"], term["k"]) == ("solver_error", 0)
+    assert "r_hi = inf is not finite" in term["message"]
+
+
+def test_cli_rescaled_flow_whose_monitors_overflow_skips_them(tmp_path, capsys):
+    # (p-1)^(p-1) = 999^999 overflowed a Python float in the monitors (exit 3)
+    code, summary = _run_cli(tmp_path, capsys, "flow", {
+        "method": {"family": "rescaled", "p": 1000.0},
+        "integration": {"t_end": 3, "steps": 3000},
+    })
+    assert code == 1  # the rate fit fails; its verdict is the run's
+    statuses = {c["name"]: (c["status"], c["detail"]) for c in summary["checks"]}
+    for name in ("primary_monitor", "alternative_monitor"):
+        status, detail = statuses[name]
+        assert status == "skip" and "beyond the float range" in detail
+
+
 @pytest.mark.parametrize("command, doc, check", [
     ("compare", {"x0": [0, 0]}, "within_factor"),
     ("flow", {"x0": [0, 0], "method": {"family": "exponential", "c": 1.0,

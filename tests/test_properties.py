@@ -31,11 +31,19 @@ The scaled map d_p only has to invert its gradient: its dual gradient
 rounds differently from the formula it replaced. Each catalog oracle's
 gradient, Hessian and third derivative must match central differences to
 within a bound stated from its declared smoothness constants.
+
+A config with one or two hostile fields, run through the CLI, ends in exit
+0, 1 or 2 and reports no NaN measurement.
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
+import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -68,7 +76,9 @@ from accelflow.core.numerics import (  # noqa: E402
 from accelflow.core.points import as_real  # noqa: E402
 from accelflow.errors import InputError, SolverError  # noqa: E402
 from accelflow.flows import build_el_system, integrate  # noqa: E402
-from accelflow.flows.integrate import DIVERGENCE_THRESHOLD  # noqa: E402
+from accelflow.flows.integrate import DIVERGENCE_THRESHOLD, METHOD_CONTROLS  # noqa: E402
+from accelflow.harness.cli import main  # noqa: E402
+from accelflow.harness.config import METHOD_KEYS  # noqa: E402
 from accelflow.taylorstep import (  # noqa: E402
     RESIDUAL_LIMIT_P4,
     RESIDUAL_TARGET,
@@ -408,9 +418,9 @@ def test_oracle_derivatives_match_central_differences(case):
     else:
         if k == 2:
             psi = lambda y: float(f.gradient(y) @ u)  # noqa: E731
-            exact = float(f.hessian_apply(x, v) @ u)
+            exact = float((f.hessian_dense(x) @ v) @ u)
         else:
-            psi = lambda y: float(f.hessian_apply(y, u) @ w)  # noqa: E731
+            psi = lambda y: float((f.hessian_dense(y) @ u) @ w)  # noqa: E731
             exact = float(f.third_apply(x, u, v) @ w)
         error = abs(exact - central_diff_directional(psi, x, v, e))
         tolerance = _difference_tolerance(f, k, e, psi(x + e * v), psi(x - e * v))
@@ -703,3 +713,74 @@ def test_secular_solve_returns_a_finite_step_or_solver_error(case):
         except SolverError:
             return
     assert np.all(np.isfinite(u))
+
+
+# ---------------------------------------------------------------------------
+# Config fuzz
+#
+# One cheap config per kind or variant (K = 20, accel_K = 20, t_end = 3),
+# with one or two fields set to a hostile value, runs through the CLI
+# in-process. Every config ends in exit 0, 1 or 2, and no check it reports
+# measured NaN (the summary file writes a NaN as null, so the printed
+# summary is read). dilation_check has no cheap config: it always
+# integrates two 20,000-step flows, about 5 s.
+
+FUZZ_BASES = [
+    ("flow", {"method": {"family": "polynomial", "p": 2}, "integration": {"t_end": 3}}),
+    ("flow", {"method": {"family": "exponential"}, "integration": {"t_end": 3}}),
+    ("flow", {"method": {"family": "rescaled"},
+              "integration": {"t_end": 3, "steps": 3000}}),
+    ("flow", {"method": {"family": "massless", "m": 0.1},
+              "integration": {"t_end": 3, "steps": 3000}}),
+    ("optimize", {"method": {"algorithm": "accelerated", "p": 3, "K": 20}}),
+    ("optimize", {"method": {"algorithm": "descent", "p": 3, "K": 20}}),
+    ("optimize", {"method": {"algorithm": "exponential", "K": 20}}),
+    ("compare", {"method": {"delta": 0.1}, "window": [1, 3]}),
+    ("restart", {"method": {"epochs": 2}}),
+    ("naive-demo", {"method": {"K": 20, "accel_K": 20}}),
+]
+FUZZ_KEYS = {
+    "method": sorted(set().union(*METHOD_KEYS.values())),
+    "integration": sorted({"t0", "t_end"}.union(*METHOD_CONTROLS.values())),
+}
+HOSTILE = st.sampled_from([
+    "a", "quadratic", "scaled_power_3", None, [], {}, [1.0], True,
+    0, -1, 0.5, 3, 1e-12, 5e-324, 1e154, 1e308, -1e308, 10**400,
+    math.nan, math.inf, -math.inf,
+])
+
+
+@st.composite
+def _fuzzed_configs(draw):
+    command, base = draw(st.sampled_from(FUZZ_BASES))
+    doc = json.loads(json.dumps(base))
+    for _ in range(draw(st.integers(1, 2))):
+        field = draw(st.sampled_from(("method", "method", "integration", "x0",
+                                      "window", "problem", "seed")))
+        value = draw(HOSTILE)
+        if field in FUZZ_KEYS:
+            doc.setdefault(field, {})[draw(st.sampled_from(FUZZ_KEYS[field]))] = value
+        elif field == "x0":
+            doc["x0"] = draw(st.sampled_from((value, [value, 1.0])))
+        elif field == "window":
+            doc["window"] = draw(st.sampled_from((value, [1.0, value])))
+        elif field == "problem":
+            doc["problem"] = draw(st.sampled_from(sorted(PROBLEMS)) | st.just(value))
+        else:
+            doc["seed"] = value
+    return command, doc
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_fuzzed_configs())
+def test_every_config_ends_in_exit_zero_one_or_two(case):
+    command, doc = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps(doc))
+        printed = io.StringIO()
+        with contextlib.redirect_stdout(printed), contextlib.redirect_stderr(io.StringIO()), \
+                np.errstate(all="ignore"):
+            code = main([command, "--config", str(path), "--out", str(Path(tmp) / "out")])
+    assert code in (0, 1, 2), (command, doc, code)
+    assert "measured=nan" not in printed.getvalue(), (command, doc)

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from accelflow import taylorstep
+from accelflow.accel import AccelConfig, accelerated
 from accelflow.core import (
     DiagonalQuadratic,
     ObjectiveOracle,
@@ -198,11 +199,58 @@ def test_g_step_rejects_concave_model():
         def hessian_dense(self, x):
             return -np.eye(len(x))
 
-        def hessian_apply(self, x, v):
-            return -np.asarray(v, dtype=np.float64)
-
     with pytest.raises(SolverError):
         g_step(Concave(), np.array([1.0, 2.0]), StepConfig(3, 1.0, 2.0))
+
+
+class _FourMethods(ObjectiveOracle):
+    """A catalog oracle seen through the four methods of the interface only:
+    value, gradient, hessian_dense and third_apply, with its constants."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        for attr in ("name", "derivative_order", "smoothness", "uniform_convexity",
+                     "minimizer", "min_value", "dimension"):
+            setattr(self, attr, getattr(inner, attr))
+
+    def value(self, x):
+        return self.inner.value(x)
+
+    def gradient(self, x):
+        return self.inner.gradient(x)
+
+    def hessian_dense(self, x):
+        return self.inner.hessian_dense(x)
+
+    def third_apply(self, x, u, v):
+        return self.inner.third_apply(x, u, v)
+
+
+@pytest.mark.parametrize("key, p", [("log_sum_exp", 3), ("least_squares", 3),
+                                    ("power_4", 4), ("quadratic_10d", 4)])
+def test_g_step_certifies_an_oracle_of_four_methods(key, p):
+    # the step is solved and its residual certified against hessian_dense,
+    # so an oracle needs no other Hessian
+    f = _FourMethods(builtin_problems()[key])
+    cfg = StepConfig(p, smoothness_epsilon(f, p), 2.0)
+    rng = np.random.default_rng(11)
+    x = rng.normal(size=f.dimension)
+    for _ in range(5):
+        gnorm = float(np.linalg.norm(f.gradient(x)))
+        x, _, cert = g_step(f, x, cfg)
+        assert cert.ok, (key, p, cert)
+        assert cert.residual <= (taylorstep.RESIDUAL_TARGET * (1.0 + gnorm) if p == 3
+                                 else taylorstep.RESIDUAL_LIMIT_P4)
+
+
+def test_accelerated_certifies_an_oracle_of_four_methods():
+    f = _FourMethods(builtin_problems()["log_sum_exp"])
+    cfg = AccelConfig(p=3, epsilon=smoothness_epsilon(f, 3), x0=np.ones(4))
+    rec = accelerated(f, cfg, 30)
+    assert rec.termination["status"] == "completed"
+    assert rec.certificates.shape == (31,) and rec.certificates["ok"].all()
+    report = rec.invariant_report()
+    assert report and all(entry["ok"] for entry in report.values()), report
 
 
 def test_verify_step_progress_hand_values_p2():
@@ -337,9 +385,6 @@ class _StiffPlusLinear(ObjectiveOracle):
 
     def hessian_dense(self, x):
         return np.diag([self.L, 0.0])
-
-    def hessian_apply(self, x, v):
-        return self.hessian_dense(x) @ v
 
     def third_apply(self, x, u, v):
         return np.zeros(2)
