@@ -1,7 +1,7 @@
 """Continuous-time dynamics: system builders, integration, energies, dilation."""
 
 from .dilation import TimeDilation, dilate_trajectory, dilate_triple
-from .energy import energy_at, fit_rate, rescaled_flow_energy
+from .energy import energy_at, fit_rate
 from .integrate import DIVERGENCE_THRESHOLD, Trajectory, integrate
 from .systems import (
     GRADIENT_FLOOR,
@@ -31,5 +31,4 @@ __all__ = [
     "energy_at",
     "fit_rate",
     "integrate",
-    "rescaled_flow_energy",
 ]

@@ -20,19 +20,6 @@ def energy_at(h, f, s, t: float, X, W, x_star) -> float:
     return h.bregman(x_star, z) + math.exp(s.beta(t)) * f.gap(X)
 
 
-def rescaled_flow_energy(f, p: int, t: float, X) -> tuple[float, float]:
-    """The two descent monitors for the rescaled gradient flow.
-
-    With gap = f.gap(X): primary = gap^{-1/(p-1)}, which grows at least
-    linearly in t along the flow (+inf once the gap is nonpositive);
-    alternative = t^p * gap, whose increments are bounded by
-    (p-1)^{p-1} R^p per unit time.
-    """
-    gap = f.gap(X)
-    primary = math.inf if gap <= 0.0 else gap ** (-1.0 / (p - 1.0))
-    return primary, float(t) ** p * gap
-
-
 def fit_rate(times, gaps, window) -> float:
     """Least-squares slope of log(gap) against log(t) over a time window.
 

@@ -15,6 +15,7 @@ The callers keep their own run parameters, verdicts and detail strings.
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,6 @@ from ..flows import (
     dilate_triple,
     fit_rate,
     integrate,
-    rescaled_flow_energy,
 )
 from .reporting import CheckResult, log_gap_columns, write_plot_data
 
@@ -130,18 +130,19 @@ def worst_gap_over_certificate(traj, triple) -> tuple[float, bool]:
 def rescaled_monitor_margins(f, p: int, traj) -> tuple[float, float, float]:
     """(R, primary margin, alternative margin) of a rescaled gradient flow.
 
-    The inverse-gap monitor must grow at least linearly with constant
+    The inverse-gap monitor gap^{-1/(p-1)} (+inf once the gap is
+    nonpositive) must grow at least linearly with constant
     1/((p-1) R^{p/(p-1)}); its margin is the worst excess over live samples
     (finite monitor, gap above the floor), 0 when none is live, and holds when
-    at least PRIMARY_MONITOR_FLOOR. The t^p-weighted gap's increments must
-    stay under (p-1)^{p-1} R^p dt + MONITOR_ABS_SLACK; that margin holds when
-    nonnegative. R is the level-set radius through the initial state. Needs
-    the problem's minimum value.
+    at least PRIMARY_MONITOR_FLOOR. The increments of the t^p-weighted gap
+    must stay under (p-1)^{p-1} R^p dt + MONITOR_ABS_SLACK; that margin holds
+    when nonnegative. R is the level-set radius through the initial state.
+    The gaps are the ones the trajectory recorded, traj.f_gap.
     """
     R = f.level_set_radius(traj.states[0][: traj.d])
     monitors = np.array([
-        rescaled_flow_energy(f, p, t, state[: traj.d])
-        for t, state in zip(traj.times, traj.states)
+        (math.inf if gap <= 0.0 else gap ** (-1.0 / (p - 1.0)), t**p * gap)
+        for t, gap in zip(traj.times.tolist(), traj.f_gap.tolist())
     ])
     primary, alternative = monitors[:, 0], monitors[:, 1]
     live = np.isfinite(primary) & (traj.f_gap > GAP_FLOOR)

@@ -31,8 +31,8 @@ from .errors import CapabilityError, InputError, SolverError
 CERT_TOL = 1e-8
 RESIDUAL_TARGET = 1e-9  # relative, p in {2, 3}
 RESIDUAL_LIMIT_P4 = 1e-6
-BRENT_RTOL = 4.0 * np.finfo(float).eps
-BRENT_MAXITER = 200
+SECULAR_RTOL = 4.0 * np.finfo(float).eps
+SECULAR_MAXITER = 100
 
 
 def _check_order(p) -> None:
@@ -114,118 +114,77 @@ def _model_gradient(f, x: Point, g: Point, u: Point, cfg: StepConfig) -> Point:
     return out
 
 
-def _brentq(f, xa: float, xb: float, xtol: float, fa: float, fb: float) -> float:
-    """A root of f in [xa, xb] by Brent's method (Brent 1973, ch. 4).
+def _secular_root(lam, coords, scale: float, power: int):
+    """The root r of ||u(r)|| = r, u(r) = coords / (lam + scale r^power), and
+    lam + scale r^power there; lam >= 0 holds H's eigenvalues and coords the
+    gradient g in H's eigenbasis.
 
-    fa and fb are f(xa) and f(xb), which the caller has already evaluated.
-    The floating-point operations and their order are those of scipy's
-    brentq with rtol = BRENT_RTOL and maxiter = BRENT_MAXITER, so the root
-    is the same bit for bit, and f is called two times fewer than there.
-    Each iteration tries inverse quadratic extrapolation (the secant while
-    only two points are distinct) and bisects unless the trial step is
-    short. Raises SolverError when f is NaN at an end or at a point it
-    evaluates, when fa and fb have the same sign, and after BRENT_MAXITER
-    iterations.
+    At the root, r (lam' + scale r^power) = ||g|| for some lam' between
+    min lam and max lam. In units of base = (||g|| / scale)^{1/(power+1)},
+    the root where lam = 0, x = r / base solves x (m + x^power) = 1 with
+    m = lam' / (scale base^power), so 1 / (1 + m) <= x <= min(1, 1 / m)
+    brackets it. Newton's method on log ||u(r)|| - log r (the log form of
+    1/||u(r)|| - 1/r) in log r starts at the lower end: a step multiplies r
+    by (||u(r)|| / r)^{1/(1 + power tau)}, tau in [0, 1] the shift's share
+    of the curvature, and is exact where lam is 0 or dominates the shift.
+    A step that leaves the bracket bisects it. Every quantity the iteration
+    reads is a ratio, u(r) / r, so none under- or overflows near the root.
+    It stops when | ||u(r)|| / r - 1 | <= SECULAR_RTOL or the bracket is two
+    ulps wide. Raises SolverError when ||g|| or scale is 0 or not finite, a
+    value is NaN, the root underflows, or no root is found in
+    SECULAR_MAXITER iterations.
     """
-    def checked(x, fx):
-        if math.isnan(fx):
+    gnorm = norm(coords)
+    if gnorm < 1e-150:  # the squares in norm underflow; hypot rescales
+        gnorm = math.hypot(*coords)
+    if not (0.0 < gnorm < math.inf and 0.0 < scale < math.inf):
+        raise SolverError(f"secular solve found no root bracket: ||g|| = "
+                          f"{gnorm!r} and s = {scale!r}", residual=float("nan"))
+    e = 1.0 / (power + 1.0)
+    base = gnorm**e / scale**e  # the root where lam = 0
+    unit_shift = gnorm / base  # scale base^power
+    lams = lam.tolist()
+    lo = max(base / (1.0 + max(lams) / unit_shift), math.ulp(0.0))
+    hi = base / max(1.0, min(lams) / unit_shift)
+    if not lo <= hi < math.inf:
+        raise SolverError(f"secular solve found no root bracket: [{lo!r}, "
+                          f"{hi!r}]", residual=float("nan"))
+    r = lo
+    # with e = 1/3 rounded, x**e errs by up to |log x| 2^-55 < 2e-14
+    lo, hi = lo * (1.0 - 1e-13), hi * (1.0 + 1e-13)
+    for _ in range(SECULAR_MAXITER):
+        shift = scale * r * r if power == 2 else scale * r  # r**2 raises past 1e154
+        den = lam + shift
+        v = coords / r / den  # u(r) / r
+        vv = float(v.dot(v))
+        if math.isnan(vv):
             raise SolverError(f"secular solve found no root bracket: the "
-                              f"value at r = {x!r} is NaN",
-                              residual=float("nan"))
-        return fx
-
-    xpre, xcur = xa, xb
-    fpre, fcur = checked(xpre, fa), checked(xcur, fb)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if (fpre < 0.0) == (fcur < 0.0):
-        raise SolverError("secular solve found no root bracket: f(a) and "
-                          "f(b) must have different signs",
-                          residual=float("nan"))
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(BRENT_MAXITER):
-        if (fpre < 0.0) != (fcur < 0.0):  # fcur = 0 returns below
-            xblk, fblk = xpre, fpre  # the other end of the bracket
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):  # xcur holds the smaller |f|
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + BRENT_RTOL * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        stry = math.inf  # bisect unless a short trial step is found
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # secant
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # inverse quadratic extrapolation
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                den = dblk * dpre * (fblk - fpre)
-                if den != 0.0:  # C's x / 0 is +-inf or NaN: a bisection
-                    stry = -fcur * (fblk * dblk - fpre * dpre) / den
-        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-            spre, scur = scur, stry
+                              f"value at r = {r!r} is NaN", residual=float("nan"))
+        rho = math.sqrt(vv)
+        if abs(rho - 1.0) <= SECULAR_RTOL or hi - lo <= 2.0 * math.ulp(hi):
+            return r, den
+        if rho > 1.0:
+            lo = r
         else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = checked(xcur, f(xcur))
-    raise SolverError(f"secular solve did not converge in {BRENT_MAXITER} "
-                      f"iterations (r = {xcur!r})", residual=float("nan"))
+            hi = r
+        if 0.0 < vv < math.inf:  # d log ||u|| / d log r = -power tau
+            tau = float((v * v).dot(shift / den)) / vv
+            r *= rho ** (1.0 / (1.0 + power * tau))
+        if not lo < r < hi:
+            r = math.sqrt(lo) * math.sqrt(hi) if hi > 2.0 * lo else 0.5 * (lo + hi)
+    raise SolverError(f"secular solve did not converge in {SECULAR_MAXITER} "
+                      f"iterations (r = {r!r})", residual=float("nan"))
 
 
-def _secular_displacement(eigvals, eigvecs, g, scale: float, power: int,
-                          r_hi: float):
-    """Solve u = -(H + scale * r^power I)^{-1} g with r = ||u||.
+def _secular_displacement(eigvals, eigvecs, g, scale: float, power: int):
+    """Solve u = -(H + scale * r^power I)^{-1} g with r = ||u|| for g != 0.
 
-    H is given by its eigendecomposition; phi(r) = ||u(r)|| - r is strictly
-    decreasing with phi(0+) > 0, and r_hi = (||g||/scale)^{1/(power+1)}
-    satisfies phi(r_hi) <= 0 because ||(H + cI)^{-1} g|| <= ||g||/c for
-    H >= 0. Tiny negative eigenvalues (symmetric-eig roundoff) are clamped.
-    Brent's method (_brentq) finds the root in (1e-16 r_hi, r_hi]; when it
-    lies lower still, the bracket moves down by factors of 1e-16 until phi
-    changes sign (or 1e-300 is passed). Raises SolverError when no bracket
-    holds a root (for example, a non-finite gradient makes phi NaN, and a
-    gradient whose norm overflows leaves r_hi infinite) or the root is not
-    found in BRENT_MAXITER iterations.
+    H is given by its eigendecomposition; tiny negative eigenvalues
+    (symmetric-eig roundoff) are clamped. _secular_root finds r.
     """
-    if not r_hi < math.inf:
-        raise SolverError(f"secular solve found no root bracket: the bound "
-                          f"r_hi = {r_hi!r} is not finite", residual=float("nan"))
     lam = np.maximum(eigvals, 0.0)
     coords = eigvecs.T @ g
-
-    def coords_u(r):  # u(r) in the eigenbasis, up to sign
-        return coords / (lam + scale * r ** power)
-
-    def phi(r):
-        return norm(coords_u(r)) - r
-
-    lo = 1e-16 * r_hi
-    phi_lo = phi(lo)
-    if phi_lo <= 0.0:  # the root lies in (0, lo]
-        hi, phi_hi = lo, phi_lo
-        while phi_lo <= 0.0 and lo > 1e-300:
-            lo *= 1e-16
-            phi_lo = phi(lo)
-        xtol = 1e-15 * hi + 1e-300
-    else:
-        hi = r_hi
-        phi_hi = phi(hi)
-        tries = 0
-        while phi_hi > 0.0 and tries < 60:  # roundoff guard; phi(r_hi) <= 0
-            hi *= 2.0
-            phi_hi = phi(hi)
-            tries += 1
-        xtol = 1e-15 * r_hi + 1e-300
-    r = _brentq(phi, lo, hi, xtol, phi_lo, phi_hi)
-    return -(eigvecs @ coords_u(r))
+    return -(eigvecs @ (coords / _secular_root(lam, coords, scale, power)[1]))
 
 
 def _newton_polish_p4(f, x, g, H, u0, scale: float, target: float):
@@ -269,13 +228,13 @@ def _newton_polish_p4(f, x, g, H, u0, scale: float, target: float):
         alpha = 1.0
         while alpha > 1e-13:
             cand = u + alpha * step
-            if model_value(cand) <= val + 1e-4 * alpha * slope:
+            cand_val = model_value(cand)
+            if cand_val <= val + 1e-4 * alpha * slope:
                 break
             alpha *= 0.5
         else:
             break  # line search stalled; report the best iterate found
-        u = u + alpha * step
-        val = model_value(u)
+        u, val = cand, cand_val
     return u
 
 
@@ -285,9 +244,10 @@ def g_step(f, x: Point, cfg: StepConfig) -> tuple[Point, Point, StepCertificate]
     Returns (y, grad f(y), certificate), which callers reuse instead of
     evaluating the gradient again; y is a new array. Raises
     CapabilityError when f lacks order-(p-1) derivatives and SolverError when
-    the model is not convex, the secular solve (Brent's method on one scalar
-    equation) finds no root bracket or no root in BRENT_MAXITER iterations,
-    or the inner iteration cannot reach its residual target.
+    the model is not convex, the secular solve (a safeguarded Newton
+    iteration on one scalar equation) finds no root bracket or no root in
+    SECULAR_MAXITER iterations, or the inner iteration cannot reach its
+    residual target.
     """
     x = as_point(x)
     if f.derivative_order < cfg.p - 1:
@@ -318,8 +278,7 @@ def g_step(f, x: Point, cfg: StepConfig) -> tuple[Point, Point, StepCertificate]
         )
 
     if cfg.p == 3:
-        r_hi = math.sqrt(gnorm / s)
-        u = _secular_displacement(eigvals, eigvecs, g, s, 1, r_hi)
+        u = _secular_displacement(eigvals, eigvecs, g, s, 1)
         y, gy, cert = _certify(f, x, x + u, cfg, g)
         if cert.residual > RESIDUAL_TARGET * (1.0 + gnorm):
             raise SolverError(
@@ -329,8 +288,7 @@ def g_step(f, x: Point, cfg: StepConfig) -> tuple[Point, Point, StepCertificate]
         return y, gy, cert
 
     # p = 4: quartic-regularized quadratic solve, then Newton on the full model
-    r_hi = (gnorm / s) ** (1.0 / 3.0)
-    u0 = _secular_displacement(eigvals, eigvecs, g, s, 2, r_hi)
+    u0 = _secular_displacement(eigvals, eigvecs, g, s, 2)
     target = 1e-10 * (1.0 + gnorm)
     u = _newton_polish_p4(f, x, g, H, u0, s, target)
     y, gy, cert = _certify(f, x, x + u, cfg, g)

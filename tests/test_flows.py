@@ -70,11 +70,11 @@ from accelflow.flows import (
     energy_at,
     fit_rate,
     integrate,
-    rescaled_flow_energy,
 )
 from accelflow.flows.integrate import _A as _DP_A
 from accelflow.flows.integrate import _C as _DP_C
 from accelflow.flows.integrate import _E as _DP_E
+from accelflow.harness.checks import rescaled_monitor_margins
 
 RNG_SEED = 20260819
 
@@ -822,15 +822,15 @@ def test_rescaled_flow_primary_monitor_rate():
     traj = integrate(sys, x0, 0.0, 2.0, {"method": "rk4", "steps": 2000})
     xs = traj.block("X")
     radius = float(np.max(np.linalg.norm(xs, axis=1)))
-    primary = np.array(
-        [rescaled_flow_energy(f, p, t, x)[0]
-         for t, x in zip(traj.times, xs)]
-    )
+    primary = traj.f_gap ** (-1.0 / (p - 1))
     assert np.all(np.diff(primary) > 0)
     assert primary[-1] > 5.0 * primary[0]
     slope_floor = 1.0 / ((p - 1) * radius ** (p / (p - 1.0)))
     growth = primary - primary[0]
     assert np.all(growth >= slope_floor * traj.times * (1.0 - 1e-9))
+    # the checks' margins, measured from the level-set radius through x0
+    _, primary_margin, alternative_margin = rescaled_monitor_margins(f, p, traj)
+    assert primary_margin >= 0.0 and alternative_margin >= 0.0
 
 
 def test_rescaled_flow_floor_freezes_critical_point():

@@ -715,8 +715,8 @@ def test_cli_config_values_of_the_wrong_type_are_exit_two(tmp_path, capsys, doc,
 
 @pytest.mark.parametrize("p", [3, 4])
 def test_cli_step_whose_gradient_norm_overflows_is_a_solver_failure(tmp_path, p):
-    # grad f(x0) = (1e308, 10) is finite, but its norm overflows, so the
-    # secular solve's bracket bound r_hi is infinite; the bracket search
+    # grad f(x0) = (1e308, 10) is finite, but its norm overflows, so no
+    # closed-form bound brackets the secular root; a bracket search once
     # never ended. A child process with a timeout keeps a regression from
     # hanging the suite.
     path = tmp_path / "cfg.json"
@@ -730,7 +730,7 @@ def test_cli_step_whose_gradient_norm_overflows_is_a_solver_failure(tmp_path, p)
     assert (check["name"], check["status"]) == ("run_completed", "fail")
     term = check["extras"]["termination"]
     assert (term["status"], term["k"]) == ("solver_error", 0)
-    assert "r_hi = inf is not finite" in term["message"]
+    assert "no root bracket: ||g|| = inf" in term["message"]
 
 
 def test_cli_rescaled_flow_whose_monitors_overflow_skips_them(tmp_path, capsys):

@@ -22,10 +22,10 @@ Every invalid integrator control must raise InputError, never integrate,
 and a NaN method parameter must raise InputError, never run. A Taylor step
 at the certified epsilon must certify itself.
 
-The secular solve brackets its root with one rule: where the root lies below
-1e-16 r_hi and the regularizer is negligible against every eigenvalue, it
-returns the Newton step -H^{-1} g; on every input it returns a finite step
-or raises SolverError.
+The secular solve, where the root lies below 1e-16 r_hi = 1e-16
+(||g|| / s)^{1/(power+1)} and the regularizer is negligible against every
+eigenvalue, returns the Newton step -H^{-1} g; on every input it returns a
+finite step or raises SolverError.
 
 The scaled map d_p only has to invert its gradient: its dual gradient
 rounds differently from the formula it replaced. Each catalog oracle's
@@ -634,7 +634,7 @@ def test_nan_method_parameters_raise_input_error(case):
 
 
 # ---------------------------------------------------------------------------
-# the secular solve's one bracket rule
+# the secular solve at every scale
 
 
 def _secular_case(draw, lam, g, scale, power):
@@ -677,7 +677,7 @@ def test_secular_solve_below_lo_returns_the_newton_step(case):
     lo = 1e-16 * r_hi
     assert norm(coords / (lam + scale * lo ** power)) - lo <= 0.0
     assert np.all(lam >= 1e16 * scale * lo ** power)
-    u = _secular_displacement(lam, eigvecs, g, scale, power, r_hi)
+    u = _secular_displacement(lam, eigvecs, g, scale, power)
     newton = -(eigvecs @ (coords / lam))
     assert norm(u - newton) <= 1e-15 * norm(newton)
 
@@ -709,7 +709,7 @@ def test_secular_solve_returns_a_finite_step_or_solver_error(case):
     lam, eigvecs, g, scale, power, r_hi = case
     with np.errstate(all="ignore"):
         try:
-            u = _secular_displacement(lam, eigvecs, g, scale, power, r_hi)
+            u = _secular_displacement(lam, eigvecs, g, scale, power)
         except SolverError:
             return
     assert np.all(np.isfinite(u))

@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import brentq
 
 from accelflow import taylorstep
 from accelflow.accel import AccelConfig, accelerated
@@ -29,11 +28,9 @@ from accelflow.core import (
 )
 from accelflow.errors import CapabilityError, InputError, SolverError
 from accelflow.taylorstep import (
-    BRENT_MAXITER,
-    BRENT_RTOL,
     StepConfig,
-    _brentq,
     _secular_displacement,
+    _secular_root,
     g_step,
     progress_coefficient,
     smoothness_epsilon,
@@ -343,26 +340,10 @@ class _InfiniteGradient(DiagonalQuadratic):
 
 @pytest.mark.parametrize("p", [3, 4])
 def test_secular_solve_without_a_root_bracket_is_solver_error(p):
-    # phi(r) is NaN everywhere, so brentq cannot bracket a root
+    # ||g|| is infinite, so no closed-form bound brackets the root
     f = _InfiniteGradient((1.0, 10.0))
     with np.errstate(invalid="ignore"), pytest.raises(SolverError, match="no root bracket"):
         g_step(f, np.array([1.0, 1.0]), StepConfig(p, 0.1, 2.0))
-
-
-def test_secular_bracket_without_sign_change_is_solver_error():
-    # r_hi far below the root: phi stays positive across every doubling
-    lam, vecs = np.linalg.eigh(np.diag([1.0, 10.0]))
-    with pytest.raises(SolverError, match="different signs"):
-        _secular_displacement(lam, vecs, np.array([1.0, 1.0]), 20.0, 1, 1e-300)
-
-
-@pytest.mark.parametrize("fa, fb", [(math.nan, -1.0), (1.0, math.nan)])
-def test_brent_with_a_nan_end_value_is_no_root_bracket(fa, fb):
-    def never(r):
-        raise AssertionError("evaluated past a NaN end")
-
-    with pytest.raises(SolverError, match="no root bracket: the value at r = "):
-        _brentq(never, 0.0, 1.0, 1e-300, fa, fb)
 
 
 class _StiffPlusLinear(ObjectiveOracle):
@@ -391,24 +372,22 @@ class _StiffPlusLinear(ObjectiveOracle):
 
 
 def test_secular_shortcut_region_with_a_live_regularizer_is_certified():
-    # ||g|| ~ 2^110 puts r_hi near 4e16, so lo = 1e-16 r_hi ~ 3.6 lies above
-    # the root r = 1 (b / (s r) = r along x_1): phi(lo) <= 0, so the bracket
-    # moves below lo, and the regularizer alone sets the x_1 step. Two
-    # fixed-point sweeps from lo would stop at r = 10 and a step of 0.28,
-    # which fails the move-norm sandwich; the secular root gives the
-    # certified unit step.
+    # ||g|| ~ 2^110 puts the root r = 1 (b / (s r) = r along x_1) 16 orders
+    # under (||g|| / s)^{1/2}, and the regularizer alone sets the x_1 step.
+    # Two fixed-point sweeps from 1e-16 (||g|| / s)^{1/2} would stop at
+    # r = 10 and a step of 0.28, which fails the move-norm sandwich; the
+    # secular root gives the certified unit step.
     f = _StiffPlusLinear(2.0**150, 1.0)
     x = np.array([2.0**-40, 0.0])
     cfg = StepConfig(3, 2.0, 2.0)
     scale = cfg.N / cfg.epsilon
     g = f.gradient(x)
     lam, vecs = np.linalg.eigh(f.hessian_dense(x))
-    r_hi = math.sqrt(float(np.linalg.norm(g)) / scale)
-    lo = 1e-16 * r_hi
+    lo = 1e-16 * math.sqrt(float(np.linalg.norm(g)) / scale)
     coords = vecs.T @ g
     assert np.linalg.norm(coords / (lam + scale * lo)) - lo <= 0.0
     assert np.any((lam == 0.0) & (coords != 0.0))  # the regularizer is live
-    u = _secular_displacement(lam, vecs, g, scale, 1, r_hi)
+    u = _secular_displacement(lam, vecs, g, scale, 1)
     r = float(np.linalg.norm(u))
     assert abs(r - 1.0) <= 1e-12
     np.testing.assert_allclose(u, [-x[0], -1.0], rtol=1e-12, atol=0)
@@ -418,14 +397,13 @@ def test_secular_shortcut_region_with_a_live_regularizer_is_certified():
 
 
 def test_secular_shortcut_keeps_the_newton_step_when_the_regularizer_is_negligible():
-    # a stiff quadratic far from r_hi: the root below lo gives the Newton
-    # step to the last bit the regularizer can move
+    # a stiff quadratic whose root lies 16 orders under (||g|| / s)^{1/2}:
+    # the Newton step, to the last bit the regularizer can move
     lam, vecs = np.linalg.eigh(np.diag([1e40, 3e40]))
     g = np.array([1e34, -6e34])  # Newton step (-1e-6, 2e-6)
-    r_hi = math.sqrt(float(np.linalg.norm(g)) / 1.0)
-    lo = 1e-16 * r_hi
+    lo = 1e-16 * math.sqrt(float(np.linalg.norm(g)) / 1.0)
     assert np.linalg.norm((vecs.T @ g) / (lam + lo)) - lo <= 0.0
-    u = _secular_displacement(lam, vecs, g, 1.0, 1, r_hi)
+    u = _secular_displacement(lam, vecs, g, 1.0, 1)
     np.testing.assert_allclose(u, [-1e-6, 2e-6], rtol=1e-15, atol=0)
 
 
@@ -441,61 +419,23 @@ def test_g_step_at_tiny_point_of_quadratic_power_norm():
 
 
 # ---------------------------------------------------------------------------
-# Brent's method against scipy's brentq, float for float
+# The secular root
 
 
-def _counted(f):
-    def wrapped(r):
-        wrapped.calls += 1
-        return f(r)
-    wrapped.calls = 0
-    return wrapped
-
-
-def _brent_is_scipys(f, a, b, xtol, fa, fb):
-    """_brentq's root of f in [a, b] from the end values fa = f(a) and
-    fb = f(b), checked against scipy's brentq with rtol = 4 eps and
-    maxiter = 200: the same root to the last bit (the sign of a zero
-    included), and exactly two f calls fewer, the two ends."""
-    assert float(fa).hex() == float(f(a)).hex()
-    assert float(fb).hex() == float(f(b)).hex()
-    ours, theirs = _counted(f), _counted(f)
-    root = _brentq(ours, a, b, xtol, fa, fb)
-    ref, info = brentq(theirs, a, b, xtol=xtol, rtol=4 * np.finfo(float).eps,
-                       maxiter=200, full_output=True)
-    assert float(root).hex() == float(ref).hex()
-    assert ours.calls == theirs.calls - 2 == info.function_calls - 2
-    return root
-
-
-def _solve_against_scipy(lam, vecs, g, scale, power):
-    """Run the secular solve with its root-finder checked by
-    _brent_is_scipys; returns the call's (phi, lo, hi, root)."""
-    r_hi = (float(np.linalg.norm(g)) / scale) ** (1.0 / (power + 1.0))
-    calls = []
-
-    def spy(phi, lo, hi, xtol, phi_lo, phi_hi):
-        root = _brent_is_scipys(phi, lo, hi, xtol, phi_lo, phi_hi)
-        calls.append((phi, lo, hi, root))
-        return root
-
-    with mock.patch.object(taylorstep, "_brentq", spy):
-        _secular_displacement(lam, vecs, g, scale, power, r_hi)
-    assert len(calls) == 1
-    return calls[0]
+EPS = np.finfo(float).eps
 
 
 @st.composite
 def _secular_problems(draw):
     """d in 1..10, half of the cases with zero eigenvalues, power 1 or 2,
     and gradient norms from 1e-60 to 1e10: without a zero eigenvalue and
-    below about 1e-32 lam^2 / s, the root lies under 1e-16 r_hi and the
-    bracket moves down."""
+    below about 1e-32 lam^2 / s, the root lies 16 orders under
+    (||g|| / s)^{1/(power+1)}."""
     power = draw(st.sampled_from((1, 2)))
     d = draw(st.integers(1, 10))
     lam = 10.0 ** np.array(draw(st.lists(st.floats(-3.0, 3.0),
                                          min_size=d, max_size=d)))
-    if draw(st.booleans()):  # a zero eigenvalue keeps the root near r_hi
+    if draw(st.booleans()):  # a zero eigenvalue keeps the root near the upper bound
         lam[:draw(st.integers(1, d))] = 0.0
     direction = np.array(draw(st.lists(
         st.floats(-1.0, 1.0).filter(lambda v: abs(v) > 1e-3),
@@ -508,55 +448,60 @@ def _secular_problems(draw):
     return lam, vecs, vecs @ g, scale, power
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(_secular_problems())
-def test_secular_root_is_scipys_brentq_bit_for_bit(case):
-    _solve_against_scipy(*case)
-
-
-@pytest.mark.parametrize("power", [1, 2])
-def test_secular_root_below_the_bracket_is_scipys_bit_for_bit(power):
-    # ||g|| = 1e-40 and lam = 1 put the root near 1e-40, far under
-    # lo = 1e-16 r_hi, so the bracket moves down and hi is the old lo
-    g = np.array([1e-40, 0.0])
-    _, lo, hi, root = _solve_against_scipy(np.array([1.0, 0.0]), np.eye(2), g,
-                                           1.0, power)
-    r_hi = 1e-40 ** (1.0 / (power + 1.0))
-    assert hi == 1e-16 * r_hi and lo < root <= hi
+def test_secular_root_solves_the_secular_equation(case):
+    # the root to 8 ulps, inside the closed-form bracket r_lo <= r <= r_up
+    # (r (lam + s r^power) = ||g|| at the largest and smallest eigenvalue),
+    # and the step u = -V (Lam + s r^power)^{-1} V^T g at it
+    lam, vecs, g, scale, power = case
+    coords = vecs.T @ g
+    r, _ = _secular_root(lam, coords, scale, power)
+    inverse = 1.0 / (lam + scale * r**power)
+    assert abs(np.linalg.norm(coords * inverse) - r) <= 8 * EPS * r
+    gnorm = np.linalg.norm(coords)
+    assert r * (lam.min() + scale * r**power) <= gnorm * (1 + 8 * EPS)
+    assert r * (lam.max() + scale * r**power) >= gnorm * (1 - 8 * EPS)
+    u = -(vecs @ (inverse * coords))
+    step = _secular_displacement(lam, vecs, g, scale, power)
+    assert np.linalg.norm(step - u) <= 16 * EPS * np.linalg.norm(u)
 
 
 @pytest.mark.parametrize("power, gnorm", [(1, 4.0), (2, 8.0)])
-def test_secular_root_at_an_exact_zero_endpoint_is_scipys(power, gnorm):
-    # lam = 0 and s = 1: phi(r) = ||g|| / r^power - r vanishes exactly at
-    # r_hi = 2, the bracket's upper end, which scipy returns after two calls
-    # and _brentq from the end values alone
-    phi, _, hi, root = _solve_against_scipy(np.array([0.0]), np.eye(1),
-                                            np.array([gnorm]), 1.0, power)
-    assert hi == 2.0 and phi(hi) == 0.0 and root == hi
+def test_secular_root_at_the_upper_bound_is_exact(power, gnorm):
+    # lam = 0 and s = 1: ||g|| / r^power = r holds exactly at r = 2, the
+    # upper bound (||g|| / s)^{1/(power+1)}
+    r, den = _secular_root(np.zeros(1), np.array([gnorm]), 1.0, power)
+    assert r == 2.0 and den[0] == 2.0**power
+    u = _secular_displacement(np.zeros(1), np.eye(1), np.array([gnorm]), 1.0, power)
+    assert u.tolist() == [-2.0]
 
 
-@pytest.mark.parametrize("scale", [1e-300, 1e-160, 1e-100])
-@pytest.mark.parametrize("r0", [0.3, 0.7])
-def test_brent_on_tiny_values_is_scipys_bit_for_bit(scale, r0):
-    # the extrapolation's denominator, a product of three differences of
-    # tiny values, underflows to 0, where C divides to +-inf or NaN and so
-    # bisects
-    def cubic(r):
-        return scale * (r - r0) ** 3
-
-    _brent_is_scipys(cubic, 0.0, 1.0, 1e-300, cubic(0.0), cubic(1.0))
+@pytest.mark.parametrize("power", [1, 2])
+def test_secular_root_far_below_the_upper_bound(power):
+    # ||g|| = 1e-40 and lam = 1 put the root near 1e-40, about 1e-40^{1/2}
+    # or 1e-40^{1/3} under the bound that the zero eigenvalue sets
+    lam, g = np.array([1.0, 0.0]), np.array([1e-40, 0.0])
+    r, _ = _secular_root(lam, g, 1.0, power)
+    assert abs(r - 1e-40) <= 4 * EPS * 1e-40
+    assert _secular_displacement(lam, np.eye(2), g, 1.0, power).tolist() == [-1e-40, 0.0]
 
 
-def test_brent_past_its_iteration_budget_is_solver_error():
-    # a sign jump at 1e-300 in [0, 1e300] needs about 2000 halvings;
-    # scipy's brentq raises RuntimeError there, which no caller maps to a
-    # typed error
-    def jump(r):
-        return 1.0 if r < 1e-300 else -1.0
+@pytest.mark.parametrize("lam, g", [
+    ([1.0, 2.0], [math.nan, 1.0]),
+    ([math.nan, 2.0], [1.0, 1.0]),
+], ids=["gradient", "eigenvalue"])
+@pytest.mark.parametrize("power", [1, 2])
+def test_secular_solve_with_a_nan_is_no_root_bracket(lam, g, power):
+    with pytest.raises(SolverError, match="no root bracket"):
+        _secular_displacement(np.array(lam), np.eye(2), np.array(g), 1.0, power)
 
-    with pytest.raises(RuntimeError, match="Failed to converge"):
-        brentq(jump, 0.0, 1e300, xtol=1e-300, rtol=BRENT_RTOL, maxiter=BRENT_MAXITER)
-    counted = _counted(jump)
-    with pytest.raises(SolverError, match="did not converge in 200 iterations"):
-        _brentq(counted, 0.0, 1e300, 1e-300, jump(0.0), jump(1e300))
-    assert counted.calls == BRENT_MAXITER
+
+def test_secular_solve_past_its_iteration_budget_is_solver_error():
+    # eigenvalues 1 and 100 keep the root off both closed-form bounds, so
+    # one evaluation cannot settle it
+    lam, g = np.array([1.0, 100.0]), np.array([1.0, 1.0])
+    _secular_displacement(lam, np.eye(2), g, 1.0, 1)
+    with mock.patch.object(taylorstep, "SECULAR_MAXITER", 1), \
+            pytest.raises(SolverError, match="did not converge in 1 iterations"):
+        _secular_displacement(lam, np.eye(2), g, 1.0, 1)
