@@ -147,9 +147,6 @@ class Trajectory:
     def block(self, name: str) -> np.ndarray:
         return self.states[:, self.layout[name]]
 
-    def final_state(self) -> np.ndarray:
-        return self.states[-1].copy()
-
     def interp_state(self, t: float) -> np.ndarray:
         return self.interp_state_and_deriv(t)[0]
 

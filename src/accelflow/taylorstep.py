@@ -5,7 +5,9 @@ One update minimizes the order-(p-1) Taylor model of f plus the regularizer
 the subproblem reduces to a scalar secular equation solved to machine
 precision through one symmetric eigendecomposition; for p = 4 a
 quartic-regularized secular solve warm-starts a damped Newton iteration on
-the model. Every step returns a certificate holding the progress inequality
+the model. A step evaluates the Hessian at x once: the secular solve, the
+p = 4 polish and the certificate's model gradient all read that matrix.
+Every step returns a certificate holding the progress inequality
 
     <grad f(y), x - y>  >=  M eps^{1/(p-1)} ||grad f(y)||^{p/(p-1)},
     M = (N^2 - 1)^{(p-2)/(2p-2)} / (2N),
@@ -102,16 +104,15 @@ def smoothness_epsilon(f, p: int) -> float:
     return math.factorial(p - 1) / f.smoothness_constant(p - 1)
 
 
-def _model_gradient(f, x: Point, g: Point, u: Point, cfg: StepConfig) -> Point:
-    """Gradient of the regularized Taylor model at displacement u; g = grad f(x)."""
+def _model_gradient(f, x: Point, g: Point, H, u: Point, cfg: StepConfig) -> Point:
+    """Gradient of the regularized Taylor model at displacement u; g = grad f(x)
+    and H = its Hessian (None at p = 2)."""
     s = cfg.N / cfg.epsilon
-    r = norm(u)
-    out = g + s * r ** (cfg.p - 2.0) * u
-    if cfg.p >= 3:
-        out = out + f.hessian_dense(x) @ u
-    if cfg.p == 4:
-        out = out + 0.5 * f.third_apply(x, u, u)
-    return out
+    if cfg.p == 2:
+        return g + s * u
+    if cfg.p == 3:
+        return g + H @ u + s * norm(u) * u
+    return g + H @ u + 0.5 * f.third_apply(x, u, u) + s * float(u @ u) * u
 
 
 def _secular_root(lam, coords, scale: float, power: int):
@@ -128,7 +129,9 @@ def _secular_root(lam, coords, scale: float, power: int):
     by (||u(r)|| / r)^{1/(1 + power tau)}, tau in [0, 1] the shift's share
     of the curvature, and is exact where lam is 0 or dominates the shift.
     A step that leaves the bracket bisects it. Every quantity the iteration
-    reads is a ratio, u(r) / r, so none under- or overflows near the root.
+    reads is a ratio, u(r) / r, so none under- or overflows near the root;
+    the shift is floored at the smallest positive double, so a zero
+    eigenvalue with a zero coordinate gives 0 where scale r^power underflows.
     It stops when | ||u(r)|| / r - 1 | <= SECULAR_RTOL or the bracket is two
     ulps wide. Raises SolverError when ||g|| or scale is 0 or not finite, a
     value is NaN, the root underflows, or no root is found in
@@ -153,7 +156,8 @@ def _secular_root(lam, coords, scale: float, power: int):
     # with e = 1/3 rounded, x**e errs by up to |log x| 2^-55 < 2e-14
     lo, hi = lo * (1.0 - 1e-13), hi * (1.0 + 1e-13)
     for _ in range(SECULAR_MAXITER):
-        shift = scale * r * r if power == 2 else scale * r  # r**2 raises past 1e154
+        # r**2 raises past 1e154; the floor keeps 0 / 0 out where lam is 0
+        shift = max(scale * r * r if power == 2 else scale * r, 5e-324)
         den = lam + shift
         v = coords / r / den  # u(r) / r
         vv = float(v.dot(v))
@@ -187,8 +191,9 @@ def _secular_displacement(eigvals, eigvecs, g, scale: float, power: int):
     return -(eigvecs @ (coords / _secular_root(lam, coords, scale, power)[1]))
 
 
-def _newton_polish_p4(f, x, g, H, u0, scale: float, target: float):
+def _newton_polish_p4(f, x, g, H, u0, cfg: StepConfig, target: float):
     """Damped Newton on the order-3 model with quartic regularization."""
+    scale = cfg.N / cfg.epsilon
     d = x.size
     eye = np.eye(d)
 
@@ -201,16 +206,10 @@ def _newton_polish_p4(f, x, g, H, u0, scale: float, target: float):
             + 0.25 * scale * r2 * r2
         )
 
-    def model_grad(u):
-        return (
-            g + H @ u + 0.5 * f.third_apply(x, u, u)
-            + scale * float(u @ u) * u
-        )
-
     u = u0
     val = model_value(u)
     for _ in range(100):
-        gm = model_grad(u)
+        gm = _model_gradient(f, x, g, H, u, cfg)
         if norm(gm) <= target:
             break
         third_cols = np.column_stack(
@@ -242,12 +241,14 @@ def g_step(f, x: Point, cfg: StepConfig) -> tuple[Point, Point, StepCertificate]
     """One update y = argmin_y f_{p-1}(y; x) + (N/(eps p)) ||y - x||^p.
 
     Returns (y, grad f(y), certificate), which callers reuse instead of
-    evaluating the gradient again; y is a new array. Raises
-    CapabilityError when f lacks order-(p-1) derivatives and SolverError when
-    the model is not convex, the secular solve (a safeguarded Newton
-    iteration on one scalar equation) finds no root bracket or no root in
-    SECULAR_MAXITER iterations, or the inner iteration cannot reach its
-    residual target.
+    evaluating the gradient again; y is a new array. At p >= 3 the Hessian
+    at x is evaluated once and serves the secular solve, the p = 4 polish
+    and the certificate. Raises CapabilityError when f lacks order-(p-1)
+    derivatives and SolverError when the model is not convex, the secular
+    solve (a safeguarded Newton iteration on one scalar equation) finds no
+    root bracket or no root in SECULAR_MAXITER iterations, or the step's
+    model residual exceeds RESIDUAL_TARGET (1 + ||g||) at p = 3 or
+    RESIDUAL_LIMIT_P4 at p = 4.
     """
     x = as_point(x)
     if f.derivative_order < cfg.p - 1:
@@ -256,19 +257,18 @@ def g_step(f, x: Point, cfg: StepConfig) -> tuple[Point, Point, StepCertificate]
             f"p = {cfg.p} needs order {cfg.p - 1}"
         )
     g = f.gradient(x)
+    H = f.hessian_dense(x) if cfg.p >= 3 else None
     gnorm = norm(g)
-    s = cfg.N / cfg.epsilon
 
     if gnorm == 0.0:
         # stationary point of the model (all benchmark objectives are convex
         # with their higher Taylor terms vanishing only alongside the
         # gradient at the minimizer)
-        return _certify(f, x, x, cfg, g)
+        return _certify(f, x, x, cfg, g, H)
 
     if cfg.p == 2:
-        return _certify(f, x, x - (cfg.epsilon / cfg.N) * g, cfg, g)
+        return _certify(f, x, x - (cfg.epsilon / cfg.N) * g, cfg, g, H)
 
-    H = f.hessian_dense(x)
     eigvals, eigvecs = np.linalg.eigh(H)
     if eigvals[0] < -1e-8 * max(1.0, float(np.max(np.abs(eigvals)))):
         raise SolverError(
@@ -277,25 +277,15 @@ def g_step(f, x: Point, cfg: StepConfig) -> tuple[Point, Point, StepCertificate]
             best=None, residual=float("nan"),
         )
 
-    if cfg.p == 3:
-        u = _secular_displacement(eigvals, eigvecs, g, s, 1)
-        y, gy, cert = _certify(f, x, x + u, cfg, g)
-        if cert.residual > RESIDUAL_TARGET * (1.0 + gnorm):
-            raise SolverError(
-                f"secular solve left residual {cert.residual:.3e}",
-                best=y, residual=cert.residual,
-            )
-        return y, gy, cert
-
-    # p = 4: quartic-regularized quadratic solve, then Newton on the full model
-    u0 = _secular_displacement(eigvals, eigvecs, g, s, 2)
-    target = 1e-10 * (1.0 + gnorm)
-    u = _newton_polish_p4(f, x, g, H, u0, s, target)
-    y, gy, cert = _certify(f, x, x + u, cfg, g)
-    if cert.residual > RESIDUAL_LIMIT_P4:
+    # a regularized quadratic solve; at p = 4, Newton on the full model from it
+    u = _secular_displacement(eigvals, eigvecs, g, cfg.N / cfg.epsilon, cfg.p - 2)
+    if cfg.p == 4:
+        u = _newton_polish_p4(f, x, g, H, u, cfg, 1e-10 * (1.0 + gnorm))
+    y, gy, cert = _certify(f, x, x + u, cfg, g, H)
+    limit = RESIDUAL_TARGET * (1.0 + gnorm) if cfg.p == 3 else RESIDUAL_LIMIT_P4
+    if cert.residual > limit:
         raise SolverError(
-            f"inner solve stalled at residual {cert.residual:.3e} "
-            f"(limit {RESIDUAL_LIMIT_P4:g})",
+            f"Taylor step left residual {cert.residual:.3e} (limit {limit:.3g})",
             best=y, residual=cert.residual,
         )
     return y, gy, cert
@@ -309,11 +299,14 @@ def verify_step_progress(f, x: Point, y: Point, cfg: StepConfig) -> StepCertific
     with it.
     """
     x = as_point(x)
-    return _certify(f, x, y, cfg, f.gradient(x))[2]
+    gx = f.gradient(x)
+    return _certify(f, x, y, cfg, gx, f.hessian_dense(x) if cfg.p >= 3 else None)[2]
 
 
-def _certify(f, x: Point, y, cfg: StepConfig, gx: Point):
-    """(y, grad f(y), certificate) at (x, y), with gx = grad f(x) evaluated.
+def _certify(f, x: Point, y, cfg: StepConfig, gx: Point, H):
+    """(y, grad f(y), certificate) at (x, y), with gx = grad f(x) and, at
+    p >= 3, H = its Hessian already evaluated (None at p = 2): the residual
+    is the model gradient at y - x against the matrix the step was solved with.
 
     x must be a point from as_point. y goes through as_point here, so the
     returned y is a copy and a non-finite or mis-sized y raises InputError.
@@ -334,7 +327,7 @@ def _certify(f, x: Point, y, cfg: StepConfig, gx: Point):
     else:
         move_hi = math.inf
 
-    residual = norm(_model_gradient(f, x, gx, move, cfg))
+    residual = norm(_model_gradient(f, x, gx, H, move, cfg))
     ok = (
         progress >= lower - CERT_TOL
         and move_lo - CERT_TOL <= move_norm <= move_hi + CERT_TOL

@@ -292,7 +292,7 @@ def test_integrator_is_fourth_order():
         traj = integrate(sys, x0, 0.0, 3.0, {"method": "rk4", "steps": steps},
                          initial_state=y0)
         exact = z0 + (x0 - z0) * math.exp(-3.0)
-        errs.append(np.max(np.abs(traj.final_state()[:2] - exact)))
+        errs.append(np.max(np.abs(traj.states[-1][:2] - exact)))
     assert errs[0] > 1e-13  # not yet at roundoff, so the ratio is meaningful
     assert errs[0] / errs[1] > 8.0
 
@@ -497,7 +497,7 @@ def test_adaptive_matches_fixed_step():
                           "abs_tol": 1e-12})
     assert adaptive.step_stats["accepted"] > 0
     assert adaptive.times[-1] == 10.0
-    np.testing.assert_allclose(adaptive.final_state(), fixed.final_state(),
+    np.testing.assert_allclose(adaptive.states[-1], fixed.states[-1],
                                rtol=0, atol=1e-6)
 
 
@@ -668,7 +668,7 @@ def test_adaptive_force_free_error_scales_with_tolerance(p, mirror):
         traj = integrate(sys, x0, t0, t_end,
                          {"method": "rk4_adaptive", "rel_tol": rel_tol,
                           "abs_tol": abs_tol}, initial_state=y0)
-        err = float(np.max(np.abs(traj.final_state()[:2] - exact)))
+        err = float(np.max(np.abs(traj.states[-1][:2] - exact)))
         assert err <= 10.0 * (rel_tol * np.max(np.abs(exact)) + abs_tol)
         errs.append(err)
     assert errs[0] > 10.0 * errs[1] > 100.0 * errs[2]
@@ -687,7 +687,7 @@ def test_adaptive_final_state_matches_dop853(mirror, p, rel_tol):
     y_ref = ref.y[:, -1]
     traj = integrate(sys, x0, t0, t_end,
                      {"method": "rk4_adaptive", "rel_tol": rel_tol, "abs_tol": abs_tol})
-    err = float(np.max(np.abs(traj.final_state() - y_ref)))
+    err = float(np.max(np.abs(traj.states[-1] - y_ref)))
     assert err <= 50.0 * (rel_tol * np.max(np.abs(y_ref)) + abs_tol)
 
 

@@ -14,7 +14,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from accelflow import taylorstep
@@ -202,10 +202,12 @@ def test_g_step_rejects_concave_model():
 
 class _FourMethods(ObjectiveOracle):
     """A catalog oracle seen through the four methods of the interface only:
-    value, gradient, hessian_dense and third_apply, with its constants."""
+    value, gradient, hessian_dense and third_apply, with its constants.
+    hessian_calls counts the Hessians evaluated."""
 
     def __init__(self, inner):
         self.inner = inner
+        self.hessian_calls = 0
         for attr in ("name", "derivative_order", "smoothness", "uniform_convexity",
                      "minimizer", "min_value", "dimension"):
             setattr(self, attr, getattr(inner, attr))
@@ -217,6 +219,7 @@ class _FourMethods(ObjectiveOracle):
         return self.inner.gradient(x)
 
     def hessian_dense(self, x):
+        self.hessian_calls += 1
         return self.inner.hessian_dense(x)
 
     def third_apply(self, x, u, v):
@@ -227,17 +230,39 @@ class _FourMethods(ObjectiveOracle):
                                     ("power_4", 4), ("quadratic_10d", 4)])
 def test_g_step_certifies_an_oracle_of_four_methods(key, p):
     # the step is solved and its residual certified against hessian_dense,
-    # so an oracle needs no other Hessian
+    # so an oracle needs no other Hessian; one Hessian serves the whole step
     f = _FourMethods(builtin_problems()[key])
     cfg = StepConfig(p, smoothness_epsilon(f, p), 2.0)
     rng = np.random.default_rng(11)
     x = rng.normal(size=f.dimension)
     for _ in range(5):
         gnorm = float(np.linalg.norm(f.gradient(x)))
-        x, _, cert = g_step(f, x, cfg)
+        calls = f.hessian_calls
+        y, _, cert = g_step(f, x, cfg)
+        assert f.hessian_calls == calls + 1
+        assert verify_step_progress(f, x, y, cfg) == cert
+        assert f.hessian_calls == calls + 2
         assert cert.ok, (key, p, cert)
         assert cert.residual <= (taylorstep.RESIDUAL_TARGET * (1.0 + gnorm) if p == 3
                                  else taylorstep.RESIDUAL_LIMIT_P4)
+        x = y
+
+
+@pytest.mark.parametrize("key, p", [("log_sum_exp", 3), ("power_4", 4)])
+def test_g_step_over_its_residual_limit_is_solver_error(key, p):
+    # with both limits at 0 every step fails the one residual gate, and the
+    # error carries the step's y and its certificate's residual
+    f = builtin_problems()[key]
+    cfg = StepConfig(p, smoothness_epsilon(f, p), 2.0)
+    x = np.linspace(0.7, -0.4, f.dimension)
+    y, _, cert = g_step(f, x, cfg)
+    assert cert.residual > 0.0
+    with mock.patch.object(taylorstep, "RESIDUAL_TARGET", 0.0), \
+            mock.patch.object(taylorstep, "RESIDUAL_LIMIT_P4", 0.0), \
+            pytest.raises(SolverError, match="left residual") as err:
+        g_step(f, x, cfg)
+    assert np.array_equal(err.value.best, y)
+    assert err.value.residual == cert.residual
 
 
 def test_accelerated_certifies_an_oracle_of_four_methods():
@@ -450,20 +475,27 @@ def _secular_problems(draw):
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(_secular_problems())
+# a zero eigenvalue with a zero coordinate, where s r^2 underflows to 0 at
+# the first iterates (2.6e-221 squared): the root near 3.66e-64 is a normal
+# double, so that coordinate must read 0 there, not 0 / 0
+@example((np.array([0.0, 1.9e30, 0.0]), np.eye(3),
+          np.array([0.0, 2.6e-223, -4.9e-191]), 1.0, 2))
 def test_secular_root_solves_the_secular_equation(case):
     # the root to 8 ulps, inside the closed-form bracket r_lo <= r <= r_up
     # (r (lam + s r^power) = ||g|| at the largest and smallest eigenvalue),
     # and the step u = -V (Lam + s r^power)^{-1} V^T g at it
     lam, vecs, g, scale, power = case
     coords = vecs.T @ g
-    r, _ = _secular_root(lam, coords, scale, power)
+    with np.errstate(over="ignore"):  # iterates far below the root overflow u(r) / r
+        r, _ = _secular_root(lam, coords, scale, power)
     inverse = 1.0 / (lam + scale * r**power)
     assert abs(np.linalg.norm(coords * inverse) - r) <= 8 * EPS * r
-    gnorm = np.linalg.norm(coords)
+    gnorm = math.hypot(*coords)  # the squares in np.linalg.norm underflow below 1e-154
     assert r * (lam.min() + scale * r**power) <= gnorm * (1 + 8 * EPS)
     assert r * (lam.max() + scale * r**power) >= gnorm * (1 - 8 * EPS)
     u = -(vecs @ (inverse * coords))
-    step = _secular_displacement(lam, vecs, g, scale, power)
+    with np.errstate(over="ignore"):
+        step = _secular_displacement(lam, vecs, g, scale, power)
     assert np.linalg.norm(step - u) <= 16 * EPS * np.linalg.norm(u)
 
 
