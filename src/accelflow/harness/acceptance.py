@@ -23,7 +23,8 @@ verdict and every emitted byte is the same as in a serial run.
 The tolerances, the artifact writer and every measurement a verdict is built
 from live in checks.py, which the experiment kinds share; this module holds
 the registry, the context cache, each check's run parameters, and its
-verdict and detail strings.
+verdict and detail strings; the three that run the experiment kind they
+mirror (SuiteContext.run_kind, listed in experiments.py) read the kind's.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from __future__ import annotations
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +42,6 @@ from ..accel import (
     AccelConfig,
     accelerated,
     higher_order_descent,
-    naive_discretization,
     restart_accelerated,
 )
 from ..core import (
@@ -63,30 +63,30 @@ from ..flows import (
 )
 from ..taylorstep import StepConfig, g_step, smoothness_epsilon
 from .checks import (
-    CORRESPONDENCE_FACTOR,
+    DILATION_HORIZON,
+    DILATION_STEPS,
     DILATION_SUP_TOL,
     DUAL_NORM_TOL,
     ENERGY_REL_SLACK,
     HAMILTONIAN_SUP_TOL,
-    NAIVE_STEP_BUDGET,
     NATURAL_MOTION_SUP_TOL,
-    PRIMARY_MONITOR_FLOOR,
     RESCALED_EXACT_SUP_TOL,
+    RESTART_EPOCHS,
     SLOPE_SLACK,
     TRIPLE_GRID_TOL,
     UC_FLOW_REL_SLACK,
     UNIT_FORCE_SLOPE_SLACK,
     ArtifactWriter,
     dilation_mismatch,
-    gap_ratios,
     limit_distance,
     masked_slope,
     max_relative_energy_rise,
-    rescaled_monitor_margins,
     triple_grid_defect,
     worst_bound_ratio,
     worst_gap_over_certificate,
 )
+from .config import ExperimentConfig
+from .experiments import _RUNNERS
 from .reporting import CheckResult, ReportSummary
 
 DEFAULT_SUITE_SEED = 20260819
@@ -105,9 +105,17 @@ class SuiteContext:
     def full(self) -> bool:
         return self.scale == "full"
 
-    def artifacts(self, check: str) -> ArtifactWriter:
+    def artifacts(self, check: str, labels: dict | None = None) -> ArtifactWriter:
         """Writer for one check's own subdirectory, listing into files."""
-        return ArtifactWriter(self.root / check, f"{check}/", self.files)
+        return ArtifactWriter(self.root / check, f"{check}/", self.files, labels)
+
+    def run_kind(self, check: str, kind: str, method: dict, labels: dict,
+                 **fields) -> dict[str, CheckResult]:
+        """The CheckResults, by name, of a kind run on the quadratic from all
+        ones with the suite's seed, written as check's files under labels."""
+        cfg = ExperimentConfig(kind=kind, problem="quadratic", method=method,
+                               seed=self.seed, **fields)
+        return {c.name: c for c in _RUNNERS[kind](cfg, self.artifacts(check, labels))}
 
 
 # ---------------------------------------------------------------------------
@@ -267,8 +275,7 @@ def _check_time_dilation(ctx: SuiteContext) -> CheckResult:
     """
     f = builtin_problems()["quadratic"]
     x0 = np.array([1.0, 1.0])
-    hi = 10.0 if ctx.full() else 5.0
-    steps = 20000 if ctx.full() else 6000
+    hi, steps = (DILATION_HORIZON, DILATION_STEPS) if ctx.full() else (5.0, 6000)
     worst_sup = 0.0
     parts = []
     out = ctx.artifacts("time_dilation_match")
@@ -431,25 +438,21 @@ def _check_plain_method_rate(ctx: SuiteContext) -> CheckResult:
 def _check_rescaled_flow(ctx: SuiteContext) -> CheckResult:
     """The rescaled gradient flow: rate, exact solution, descent monitors.
 
-    Order 3 on the quadratic: fitted slope <= -2 + 0.3 (the gap hits the
-    floor in finite time; floored samples are excluded); the inverse-gap
-    monitor grows at least linearly with constant 1/((p-1) R^{p/(p-1)}) and
-    the t^p-weighted gap's increments stay under (p-1)^{p-1} R^p dt + 1e-6.
-    On (1/3)||x||^3 the trajectory must equal e^{-t} x0 to sup 1e-5.
+    Runs the flow kind, family rescaled at order 3, on the quadratic: fitted
+    slope <= -2 + 0.3 (the gap hits the floor in finite time; floored
+    samples are excluded); the inverse-gap monitor grows at least linearly
+    with constant 1/((p-1) R^{p/(p-1)}) and the t^p-weighted gap's
+    increments stay under (p-1)^{p-1} R^p dt + 1e-6. On (1/3)||x||^3 the
+    trajectory must equal e^{-t} x0 to sup 1e-5, a run of this check's own.
     quick: 10000/3000 integration steps and horizon 15/6 instead of 30/10.
     """
     p = 3
-    f = builtin_problems()["quadratic"]
-    x0 = np.array([1.0, 1.0])
-    t_end, steps = (30.0, 30000) if ctx.full() else (15.0, 10000)
-    traj = integrate(build_rescaled_gradient_flow(f, p), x0, 0.0, t_end,
-                     {"method": "rk4", "steps": steps, "record_every": 3})
-    slope = masked_slope(traj, (1.0, t_end))
-    ctx.artifacts("rescaled_flow_descent").trajectory("quadratic_p3", traj)
-
-    R, primary_margin, alternative_margin = rescaled_monitor_margins(f, p, traj)
-    primary_ok = primary_margin >= PRIMARY_MONITOR_FLOOR
-    alternative_ok = alternative_margin >= 0.0
+    kind = ctx.run_kind("rescaled_flow_descent", "flow", {"family": "rescaled", "p": p},
+                        {"trajectory": "quadratic_p3"},
+                        integration={} if ctx.full() else {"t_end": 15.0, "steps": 10000})
+    rate, primary = kind["rate_slope"], kind["primary_monitor"]
+    monitors = ["ok" if kind[name].status == "pass" else "VIOLATED"
+                for name in ("primary_monitor", "alternative_monitor")]
 
     cube = builtin_problems()["power_3"]
     y0 = np.array([1.0, -0.5, 0.25])
@@ -460,57 +463,41 @@ def _check_rescaled_flow(ctx: SuiteContext) -> CheckResult:
     sup_exact = float(np.max(np.abs(exact_traj.block("X") - reference)))
     ctx.artifacts("rescaled_flow_descent").trajectory("power_3_exact", exact_traj)
 
-    ok = (
-        slope <= -(p - 1) + SLOPE_SLACK
-        and primary_ok and alternative_ok
-        and sup_exact <= RESCALED_EXACT_SUP_TOL
-    )
+    ok = all(c.status == "pass" for c in kind.values()) and sup_exact <= RESCALED_EXACT_SUP_TOL
     return CheckResult(
         name="rescaled_flow_descent",
         status="pass" if ok else "fail",
-        measured=slope,
-        bound=-(p - 1) + SLOPE_SLACK,
-        detail=(
-            f"slope {slope:+.3f}; primary monitor {'ok' if primary_ok else 'VIOLATED'}; "
-            f"alternative monitor {'ok' if alternative_ok else 'VIOLATED'}; "
-            f"e^-t trajectory sup {sup_exact:.2e}"
-        ),
-        extras={"exact_sup": sup_exact, "level_radius": R},
+        measured=rate.measured,
+        bound=rate.bound,
+        detail=(f"slope {rate.measured:+.3f}; primary monitor {monitors[0]}; "
+                f"alternative monitor {monitors[1]}; e^-t trajectory sup {sup_exact:.2e}"),
+        extras={"exact_sup": sup_exact, "level_radius": primary.extras["level_radius"]},
     )
 
 
 def _check_naive_vs_matched(ctx: SuiteContext) -> CheckResult:
     """The naive discretization blows up where the rate-matching one is certified.
 
-    Same 2-d quadratic, same eps = 0.01, order 3: the naive scheme must
-    terminate diverged within 1e5 steps (the effective step eps p^2 C lam
-    k^{p-2} grows without bound, so divergence is guaranteed); the
-    rate-matching method must satisfy its gap certificate at every k.
-    quick: K = 300 for the certified run instead of 2000.
+    Runs the naive_demo kind: same 2-d quadratic, same eps = 0.01, order 3;
+    the naive scheme must terminate diverged within 1e5 steps (the effective
+    step eps p^2 C lam k^{p-2} grows without bound, so divergence is
+    guaranteed); the rate-matching method must complete and satisfy its gap
+    certificate at every k. quick: K = 300 for the certified run instead of
+    2000.
     """
-    f = builtin_problems()["quadratic"]
-    x0 = np.array([1.0, 1.0])
-    naive = naive_discretization(f, EuclideanMap(), 3, 0.25, 0.01, x0, NAIVE_STEP_BUDGET)
-    diverged = naive.termination["status"] == "diverged"
-    ctx.artifacts("naive_vs_matched").record("naive_p3", naive)
-
-    K = 2000 if ctx.full() else 300
-    matched = accelerated(f, AccelConfig(p=3, epsilon=0.01, x0=x0), K)
-    bound_ok = matched.invariant_report()["rate_bound"]["ok"]
-    ratio = worst_bound_ratio(matched)
-    ctx.artifacts("naive_vs_matched").record("matched_p3", matched)
-
-    ok = diverged and bound_ok
+    kind = ctx.run_kind("naive_vs_matched", "naive_demo",
+                        {"accel_K": 2000 if ctx.full() else 300},
+                        {"naive": "naive_p3", "accelerated": "matched_p3"})
+    naive, matched = kind["naive_diverges"], kind["accelerated_bound"]
     return CheckResult(
         name="naive_vs_matched",
-        status="pass" if ok else "fail",
-        measured=float(naive.termination["k"]),
-        bound=float(NAIVE_STEP_BUDGET),
-        detail=(
-            f"naive: {naive.termination['status']} at k={naive.termination['k']}; "
-            f"matched K={K}: gap/bound {ratio:.4f}"
-        ),
-        extras={"diverged": diverged, "bound_ok": bool(bound_ok), "worst_ratio": ratio},
+        status="pass" if all(c.status == "pass" for c in kind.values()) else "fail",
+        measured=naive.measured,
+        bound=naive.bound,
+        detail=f"{naive.detail}; {matched.detail}: gap/bound {matched.measured:.4f}",
+        extras={"diverged": naive.extras["diverged"],
+                "bound_ok": matched.extras["bound_ok"],
+                "worst_ratio": matched.measured},
     )
 
 
@@ -684,7 +671,7 @@ def _check_uniformly_convex_discrete(ctx: SuiteContext) -> CheckResult:
     restarts_ok = True
     for name, eps in (("quadratic", 0.1), ("power_3", 1.0)):
         f = problems[name]
-        restart = restart_accelerated(f, eps, np.ones(f.dimension), 3)
+        restart = restart_accelerated(f, eps, np.ones(f.dimension), RESTART_EPOCHS)
         report = restart.invariant_report()
         bad = [k for k, v in report.items() if not v["ok"]]
         restarts_ok = restarts_ok and not bad
@@ -740,38 +727,16 @@ def _check_uniformly_convex_flow(ctx: SuiteContext) -> CheckResult:
 def _check_flow_method_correspondence(ctx: SuiteContext) -> CheckResult:
     """The discrete method shadows its continuous limit at matching times.
 
-    Order 2 with step delta = 0.05, eps = delta^2, plotted at t = delta k,
-    against the order-2 flow run with the same force constant C (the
-    method's admissible C = 1/16; matching C is what aligns the two
-    oscillation phases). Gap ratio within a factor of 10 over t in [1, 10].
-    Both scales run the stated parameters (already desk-scale).
+    Runs the compare kind at its defaults: order 2 with step delta = 0.05,
+    eps = delta^2, plotted at t = delta k, against the order-2 flow run with
+    the same force constant C (the method's admissible C = 1/16; matching C
+    is what aligns the two oscillation phases). Gap ratio within a factor of
+    10 over t in [1, 10]. Both scales run the stated parameters (already
+    desk-scale).
     """
-    f = builtin_problems()["quadratic"]
-    x0 = np.array([1.0, 1.0])
-    delta = 0.05
-    cfg = AccelConfig(p=2, epsilon=delta**2, x0=x0)
-    rec = accelerated(f, cfg, 210)
-    flow = integrate(
-        build_el_system(EuclideanMap(), f, polynomial_triple(2, cfg.C)),
-        x0, 0.1, 10.5,
-        {"method": "rk4_adaptive", "rel_tol": 1e-9, "abs_tol": 1e-12},
-    )
-    out = ctx.artifacts("flow_method_correspondence")
-    out.record("accelerated_p2", rec)
-    out.trajectory("flow_p2", flow)
-    times, ratios, worst, holds = gap_ratios(f, rec, flow, delta, 1.0, 10.0,
-                                             CORRESPONDENCE_FACTOR)
-    out.plot("gap_ratio.dat", times, ratios, "t = delta k   method-gap / flow-gap")
-    return CheckResult(
-        name="flow_method_correspondence",
-        status="pass" if holds else "fail",
-        measured=worst,
-        bound=CORRESPONDENCE_FACTOR,
-        detail=(
-            f"gap ratio in [{ratios.min():.3f}, {ratios.max():.3f}] at "
-            f"{len(ratios)} sample times, shared C = {cfg.C:g}"
-        ),
-    )
+    kind = ctx.run_kind("flow_method_correspondence", "compare", {},
+                        {"iterates": "accelerated_p2", "flow": "flow_p2"})
+    return replace(kind["within_factor"], name="flow_method_correspondence")
 
 
 def _check_rerun_determinism(ctx: SuiteContext) -> CheckResult:

@@ -8,9 +8,11 @@ bounds, so everything they have in common lives here exactly once:
 - one implementation of each measurement a verdict is built from (rate
   slopes, energy rises, certificate ratios, monitor margins, the dilation
   mismatch, method/flow gap ratios, limit distances),
-- the adapter from an invariant report to CheckResults.
+- the adapter from an invariant report to CheckResults,
+- the run parameters of the checks and kinds that stay apart.
 
-The callers keep their own run parameters, verdicts and detail strings.
+Three checks run the kind they mirror (see experiments.py); the others keep
+their own run parameters, verdicts and detail strings.
 """
 
 from __future__ import annotations
@@ -47,6 +49,9 @@ RESCALED_EXACT_SUP_TOL = 1e-5
 UC_FLOW_REL_SLACK = 1e-4
 CORRESPONDENCE_FACTOR = 10.0
 NAIVE_STEP_BUDGET = 100_000
+DILATION_HORIZON = 10.0  # window end of the full-scale dilation runs
+DILATION_STEPS = 20_000  # rk4 steps of the full-scale dilation runs
+RESTART_EPOCHS = 3  # epochs of a restarted run unless a config sets them
 GAP_FLOOR = 1e-10  # rate fits exclude samples at the numerical floor
 MONITOR_ABS_SLACK = 1e-6  # additive slack on the alternative-monitor increments
 PRIMARY_MONITOR_FLOOR = -1e-12  # the primary-monitor margin may undershoot zero by this
@@ -60,15 +65,18 @@ class ArtifactWriter:
     """Writes CSVs and plot data under root, listing each file as prefix + name.
 
     With root None nothing is written or listed. Writers may share one file
-    list: the suite gives each check its own directory and prefix.
+    list: the suite gives each check its own directory and prefix, and labels
+    renames a kind's trajectory and record labels to the check's file names.
     """
 
-    def __init__(self, root=None, prefix: str = "", files: list | None = None):
+    def __init__(self, root=None, prefix: str = "", files: list | None = None,
+                 labels: dict | None = None):
         self.root = None if root is None else Path(root)
         if self.root is not None:
             self.root.mkdir(parents=True, exist_ok=True)
         self.prefix = prefix
         self.files = [] if files is None else files
+        self.labels = labels or {}
 
     def plot(self, name: str, xs, ys, comment: str) -> None:
         if self.root is None:
@@ -80,6 +88,7 @@ class ArtifactWriter:
         """Trajectory CSV plus, when a gap series exists, log-log plot data."""
         if self.root is None:
             return
+        label = self.labels.get(label, label)
         traj.to_csv(self.root / f"{label}.csv")
         self.files.append(f"{self.prefix}{label}.csv")
         if traj.f_gap is not None:
@@ -90,6 +99,7 @@ class ArtifactWriter:
         """Iterate CSV plus log-log gap-vs-iteration plot data."""
         if self.root is None:
             return
+        label = self.labels.get(label, label)
         rec.to_csv(self.root / f"{label}.csv")
         self.files.append(f"{self.prefix}{label}.csv")
         lx, ly = log_gap_columns(np.asarray(rec.ks, dtype=np.float64), _gaps(rec))

@@ -5,8 +5,21 @@ where nothing draws random numbers), evaluates the checks that the chosen
 dynamics certify, and — when an output directory is configured — emits the
 trace CSV, log-log plot data, and a schema-valid summary.json. Tolerances,
 the artifact writer and the measurements come from checks.py, the module the
-acceptance suite uses too, so an experiment and the acceptance check it
-mirrors can never drift apart.
+acceptance suite uses too.
+
+Three acceptance checks run the kind they mirror through _RUNNERS and build
+their verdicts from its CheckResults: flow_method_correspondence runs
+compare, naive_vs_matched naive_demo, and rescaled_flow_descent the rescaled
+flow (its exact e^{-t} x0 run on power_3 is its own). These pairs stay apart:
+- dilation_check, time_dilation_match: the check's quick horizon and step
+  count would need new kind fields;
+- restart, uniformly_convex_discrete: the check's epoch ratio reads the
+  run's record, and its two problems' anchors and epoch_j files would collide;
+- optimize, accelerated_gap_bound: five cached runs against one;
+- massless flow, small_mass_limit: three masses share one limit flow;
+- polynomial flows, polynomial_flow_rate: cached runs must not write files;
+- uniformly_convex_flow: its envelope reads the trajectory itself.
+The first two pairs share their run parameters by name in checks.py.
 """
 
 from __future__ import annotations
@@ -36,12 +49,15 @@ from ..flows import (
     integrate,
 )
 from ..taylorstep import StepConfig, smoothness_epsilon
-from .acceptance import acceptance_suite
 from .checks import (
     CORRESPONDENCE_FACTOR,
+    DILATION_HORIZON,
+    DILATION_STEPS,
     DILATION_SUP_TOL,
     ENERGY_REL_SLACK,
+    NAIVE_STEP_BUDGET,
     PRIMARY_MONITOR_FLOOR,
+    RESTART_EPOCHS,
     SLOPE_SLACK,
     TRIPLE_GRID_TOL,
     ArtifactWriter,
@@ -258,6 +274,7 @@ def _rescaled_monitor_checks(f, p: int, traj) -> list[CheckResult]:
             bound=0.0,
             detail="inverse-gap growth vs its guaranteed linear rate "
                    "(worst margin over live samples)",
+            extras={"level_radius": R},
         ),
         CheckResult(
             name="alternative_monitor",
@@ -343,8 +360,9 @@ def _run_compare(cfg: ExperimentConfig, emit: ArtifactWriter) -> list[CheckResul
         raise InputError(f"window [{lo:g}, {hi:g}] holds no sample time "
                          f"t = delta k at delta = {delta:g}")
     rec = accelerated(f, acfg, K)
+    # the method's continuous-time limit: the flow on the method's own mirror
     flow = integrate(
-        build_el_system(EuclideanMap(), f, polynomial_triple(p, acfg.C)),
+        build_el_system(acfg.mirror, f, polynomial_triple(p, acfg.C)),
         x0, min(0.1, lo), hi + delta,
         {"method": "rk4_adaptive", "rel_tol": 1e-9, "abs_tol": 1e-12},
     )
@@ -352,12 +370,14 @@ def _run_compare(cfg: ExperimentConfig, emit: ArtifactWriter) -> list[CheckResul
     emit.trajectory("flow", flow)
     times, ratios, worst, holds = gap_ratios(f, rec, flow, delta, lo, hi, factor)
     emit.plot("gap_ratio.dat", times, ratios, "t = delta k   method-gap / flow-gap")
+    spread = (f"gap ratio in [{ratios.min():.3f}, {ratios.max():.3f}] at {len(ratios)} "
+              "sample times" if len(ratios) else "no sample time with both gaps positive")
     return [CheckResult(
         name="within_factor",
         status="pass" if holds else "fail",
         measured=worst,
         bound=factor,
-        detail=f"gap ratio across t = delta k in [{lo:g}, {hi:g}], "
+        detail=f"{spread}, t = delta k in [{lo:g}, {hi:g}], "
                f"shared force constant C = {acfg.C:g}",
     )]
 
@@ -369,7 +389,8 @@ def _run_dilation_check(cfg: ExperimentConfig, emit: ArtifactWriter) -> list[Che
     if p not in (3, 4):
         raise InputError("dilation_check relabels the order-2 flow; p must be 3 or 4")
     C = cfg.number("C", 1.0)
-    direct, check_times, diff = dilation_mismatch(f, x0, p, C, 10.0, 20000)
+    direct, check_times, diff = dilation_mismatch(f, x0, p, C, DILATION_HORIZON,
+                                                  DILATION_STEPS)
     sup = float(np.max(diff))
     emit.trajectory("direct", direct)
     emit.plot("mismatch.dat", check_times, np.max(diff, axis=1),
@@ -396,7 +417,7 @@ def _run_dilation_check(cfg: ExperimentConfig, emit: ArtifactWriter) -> list[Che
 def _run_restart(cfg: ExperimentConfig, emit: ArtifactWriter) -> list[CheckResult]:
     f = cfg.problem_oracle()
     x0 = cfg.resolved_x0()
-    epochs = cfg.number("epochs", 3)
+    epochs = cfg.number("epochs", RESTART_EPOCHS)
     epsilon = cfg.number("epsilon")
     if epsilon is None:
         if f.uniform_convexity is None:
@@ -417,7 +438,7 @@ def _run_naive_demo(cfg: ExperimentConfig, emit: ArtifactWriter) -> list[CheckRe
     p = cfg.number("p", 3)
     C = cfg.number("C", 0.25)
     epsilon = cfg.number("epsilon", 0.01)
-    K = cfg.number("K", 100000)
+    K = cfg.number("K", NAIVE_STEP_BUDGET)
     accel_K = cfg.number("accel_K", 2000)
     # the accelerated run goes first: its entry checks reject an x0 the
     # matched method cannot start from before either run writes a file
@@ -476,6 +497,7 @@ def run_experiment(cfg: ExperimentConfig) -> ReportSummary:
     log-log plot data, and summary.json under cfg.out.
     """
     if cfg.kind == "acceptance":
+        from .acceptance import acceptance_suite  # which imports this module
         return acceptance_suite(scale=cfg.scale, out_dir=cfg.out, seed=cfg.seed)
     start = time.perf_counter()
     emit = ArtifactWriter(cfg.out)

@@ -31,7 +31,8 @@ from accelflow.harness import (
     run_experiment,
     validate_summary,
 )
-from accelflow.harness.acceptance import CheckSpec
+from accelflow.harness import experiments
+from accelflow.harness.acceptance import CheckSpec, SuiteContext
 from accelflow.harness.cli import main
 
 CRITERIA = tuple(spec.name for spec in CHECKS)
@@ -240,3 +241,62 @@ def test_raising_runner_is_still_exit_three(monkeypatch, tmp_path):
     assert code == 3
     check = json.loads((tmp_path / "summary.json").read_text())["checks"][0]
     assert check["extras"] == {"internal_error": True}
+
+
+# ---------------------------------------------------------------------------
+# the checks that run an experiment kind write what the kind writes
+
+# check -> (the kind's config at quick scale, the check's file label for each
+# of the kind's labels, the kind's check the suite check reports)
+KIND_CHECKS = {
+    "flow_method_correspondence": (
+        {"kind": "compare"},
+        {"iterates": "accelerated_p2", "flow": "flow_p2"}, "within_factor"),
+    "naive_vs_matched": (
+        {"kind": "naive_demo", "method": {"accel_K": 300}},
+        {"naive": "naive_p3", "accelerated": "matched_p3"}, "naive_diverges"),
+    "rescaled_flow_descent": (
+        {"kind": "flow", "method": {"family": "rescaled", "p": 3},
+         "integration": {"t_end": 15.0, "steps": 10000}},
+        {"trajectory": "quadratic_p3"}, "rate_slope"),
+}
+# files a check writes beside its kind's, from runs of its own
+OWN_FILES = {"rescaled_flow_descent": {"power_3_exact.csv", "power_3_exact_gap_loglog.dat"}}
+
+
+def _relabeled(name, labels):
+    stem, suffix = name.split(".")
+    for label, ours in labels.items():
+        if stem in (label, f"{label}_gap_loglog"):
+            return ours + stem[len(label):] + "." + suffix
+    return name
+
+
+def test_checks_write_the_bytes_of_the_kinds_they_run(monkeypatch, tmp_path):
+    _registry(monkeypatch, _subset(KIND_CHECKS), 2)
+    suite = acceptance_suite(scale="quick", out_dir=tmp_path / "suite", seed=0)
+    for check in suite.checks:
+        doc, labels, reported = KIND_CHECKS[check.name]
+        out = tmp_path / check.name
+        kind = run_experiment(ExperimentConfig(**doc, out=str(out)))
+        by_name = {c.name: c for c in kind.checks}
+        assert check.status == "pass" and kind.all_pass
+        assert (check.measured, check.bound) == (by_name[reported].measured,
+                                                  by_name[reported].bound)
+        written = {_relabeled(name, labels): data
+                   for name, data in _artifacts(out).items()}
+        ours = _artifacts(tmp_path / "suite" / check.name)
+        assert set(ours) - set(written) == OWN_FILES.get(check.name, set())
+        assert written == {name: ours[name] for name in written}
+
+
+def test_naive_scheme_that_completes_fails_the_check(monkeypatch, tmp_path):
+    # with a step budget below its divergence at k = 33 the naive scheme
+    # completes: the check fails and reports no divergence step
+    monkeypatch.setattr(experiments, "NAIVE_STEP_BUDGET", 20)
+    ctx = SuiteContext(scale="quick", seed=0, root=tmp_path)
+    check = acceptance._check_naive_vs_matched(ctx)
+    assert check.status == "fail"
+    assert check.measured is None and check.bound == 20.0
+    assert check.extras["diverged"] is False and check.extras["bound_ok"] is True
+    assert check.detail.startswith("naive scheme terminated completed;")

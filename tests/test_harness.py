@@ -370,10 +370,30 @@ def test_compare_kind_within_factor(tmp_path):
     check = summary.checks[0]
     assert check.name == "within_factor"
     assert check.measured <= 10.0
+    assert check.detail.startswith("gap ratio in [")
     _assert_emitted_exactly(summary, tmp_path, [
         "flow.csv", "flow_gap_loglog.dat", "gap_ratio.dat",
         "iterates.csv", "iterates_gap_loglog.dat",
     ])
+
+
+def test_compare_flow_runs_on_the_methods_mirror(tmp_path):
+    # at p >= 3 the method's mirror is the scaled p-th power map anchored at
+    # x0, and its continuous-time limit is the flow on that same mirror
+    from accelflow.accel import AccelConfig
+    from accelflow.core import ScaledPthPowerMap, builtin_problems, polynomial_triple
+    from accelflow.flows import build_el_system, integrate
+
+    run_experiment(ExperimentConfig(kind="compare", method={"p": 3}, window=[1.0, 2.0],
+                                    out=str(tmp_path / "kind")))
+    f, x0 = builtin_problems()["quadratic"], np.ones(2)
+    C = AccelConfig(p=3, epsilon=0.05**3, x0=x0).C
+    flow = integrate(
+        build_el_system(ScaledPthPowerMap(3, anchor=x0), f, polynomial_triple(3, C)),
+        x0, 0.1, 2.05, {"method": "rk4_adaptive", "rel_tol": 1e-9, "abs_tol": 1e-12},
+    )
+    flow.to_csv(tmp_path / "flow.csv")
+    assert (tmp_path / "kind" / "flow.csv").read_bytes() == (tmp_path / "flow.csv").read_bytes()
 
 
 def test_dilation_check_kind(tmp_path):
@@ -758,6 +778,8 @@ def test_cli_run_from_the_minimizer_passes(tmp_path, capsys, command, doc, check
     assert code == 0
     result = next(c for c in summary["checks"] if c["name"] == check)
     assert result["status"] == "pass"
+    if command == "compare":
+        assert result["detail"].startswith("no sample time with both gaps positive")
     assert math.isfinite(result["measured"]) and result["measured"] <= result["bound"]
 
 
@@ -967,6 +989,14 @@ def test_cli_module_runs_under_warnings_as_errors():
     proc = _cli_process("-W", "error", "-m", "accelflow.harness.cli", "--help")
     assert proc.returncode == 0, proc.stderr
     assert "usage: accelflow" in proc.stdout
+
+
+@pytest.mark.parametrize("module", ["experiments", "acceptance", "checks"])
+def test_harness_module_imports_first_under_warnings_as_errors(module):
+    # acceptance imports experiments, which imports acceptance only inside
+    # run_experiment: each module must import first in a fresh interpreter
+    proc = _cli_process("-W", "error", "-c", f"import accelflow.harness.{module}")
+    assert proc.returncode == 0, proc.stderr
 
 
 _NO_SCIPY_CHILD = """
