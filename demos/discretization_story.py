@@ -10,8 +10,12 @@ Three acts on the same 2-d quadratic:
 3. at matched time t = delta k (and matched force constant C), the order-2
    method's iterates shadow the integrated flow within a constant factor.
 
-Writes iterate CSVs and the shadowing ratio under
-demo_output/discretization_story/.
+Acts 1-2 are the naive_demo experiment of configs/naive_contrast.json and
+act 3 the compare experiment of configs/compare_methods.json, the same runs
+as `accelflow naive-demo` and `accelflow compare` on those configs; each act
+prints the measured value and detail of the checks its experiment evaluates.
+Writes each experiment's CSVs, plot data and summary.json under
+demo_output/discretization_story/<config name>/.
 
 Run:  python3 demos/discretization_story.py
 """
@@ -20,60 +24,38 @@ from __future__ import annotations
 
 from pathlib import Path
 
-import numpy as np
+from accelflow.harness import config_from, load_config, run_experiment
 
-from accelflow.accel import AccelConfig, accelerated, naive_discretization
-from accelflow.core import EuclideanMap, builtin_problems, polynomial_triple
-from accelflow.flows import build_el_system, integrate
-from accelflow.harness import write_plot_data
-
+CONFIGS = Path(__file__).resolve().parent / "configs"
 OUT = Path(__file__).resolve().parent.parent / "demo_output" / "discretization_story"
 
 
-def main() -> None:
-    OUT.mkdir(parents=True, exist_ok=True)
-    f = builtin_problems()["quadratic"]
-    x0 = np.array([1.0, 1.0])
+def _run(config: str) -> dict:
+    """The checks, by name, of the experiment in configs/<config>.json."""
+    cfg = config_from(load_config(CONFIGS / f"{config}.json"), out=str(OUT / config))
+    return {check.name: check for check in run_experiment(cfg).checks}
 
+
+def _show(check) -> None:
+    values = "" if check.measured is None else (
+        f": measured {check.measured:.4g}, bound {check.bound:g}")
+    print(f"  {check.name} {check.status}{values}")
+    print(f"    {check.detail}")
+
+
+def main() -> None:
+    naive = _run("naive_contrast")
     print("act 1: naive forward discretization, order 3, eps = 0.01")
-    naive = naive_discretization(f, EuclideanMap(), 3, 0.25, 0.01, x0, 100_000)
-    term = naive.termination
-    print(f"  terminated {term['status']!r} at k = {term['k']} "
-          f"(gap there: {naive.f_gaps_x[-1]:.2e})")
-    naive.to_csv(OUT / "naive.csv")
+    _show(naive["naive_diverges"])
 
     print("\nact 2: rate-matching method, same order, same eps")
-    rec = accelerated(f, AccelConfig(p=3, epsilon=0.01, x0=x0), 2000)
-    report = rec.invariant_report()["rate_bound"]
-    worst = float(np.max(rec.f_gaps_y[1:] / rec.bound_values[1:]))
-    print(f"  2000 iterations, final gap {rec.final_gap_y:.2e}")
-    print(f"  certificate held at every step: {report['ok']} "
-          f"(worst gap/bound ratio {worst:.3f})")
-    rec.to_csv(OUT / "rate_matching.csv")
+    _show(naive["run_completed"])
+    _show(naive["accelerated_bound"])
 
     print("\nact 3: order-2 method vs its continuous limit at t = delta k")
-    delta = 0.05
-    cfg = AccelConfig(p=2, epsilon=delta**2, x0=x0)
-    disc = accelerated(f, cfg, 210)
-    flow = integrate(
-        build_el_system(EuclideanMap(), f, polynomial_triple(2, cfg.C)),
-        x0, 0.1, 10.5,
-        {"method": "rk4_adaptive", "rel_tol": 1e-9, "abs_tol": 1e-12},
-    )
-    times, ratios = [], []
-    for k, gap in zip(disc.ks, disc.f_gaps_x):
-        t = delta * k
-        if 1.0 <= t <= 10.0:
-            flow_gap = f.value(flow.interp_state(t)[: flow.d]) - f.min_value
-            times.append(t)
-            ratios.append(gap / flow_gap)
-    ratios = np.asarray(ratios)
-    print(f"  method-gap / flow-gap across t in [1, 10]: "
-          f"[{ratios.min():.3f}, {ratios.max():.3f}]  (shared C = {cfg.C:g})")
+    _show(_run("compare_methods")["within_factor"])
     print("  the two curves oscillate in phase because the force constant matches;")
     print("  rerun with a mismatched C and the ratio explodes by orders of magnitude")
-    write_plot_data(OUT / "shadowing_ratio.dat", np.asarray(times), ratios,
-                    "t = delta k   method-gap / flow-gap")
 
     print(f"\nartifacts in {OUT}")
 

@@ -40,6 +40,7 @@ from .flows.integrate import DIVERGENCE_THRESHOLD
 from .taylorstep import (
     CERTIFICATE_DTYPE,
     StepConfig,
+    _check_order,
     g_step,
     progress_coefficient,
 )
@@ -341,8 +342,7 @@ class AccelConfig:
     mirror: MirrorMap | None = None
 
     def __post_init__(self):
-        if self.p not in (2, 3, 4):
-            raise InputError(f"accelerated method supports p in {{2, 3, 4}}, got {self.p}")
+        _check_order(self.p)
         self.p = int(self.p)
         if not self.epsilon > 0:
             raise InputError(f"epsilon must be positive, got {self.epsilon}")
@@ -730,8 +730,7 @@ def naive_discretization(
     admissible region — never an exception.
     """
     x0 = _start(f, x0, K)
-    if p not in (2, 3, 4):
-        raise InputError(f"supported orders are p in {{2, 3, 4}}, got {p}")
+    _check_order(p)
     if not (C > 0 and epsilon > 0):
         raise InputError("C and epsilon must be positive")
     k0 = p + 1
@@ -829,10 +828,10 @@ def restart_accelerated(
 
     Reads (p, sigma) from the oracle's declared uniform convexity and sets
     kappa = eps sigma (must lie in (0, 1)). Each epoch runs the accelerated
-    method for m = ceil(8 p / kappa^{1/p}) iterations with N = 2,
-    C = (4p)^{-p}, and the order-p mirror map re-anchored at the current
-    point; the epoch output y_m contracts ||anchor - x*||^p by at least
-    a factor e. A trailing Taylor step converts the last anchor's distance
+    method for m = ceil(8 p / kappa^{1/p}) iterations from the current
+    point with C = (4p)^{-p} and AccelConfig's N = 2 and order-p mirror map,
+    anchored there; the epoch output y_m contracts ||anchor - x*||^p by at
+    least a factor e. A trailing Taylor step converts the last anchor's distance
     into the value bound 3 ||x0 - x*||^p / (eps p e^epochs).
     """
     if f.uniform_convexity is None:
@@ -864,9 +863,7 @@ def restart_accelerated(
     xhat = x0
     n = 1
     for j in range(epochs):
-        mirror = EuclideanMap() if p == 2 else ScaledPthPowerMap(p, anchor=xhat)
-        cfg = AccelConfig(p=p, epsilon=epsilon, x0=xhat, N=2.0, C=C, mirror=mirror)
-        rec = accelerated(f, cfg, m)
+        rec = accelerated(f, AccelConfig(p=p, epsilon=epsilon, x0=xhat, C=C), m)
         inner.append(rec)
         if rec.termination["status"] != "completed":
             termination = {**rec.termination, "k": j}

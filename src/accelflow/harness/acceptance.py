@@ -11,19 +11,21 @@ short detail string naming every sub-measurement. Two scales:
 
 Checks share expensive runs through the context cache (the six
 polynomial-flow integrations feed both the rate check and the energy check;
-the five accelerated runs feed three checks). The cached runs only compute;
-each check writes its own trajectory/iterate CSVs plus log-log plot data
-under its own subdirectory, so a cached run's files are written by the check
-that owns their directory. One table, _TASKS, schedules the checks: checks
-that share cached runs form one task, and the slowest tasks start first.
-Tasks run concurrently in forked worker processes, one per usable CPU, and
-their results and file lists are merged back in registry order, so every
-verdict and every emitted byte is the same as in a serial run.
+the five accelerated runs feed three checks). Each check writes its own
+trajectory/iterate CSVs plus log-log plot data under its own subdirectory.
+The accelerated runs only compute, and the checks that read them write
+their files; the polynomial flows run as the flow kind, which writes
+polynomial_flow_rate's files when the flows are first computed, once per
+task. One table, _TASKS, schedules the checks: checks that share cached
+runs form one task, and the slowest tasks start first. Tasks run
+concurrently in forked worker processes, one per usable CPU, and their
+results and file lists are merged back in registry order, so every verdict
+and every emitted byte is the same as in a serial run.
 
 The tolerances, the artifact writer and every measurement a verdict is built
 from live in checks.py, which the experiment kinds share; this module holds
 the registry, the context cache, each check's run parameters, and its
-verdict and detail strings; the three that run the experiment kind they
+verdict and detail strings; the five that run the experiment kind they
 mirror (SuiteContext.run_kind, listed in experiments.py) read the kind's.
 """
 
@@ -80,10 +82,8 @@ from .checks import (
     dilation_mismatch,
     limit_distance,
     masked_slope,
-    max_relative_energy_rise,
     triple_grid_defect,
     worst_bound_ratio,
-    worst_gap_over_certificate,
 )
 from .config import ExperimentConfig
 from .experiments import _RUNNERS
@@ -123,44 +123,35 @@ class SuiteContext:
 
 
 def _polynomial_flow_runs(ctx: SuiteContext) -> list[dict]:
-    """The six (order, mirror) variational flows on the 2-d quadratic, C = 1.
+    """The six (order, mirror) polynomial flows on the 2-d quadratic, C = 1,
+    each run as the flow kind; a run's "checks" are the kind's CheckResults.
 
-    full: t in [0.1, 50], tolerances 1e-8 relative; the quartic mirror run
+    full: the kind's t in [0.1, 50] at 1e-8 relative; the quartic mirror run
     carries abs_tol 1e-13 because its dual gradient loses precision near the
     minimizer. That run oscillates fast near the minimizer, so accuracy, not
     stability, sets its step: ~1.9e5 accepted steps. quick: t_end 20 at 1e-7.
-    Recording is thinned per run to keep files comparable in size.
+    Recording is thinned per run to keep files comparable in size. Unlike
+    the other cached runs, these write polynomial_flow_rate's files when
+    first computed, which is once per task: _TASKS keeps both readers in one.
     """
     if "poly_flows" in ctx.cache:
         return ctx.cache["poly_flows"]
-    f = builtin_problems()["quadratic"]
-    maps = builtin_mirror_maps()
-    x0 = np.array([1.0, 1.0])
-    t_end = 50.0 if ctx.full() else 20.0
-    thin_full = {(2, False): 1, (2, True): 1, (3, False): 4, (3, True): 8,
-                 (4, False): 16, (4, True): 64}
     runs = []
     for p in (2, 3, 4):
-        for mirror_id in ("euclidean", f"pth_power_{p}"):
-            pth = mirror_id != "euclidean"
+        for mirror in ("euclidean", f"pth_power_{p}"):
+            pth = mirror != "euclidean"
             if ctx.full():
-                controls = {
-                    "method": "rk4_adaptive",
-                    "rel_tol": 1e-8,
-                    "abs_tol": 1e-13 if (p == 4 and pth) else 1e-11,
-                    "record_every": thin_full[(p, pth)],
-                }
+                # every 4^(p-2)-th step, and 2^(p-2) times sparser on d_p
+                integration = {"record_every": 4 ** (p - 2) * (2 ** (p - 2) if pth else 1)}
+                if p == 4 and pth:
+                    integration["abs_tol"] = 1e-13
             else:
-                controls = {
-                    "method": "rk4_adaptive",
-                    "rel_tol": 1e-7,
-                    "abs_tol": 1e-11,
-                    "record_every": {2: 1, 3: 4, 4: 16}[p],
-                }
-            triple = polynomial_triple(p, 1.0)
-            traj = integrate(build_el_system(maps[mirror_id], f, triple),
-                             x0, 0.1, t_end, controls)
-            runs.append({"p": p, "mirror": mirror_id, "triple": triple, "traj": traj})
+                integration = {"t_end": 20.0, "rel_tol": 1e-7, "record_every": 4 ** (p - 2)}
+            checks = ctx.run_kind(
+                "polynomial_flow_rate", "flow",
+                {"family": "polynomial", "p": p, "C": 1.0, "mirror": mirror},
+                {"trajectory": f"p{p}_{mirror}"}, integration=integration)
+            runs.append({"p": p, "mirror": mirror, "checks": checks})
     ctx.cache["poly_flows"] = runs
     return runs
 
@@ -198,70 +189,57 @@ def _accelerated_runs(ctx: SuiteContext) -> list[dict]:
 def _check_polynomial_flow_rate(ctx: SuiteContext) -> CheckResult:
     """Polynomial flows decay at their stated order, under their certificate.
 
-    Fits the log-log slope over [1, t_end] (ideal -p, slack 0.3) and holds
-    every sampled f-gap to E_{t0} e^{-beta_t} with 1e-6 relative slack, for
-    the six (order, mirror) runs. quick: horizon and fit window end at 20
-    instead of 50.
+    Reads the flow kind's checks of the six (order, mirror) runs: the
+    log-log slope over [1, t_end] (ideal -p, slack 0.3) and every sampled
+    f-gap held to E_{t0} e^{-beta_t} with 1e-6 relative slack. quick:
+    horizon and fit window end at 20 instead of 50.
     """
-    window = (1.0, 50.0 if ctx.full() else 20.0)
     worst_excess = -math.inf
     worst_point = 0.0
-    certified = True
+    ok = True
     parts = []
-    out = ctx.artifacts("polynomial_flow_rate")
     for run in _polynomial_flow_runs(ctx):
-        traj, triple, p = run["traj"], run["triple"], run["p"]
-        out.trajectory(f"p{p}_{run['mirror']}", traj)
-        slope = masked_slope(traj, window)
-        excess = slope + p
-        point, holds = worst_gap_over_certificate(traj, triple)
-        worst_excess = max(worst_excess, excess)
-        worst_point = max(worst_point, point)
-        certified = certified and holds
-        parts.append(f"p={p} {run['mirror']}: slope {slope:+.3f}, gap/cert {point:.3f}")
-    ok = worst_excess <= SLOPE_SLACK and certified
+        rate, cert = run["checks"]["rate_slope"], run["checks"]["pointwise_certificate"]
+        worst_excess = max(worst_excess, rate.measured + run["p"])
+        worst_point = max(worst_point, cert.measured)
+        ok = ok and rate.status == cert.status == "pass"
+        parts.append(f"p={run['p']} {run['mirror']}: slope {rate.measured:+.3f}, "
+                     f"gap/cert {cert.measured:.3f}")
     return CheckResult(
         name="polynomial_flow_rate",
         status="pass" if ok else "fail",
         measured=worst_excess,
         bound=SLOPE_SLACK,
         detail="; ".join(parts),
-        extras={"worst_gap_over_certificate": worst_point, "fit_window": list(window)},
+        extras={"worst_gap_over_certificate": worst_point,
+                "fit_window": [1.0, 50.0 if ctx.full() else 20.0]},
     )
 
 
 def _check_energy_monotonicity(ctx: SuiteContext) -> CheckResult:
     """Sampled energy never rises beyond rounding on any certified flow.
 
-    Covers the six polynomial-flow runs plus the exponential flow (c = 1)
-    on the quadratic; the largest relative step-to-step energy increase
-    must stay within 1e-6. quick: inherits the reduced horizons of the
-    shared runs; the exponential flow runs to t = 6 instead of 8.
+    Reads the flow kind's energy check of the six polynomial-flow runs and
+    of the exponential flow (c = 1) it runs on the quadratic; the largest
+    relative step-to-step energy increase must stay within 1e-6. quick:
+    inherits the reduced horizons of the shared runs; the exponential flow
+    runs to t = 6 at 1e-8 relative, 1e-11 absolute instead of the kind's
+    t = 8 at 1e-9, 1e-12.
     """
-    rises = []
-    parts = []
-    for run in _polynomial_flow_runs(ctx):
-        rise = max_relative_energy_rise(run["traj"])
-        rises.append(rise)
-        parts.append(f"p={run['p']} {run['mirror']}: {rise:+.2e}")
-    t_end, rel, ab = (8.0, 1e-9, 1e-12) if ctx.full() else (6.0, 1e-8, 1e-11)
-    exponential = integrate(
-        build_el_system(EuclideanMap(), builtin_problems()["quadratic"],
-                        exponential_triple(1.0)),
-        np.array([1.0, 1.0]), 0.0, t_end,
-        {"method": "rk4_adaptive", "rel_tol": rel, "abs_tol": ab},
-    )
-    ctx.artifacts("energy_monotonicity").trajectory("exponential_c1", exponential)
-    rise = max_relative_energy_rise(exponential)
-    rises.append(rise)
-    parts.append(f"exponential c=1: {rise:+.2e}")
-    worst = max(rises)
+    energies = [(f"p={run['p']} {run['mirror']}", run["checks"]["energy_monotone"])
+                for run in _polynomial_flow_runs(ctx)]
+    exponential = ctx.run_kind(
+        "energy_monotonicity", "flow", {"family": "exponential", "c": 1.0},
+        {"trajectory": "exponential_c1"},
+        integration={} if ctx.full() else {"t_end": 6.0, "rel_tol": 1e-8, "abs_tol": 1e-11})
+    energies.append(("exponential c=1", exponential["energy_monotone"]))
     return CheckResult(
         name="energy_monotonicity",
-        status="pass" if worst <= ENERGY_REL_SLACK else "fail",
-        measured=worst,
+        status="pass" if all(e.status == "pass" for _, e in energies) else "fail",
+        measured=max(e.measured for _, e in energies),
         bound=ENERGY_REL_SLACK,
-        detail="max relative energy rise per sample: " + "; ".join(parts),
+        detail="max relative energy rise per sample: "
+               + "; ".join(f"{label}: {e.measured:+.2e}" for label, e in energies),
     )
 
 

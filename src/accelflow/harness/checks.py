@@ -11,7 +11,7 @@ bounds, so everything they have in common lives here exactly once:
 - the adapter from an invariant report to CheckResults,
 - the run parameters of the checks and kinds that stay apart.
 
-Three checks run the kind they mirror (see experiments.py); the others keep
+Five checks run the kind they mirror (see experiments.py); the others keep
 their own run parameters, verdicts and detail strings.
 """
 
@@ -137,8 +137,8 @@ def worst_gap_over_certificate(traj, triple) -> tuple[float, bool]:
     return worst, bool(np.all(traj.f_gap <= certificate))
 
 
-def rescaled_monitor_margins(f, p: int, traj) -> tuple[float, float, float]:
-    """(R, primary margin, alternative margin) of a rescaled gradient flow.
+def rescaled_monitor_margins(p: int, traj, R: float) -> tuple[float, float]:
+    """(primary margin, alternative margin) of a rescaled gradient flow.
 
     The inverse-gap monitor gap^{-1/(p-1)} (+inf once the gap is
     nonpositive) must grow at least linearly with constant
@@ -149,7 +149,6 @@ def rescaled_monitor_margins(f, p: int, traj) -> tuple[float, float, float]:
     when nonnegative. R is the level-set radius through the initial state.
     The gaps are the ones the trajectory recorded, traj.f_gap.
     """
-    R = f.level_set_radius(traj.states[0][: traj.d])
     monitors = np.array([
         (math.inf if gap <= 0.0 else gap ** (-1.0 / (p - 1.0)), t**p * gap)
         for t, gap in zip(traj.times.tolist(), traj.f_gap.tolist())
@@ -162,7 +161,7 @@ def rescaled_monitor_margins(f, p: int, traj) -> tuple[float, float, float]:
     )) if np.any(live) else 0.0
     cap = (p - 1.0) ** (p - 1) * R**p * np.diff(traj.times) + MONITOR_ABS_SLACK
     alternative_margin = float(np.min(cap - np.diff(alternative)))
-    return R, primary_margin, alternative_margin
+    return primary_margin, alternative_margin
 
 
 def dilation_mismatch(f, x0, p: int, C: float, hi: float, steps: int):

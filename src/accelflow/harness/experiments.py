@@ -7,17 +7,18 @@ trace CSV, log-log plot data, and a schema-valid summary.json. Tolerances,
 the artifact writer and the measurements come from checks.py, the module the
 acceptance suite uses too.
 
-Three acceptance checks run the kind they mirror through _RUNNERS and build
+Five acceptance checks run the kind they mirror through _RUNNERS and build
 their verdicts from its CheckResults: flow_method_correspondence runs
-compare, naive_vs_matched naive_demo, and rescaled_flow_descent the rescaled
-flow (its exact e^{-t} x0 run on power_3 is its own). These pairs stay apart:
+compare, naive_vs_matched naive_demo, rescaled_flow_descent the rescaled
+flow (its exact e^{-t} x0 run on power_3 is its own), polynomial_flow_rate
+the six polynomial flows, and energy_monotonicity reads those six and runs
+the exponential flow. These pairs stay apart:
 - dilation_check, time_dilation_match: the check's quick horizon and step
   count would need new kind fields;
 - restart, uniformly_convex_discrete: the check's epoch ratio reads the
   run's record, and its two problems' anchors and epoch_j files would collide;
 - optimize, accelerated_gap_bound: five cached runs against one;
 - massless flow, small_mass_limit: three masses share one limit flow;
-- polynomial flows, polynomial_flow_rate: cached runs must not write files;
 - uniformly_convex_flow: its envelope reads the trajectory itself.
 The first two pairs share their run parameters by name in checks.py.
 """
@@ -265,7 +266,7 @@ def _rescaled_monitor_checks(f, p: int, traj) -> list[CheckResult]:
     if missing is not None:
         return [CheckResult(name=name, status="skip", detail=missing)
                 for name in ("primary_monitor", "alternative_monitor")]
-    _, margin, alt_margin = rescaled_monitor_margins(f, p, traj)
+    margin, alt_margin = rescaled_monitor_margins(p, traj, R)
     return [
         CheckResult(
             name="primary_monitor",

@@ -103,6 +103,19 @@ def test_quick_suite_through_experiment_config(tmp_path):
     assert [c.name for c in summary.checks] == list(CRITERIA)
     validate_summary(json.loads((tmp_path / "quick" / "summary.json").read_text()))
     _assert_emitted_exactly(summary, tmp_path / "quick")
+    # the suite's polynomial and exponential flows are the flow kind's runs
+    for check, label, method, integration in (
+        ("polynomial_flow_rate", "p2_euclidean", {"family": "polynomial", "p": 2},
+         {"t_end": 20.0, "rel_tol": 1e-7, "record_every": 1}),
+        ("energy_monotonicity", "exponential_c1", {"family": "exponential", "c": 1.0},
+         {"t_end": 6.0, "rel_tol": 1e-8, "abs_tol": 1e-11}),
+    ):
+        out = tmp_path / label
+        run_experiment(ExperimentConfig(kind="flow", method=method,
+                                        integration=integration, out=str(out)))
+        for suffix in (".csv", "_gap_loglog.dat"):
+            assert ((out / f"trajectory{suffix}").read_bytes()
+                    == (tmp_path / "quick" / check / f"{label}{suffix}").read_bytes())
 
 
 # ---------------------------------------------------------------------------

@@ -829,7 +829,8 @@ def test_rescaled_flow_primary_monitor_rate():
     growth = primary - primary[0]
     assert np.all(growth >= slope_floor * traj.times * (1.0 - 1e-9))
     # the checks' margins, measured from the level-set radius through x0
-    _, primary_margin, alternative_margin = rescaled_monitor_margins(f, p, traj)
+    primary_margin, alternative_margin = rescaled_monitor_margins(
+        p, traj, f.level_set_radius(x0))
     assert primary_margin >= 0.0 and alternative_margin >= 0.0
 
 
