@@ -1,10 +1,13 @@
 """A tour of the continuous-time flows and their convergence certificates.
 
-Integrates the polynomial-rate flows of orders 2, 3, 4 and the
-exponential-rate flow on a mildly ill-conditioned quadratic, fits the
-observed convergence rates, and checks each trajectory's energy
-certificate along the way. Writes trajectory CSVs and log-log plot data
-under demo_output/flow_zoo/.
+Runs the flow experiment for the polynomial-rate flows of orders 2, 3, 4 and
+the exponential-rate flow on a mildly ill-conditioned quadratic, the same
+runs as `accelflow flow` with these methods and integration controls, and
+prints the measured value and detail of every check the experiment
+evaluates: the fitted log-log rate, the largest relative energy rise between
+samples, and the f-gap against its energy certificate. Writes each run's
+trajectory CSV, log-log plot data and summary.json under
+demo_output/flow_zoo/<run>/.
 
 Run:  python3 demos/flow_zoo.py
 """
@@ -13,53 +16,41 @@ from __future__ import annotations
 
 from pathlib import Path
 
-import numpy as np
-
-from accelflow.core import (
-    EuclideanMap,
-    builtin_problems,
-    exponential_triple,
-    polynomial_triple,
-)
-from accelflow.flows import build_el_system, fit_rate, integrate
-from accelflow.harness import log_gap_columns, write_plot_data
+from accelflow.harness import ExperimentConfig, run_experiment
 
 OUT = Path(__file__).resolve().parent.parent / "demo_output" / "flow_zoo"
 
+# every run's tolerances: looser than the kind's defaults, a tour not a proof
+CONTROLS = {"rel_tol": 1e-7, "abs_tol": 1e-11}
+
+
+def _run(name: str, method: dict, integration: dict) -> list:
+    """The checks of one flow experiment, written under OUT/name."""
+    cfg = ExperimentConfig(kind="flow", method=method, integration=integration,
+                           out=str(OUT / name))
+    return run_experiment(cfg).checks
+
+
+def _show(check) -> None:
+    values = "" if check.measured is None else (
+        f": measured {check.measured:.4g}, bound {check.bound:g}")
+    print(f"  {check.name} {check.status}{values}")
+    print(f"    {check.detail}")
+
 
 def main() -> None:
-    OUT.mkdir(parents=True, exist_ok=True)
-    f = builtin_problems()["quadratic"]
-    x0 = np.array([1.0, 1.0])
-    controls = {"method": "rk4_adaptive", "rel_tol": 1e-7, "abs_tol": 1e-11}
+    print("objective: 2-d quadratic, eigenvalues (1, 10), from x0 = (1, 1)")
 
-    print(f"objective: {f.dimension}-d quadratic, eigenvalues (1, 10)")
-    print(f"start:     x0 = {x0.tolist()}, f-gap {f.value(x0) - f.min_value:.3f}\n")
-
-    print("polynomial-rate flows: the gap should fall like t^-p")
-    print(f"{'order':>5s} {'fitted slope':>13s} {'final gap':>11s} {'energy drift':>13s}")
+    print("\npolynomial-rate flows on t in [0.1, 20]: the gap should fall like t^-p")
     for p in (2, 3, 4):
-        system = build_el_system(EuclideanMap(), f, polynomial_triple(p, 1.0))
-        traj = integrate(system, x0, 0.1, 20.0, {**controls, "record_every": 4})
-        slope = fit_rate(traj.times, traj.f_gap, (1.0, 20.0))
-        drift = float(np.max(np.diff(traj.energy)))  # > 0 would break the proof
-        print(f"{p:5d} {slope:13.3f} {traj.f_gap[-1]:11.2e} {drift:13.2e}")
-        traj.to_csv(OUT / f"polynomial_p{p}.csv")
-        write_plot_data(OUT / f"polynomial_p{p}_loglog.dat",
-                        *log_gap_columns(traj.times, traj.f_gap),
-                        "log10 t   log10 f-gap")
+        print(f"order {p}")
+        for check in _run(f"polynomial_p{p}", {"family": "polynomial", "p": p},
+                          {**CONTROLS, "t_end": 20.0, "record_every": 4}):
+            _show(check)
 
-    print("\nexponential-rate flow: the gap should fall like e^-ct (c = 1)")
-    system = build_el_system(EuclideanMap(), f, exponential_triple(1.0))
-    traj = integrate(system, x0, 0.0, 8.0, controls)
-    # a straight line in (t, log gap): measure its slope well past the transient
-    gaps = traj.f_gap
-    lo, hi = np.searchsorted(traj.times, [2.0, 6.0])
-    decay = (np.log(gaps[hi]) - np.log(gaps[lo])) / (traj.times[hi] - traj.times[lo])
-    print(f"  measured log-gap decay rate {decay:+.3f} per unit time "
-          "(certificate guarantees at most -1)")
-    print(f"  final gap {gaps[-1]:.2e}, energy drift {float(np.max(np.diff(traj.energy))):+.2e}")
-    traj.to_csv(OUT / "exponential_c1.csv")
+    print("\nexponential-rate flow on t in [0, 8], c = 1: the gap should fall like e^-t")
+    for check in _run("exponential_c1", {"family": "exponential", "c": 1.0}, CONTROLS):
+        _show(check)
 
     print(f"\nartifacts in {OUT}")
 

@@ -5,7 +5,13 @@ self-improves to a geometric rate, and restarting the rate-matching method
 every m iterations contracts the distance to the minimizer by 1/e per
 epoch. Both effects are certified per iteration, not just observed.
 
-Writes the iterate CSVs under demo_output/restart_linear_rate/.
+Runs the optimize experiment (descent, eps = 0.1, 500 steps) and the restart
+experiment at its defaults (3 epochs, eps from the declared smoothness) on
+the quadratic and on the cubic power norm, the same runs as `accelflow
+optimize` and `accelflow restart` with these configs, and prints the
+measured value and detail of every check they evaluate. Writes each run's
+iterate CSVs, plot data and summary.json under
+demo_output/restart_linear_rate/<run>/.
 
 Run:  python3 demos/restart_linear_rate.py
 """
@@ -14,44 +20,33 @@ from __future__ import annotations
 
 from pathlib import Path
 
-import numpy as np
-
-from accelflow.accel import higher_order_descent, restart_accelerated
-from accelflow.core import builtin_problems
-from accelflow.taylorstep import StepConfig
+from accelflow.harness import ExperimentConfig, run_experiment
 
 OUT = Path(__file__).resolve().parent.parent / "demo_output" / "restart_linear_rate"
 
 
+def _run(name: str, **fields) -> list:
+    """The checks of one experiment, written under OUT/name."""
+    return run_experiment(ExperimentConfig(**fields, out=str(OUT / name))).checks
+
+
+def _show(check) -> None:
+    values = "" if check.measured is None else (
+        f": measured {check.measured:.4g}, bound {check.bound:g}")
+    print(f"  {check.name} {check.status}{values}")
+    print(f"    {check.detail}")
+
+
 def main() -> None:
-    OUT.mkdir(parents=True, exist_ok=True)
-    f = builtin_problems()["quadratic"]
-    x0 = np.array([1.0, 1.0])
-
     print("plain order-2 method on the strongly convex quadratic, 500 steps")
-    rec = higher_order_descent(f, StepConfig(2, 0.1, 2.0), x0, 500)
-    report = rec.invariant_report()
-    print(f"  geometric bound gap_k <= {rec.extras['linear_prefactor']:.3f} * "
-          f"{rec.extras['linear_rate']:.4f}^(k-1), k >= 1")
-    for name, entry in report.items():
-        print(f"  {name}: {'ok' if entry['ok'] else 'VIOLATED'} "
-              f"({entry['checked']} checked, worst margin {entry['worst']})")
-    print(f"  final gap {rec.final_gap_x:.2e}")
-    rec.to_csv(OUT / "descent.csv")
+    for check in _run("descent", kind="optimize",
+                      method={"algorithm": "descent", "epsilon": 0.1, "K": 500}):
+        _show(check)
 
-    print("\nrestarted rate-matching method, 3 epochs")
-    for name, eps in (("quadratic", 0.1), ("power_3", 1.0)):
-        prob = builtin_problems()[name]
-        restart = restart_accelerated(prob, eps, np.ones(prob.dimension), 3)
-        dist = np.asarray(restart.extras["distance_powers"])
-        steps = restart.extras["m"]
-        print(f"  {name}: m = {steps} iterations per epoch")
-        for j in range(1, len(dist)):
-            print(f"    epoch {j}: ||anchor - x*||^p shrank to "
-                  f"{dist[j] / dist[j - 1]:.2e} of the previous (cap 1/e = 0.368)")
-        print(f"    final gap {restart.extras['final_gap']:.2e} "
-              f"<= bound {restart.extras['final_bound']:.3g}")
-        restart.to_csv(OUT / f"restart_{name}.csv")
+    for problem in ("quadratic", "power_3"):
+        print(f"\nrestarted rate-matching method on {problem}, 3 epochs")
+        for check in _run(f"restart_{problem}", kind="restart", problem=problem):
+            _show(check)
 
     print(f"\nartifacts in {OUT}")
 

@@ -829,10 +829,10 @@ def restart_accelerated(
     Reads (p, sigma) from the oracle's declared uniform convexity and sets
     kappa = eps sigma (must lie in (0, 1)). Each epoch runs the accelerated
     method for m = ceil(8 p / kappa^{1/p}) iterations from the current
-    point with C = (4p)^{-p} and AccelConfig's N = 2 and order-p mirror map,
-    anchored there; the epoch output y_m contracts ||anchor - x*||^p by at
-    least a factor e. A trailing Taylor step converts the last anchor's distance
-    into the value bound 3 ||x0 - x*||^p / (eps p e^epochs).
+    point with C = (4p)^{-p}, StepConfig's default N and the order-p mirror
+    map anchored there; the epoch output y_m contracts ||anchor - x*||^p by
+    at least a factor e. A trailing Taylor step (same N) turns the last
+    anchor's distance into the value bound 3 ||x0 - x*||^p / (eps p e^epochs).
     """
     if f.uniform_convexity is None:
         raise CapabilityError(
@@ -851,6 +851,7 @@ def restart_accelerated(
     m = math.ceil(8 * p / kappa ** (1.0 / p))
     x0 = _start(f, x0, epochs * m, f"epochs * m = {epochs} * {m}")
     C = (4.0 * p) ** (-p)
+    step = StepConfig(p=p, epsilon=epsilon)
     x_star = f.minimizer
     f_star = f.min_value
 
@@ -863,7 +864,7 @@ def restart_accelerated(
     xhat = x0
     n = 1
     for j in range(epochs):
-        rec = accelerated(f, AccelConfig(p=p, epsilon=epsilon, x0=xhat, C=C), m)
+        rec = accelerated(f, AccelConfig(p=p, epsilon=epsilon, x0=xhat, N=step.N, C=C), m)
         inner.append(rec)
         if rec.termination["status"] != "completed":
             termination = {**rec.termination, "k": j}
@@ -880,7 +881,7 @@ def restart_accelerated(
         extras["distance_powers"] = dist_p
         bounds = dist_p[0] * np.exp(-np.arange(n, dtype=np.float64))
     if termination["status"] == "completed":
-        y_final, _, cert = g_step(f, xhat, StepConfig(p=p, epsilon=epsilon, N=2.0))
+        y_final, _, cert = g_step(f, xhat, step)
         extras["final_certificate_ok"] = cert.ok
         if f_star is not None:
             extras["final_gap"] = f.value(y_final) - f_star
@@ -898,7 +899,7 @@ def restart_accelerated(
             "kappa": float(kappa),
             "m": m,
             "epochs": int(epochs),
-            "N": 2.0,
+            "N": float(step.N),
             "C": float(C),
             "objective": f.name,
             "x0": [float(v) for v in x0],

@@ -25,8 +25,8 @@ and every emitted byte is the same as in a serial run.
 The tolerances, the artifact writer and every measurement a verdict is built
 from live in checks.py, which the experiment kinds share; this module holds
 the registry, the context cache, each check's run parameters, and its
-verdict and detail strings; the five that run the experiment kind they
-mirror (SuiteContext.run_kind, listed in experiments.py) read the kind's.
+verdict and detail strings; the checks listed in experiments.py run the
+kind they mirror (SuiteContext.run_kind) and read its CheckResults and runs.
 """
 
 from __future__ import annotations
@@ -39,13 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..accel import (
-    ESTIMATE_TOL,
-    AccelConfig,
-    accelerated,
-    higher_order_descent,
-    restart_accelerated,
-)
+from ..accel import ESTIMATE_TOL
 from ..core import (
     EuclideanMap,
     builtin_mirror_maps,
@@ -73,7 +67,6 @@ from .checks import (
     HAMILTONIAN_SUP_TOL,
     NATURAL_MOTION_SUP_TOL,
     RESCALED_EXACT_SUP_TOL,
-    RESTART_EPOCHS,
     SLOPE_SLACK,
     TRIPLE_GRID_TOL,
     UC_FLOW_REL_SLACK,
@@ -109,13 +102,24 @@ class SuiteContext:
         """Writer for one check's own subdirectory, listing into files."""
         return ArtifactWriter(self.root / check, f"{check}/", self.files, labels)
 
-    def run_kind(self, check: str, kind: str, method: dict, labels: dict,
-                 **fields) -> dict[str, CheckResult]:
-        """The CheckResults, by name, of a kind run on the quadratic from all
-        ones with the suite's seed, written as check's files under labels."""
-        cfg = ExperimentConfig(kind=kind, problem="quadratic", method=method,
-                               seed=self.seed, **fields)
-        return {c.name: c for c in _RUNNERS[kind](cfg, self.artifacts(check, labels))}
+    def run_kind(self, check: str | None, kind: str, method: dict,
+                 labels: dict | None = None, **fields) -> tuple[dict, dict]:
+        """A kind run from all ones with the suite's seed (fields may set the
+        problem): its CheckResults and runs, by name and label, written as
+        check's files under labels; with check None it only computes. A run
+        that stopped short raises _StoppedShort, which fails the check."""
+        cfg = ExperimentConfig(kind=kind, method=method, seed=self.seed, **fields)
+        emit = ArtifactWriter() if check is None else self.artifacts(check, labels)
+        checks = {c.name: c for c in _RUNNERS[kind](cfg, emit)}
+        done = checks.get("run_completed")
+        if done is not None and done.status != "pass":
+            label = f"{kind} {method} on {cfg.problem}"
+            raise _StoppedShort(replace(done, detail=f"{label}: {done.detail}"))
+        return checks, emit.runs
+
+
+class _StoppedShort(Exception):
+    """Carries the failed run_completed check that run_check reports."""
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +151,7 @@ def _polynomial_flow_runs(ctx: SuiteContext) -> list[dict]:
                     integration["abs_tol"] = 1e-13
             else:
                 integration = {"t_end": 20.0, "rel_tol": 1e-7, "record_every": 4 ** (p - 2)}
-            checks = ctx.run_kind(
+            checks, _ = ctx.run_kind(
                 "polynomial_flow_rate", "flow",
                 {"family": "polynomial", "p": p, "C": 1.0, "mirror": mirror},
                 {"trajectory": f"p{p}_{mirror}"}, integration=integration)
@@ -159,13 +163,12 @@ def _polynomial_flow_runs(ctx: SuiteContext) -> list[dict]:
 def _accelerated_runs(ctx: SuiteContext) -> list[dict]:
     """The five rate-matching runs whose records feed three checks.
 
-    Orders 2 and 3 on the quadratic and least-squares problems, order 4 on
-    the quadratic; epsilon always from the declared smoothness. full: the
-    stated K = 2000 (500 for order 4); quick: K = 300 (150).
+    The compute-only optimize kind at its accelerated defaults: orders 2
+    and 3 on the quadratic and least-squares problems, order 4 on the
+    quadratic. full: the stated K = 2000 (500 for order 4); quick: 300 (150).
     """
     if "accel_runs" in ctx.cache:
         return ctx.cache["accel_runs"]
-    problems = builtin_problems()
     specs = [
         ("quadratic", 2, 2000), ("quadratic", 3, 2000),
         ("least_squares", 2, 2000), ("least_squares", 3, 2000),
@@ -173,11 +176,10 @@ def _accelerated_runs(ctx: SuiteContext) -> list[dict]:
     ]
     runs = []
     for name, p, k_full in specs:
-        f = problems[name]
         K = k_full if ctx.full() else (150 if k_full == 500 else 300)
-        eps = smoothness_epsilon(f, p)
-        rec = accelerated(f, AccelConfig(p=p, epsilon=eps, x0=np.ones(f.dimension)), K)
-        runs.append({"problem": name, "p": p, "K": K, "epsilon": eps, "record": rec})
+        checks, kept = ctx.run_kind(None, "optimize", {"p": p, "K": K}, problem=name)
+        runs.append({"problem": name, "p": p, "K": K, "record": kept["iterates"],
+                     "checks": checks})
     ctx.cache["accel_runs"] = runs
     return runs
 
@@ -228,7 +230,7 @@ def _check_energy_monotonicity(ctx: SuiteContext) -> CheckResult:
     """
     energies = [(f"p={run['p']} {run['mirror']}", run["checks"]["energy_monotone"])
                 for run in _polynomial_flow_runs(ctx)]
-    exponential = ctx.run_kind(
+    exponential, _ = ctx.run_kind(
         "energy_monotonicity", "flow", {"family": "exponential", "c": 1.0},
         {"trajectory": "exponential_c1"},
         integration={} if ctx.full() else {"t_end": 6.0, "rel_tol": 1e-8, "abs_tol": 1e-11})
@@ -292,12 +294,11 @@ def _check_accelerated_gap_bound(ctx: SuiteContext) -> CheckResult:
     for run in _accelerated_runs(ctx):
         rec = run["record"]
         out.record(f"{run['problem']}_p{run['p']}", rec)
-        report = rec.invariant_report()["rate_bound"]
         ratio = worst_bound_ratio(rec)
         worst = max(worst, ratio)
         parts.append(
             f"{run['problem']} p={run['p']} K={run['K']}: worst ratio {ratio:.4f}"
-            + ("" if report["ok"] else " VIOLATED")
+            + ("" if run["checks"]["rate_bound"].status == "pass" else " VIOLATED")
         )
     return CheckResult(
         name="accelerated_gap_bound",
@@ -381,29 +382,27 @@ def _check_taylor_step_certificates(ctx: SuiteContext) -> CheckResult:
 def _check_plain_method_rate(ctx: SuiteContext) -> CheckResult:
     """The plain higher-order method descends at its guaranteed rate.
 
-    Orders 2 and 3 on the quadratic: monotone descent, the p^{p-1}(N+1)R^p /
-    (eps k^{p-1}) gap certificate, the one-step gap recursion, and the
-    inverse-gap increment floor, all at every iteration. quick: K = 300
-    instead of 2000.
+    The optimize kind's descent, orders 2 and 3 on the quadratic: monotone
+    descent, the p^{p-1}(N+1)R^p / (eps k^{p-1}) gap certificate, the
+    one-step gap recursion, and the inverse-gap increment floor, all at
+    every iteration. quick: K = 300 instead of 2000.
     """
-    f = builtin_problems()["quadratic"]
     K = 2000 if ctx.full() else 300
     worst_ratio = 0.0
     parts = []
     ok = True
     for p in (2, 3):
-        eps = smoothness_epsilon(f, p)
-        rec = higher_order_descent(f, StepConfig(p, eps, 2.0), np.array([1.0, 1.0]), K)
-        report = rec.invariant_report()
-        bad = [k for k, v in report.items() if not v["ok"]]
+        checks, kept = ctx.run_kind("plain_method_rate", "optimize",
+                                    {"algorithm": "descent", "p": p, "K": K},
+                                    {"iterates": f"quadratic_p{p}"})
+        bad = [name for name, c in checks.items() if c.status != "pass"]
         ok = ok and not bad
-        ratio = worst_bound_ratio(rec)
+        ratio = worst_bound_ratio(kept["iterates"])
         worst_ratio = max(worst_ratio, ratio)
         parts.append(
             f"p={p} K={K}: gap/bound {ratio:.4f}"
             + (f", failing: {bad}" if bad else ", all invariants hold")
         )
-        ctx.artifacts("plain_method_rate").record(f"quadratic_p{p}", rec)
     return CheckResult(
         name="plain_method_rate",
         status="pass" if ok and worst_ratio <= 1.0 else "fail",
@@ -425,9 +424,9 @@ def _check_rescaled_flow(ctx: SuiteContext) -> CheckResult:
     quick: 10000/3000 integration steps and horizon 15/6 instead of 30/10.
     """
     p = 3
-    kind = ctx.run_kind("rescaled_flow_descent", "flow", {"family": "rescaled", "p": p},
-                        {"trajectory": "quadratic_p3"},
-                        integration={} if ctx.full() else {"t_end": 15.0, "steps": 10000})
+    kind, _ = ctx.run_kind("rescaled_flow_descent", "flow", {"family": "rescaled", "p": p},
+                           {"trajectory": "quadratic_p3"},
+                           integration={} if ctx.full() else {"t_end": 15.0, "steps": 10000})
     rate, primary = kind["rate_slope"], kind["primary_monitor"]
     monitors = ["ok" if kind[name].status == "pass" else "VIOLATED"
                 for name in ("primary_monitor", "alternative_monitor")]
@@ -463,9 +462,9 @@ def _check_naive_vs_matched(ctx: SuiteContext) -> CheckResult:
     certificate at every k. quick: K = 300 for the certified run instead of
     2000.
     """
-    kind = ctx.run_kind("naive_vs_matched", "naive_demo",
-                        {"accel_K": 2000 if ctx.full() else 300},
-                        {"naive": "naive_p3", "accelerated": "matched_p3"})
+    kind, _ = ctx.run_kind("naive_vs_matched", "naive_demo",
+                           {"accel_K": 2000 if ctx.full() else 300},
+                           {"naive": "naive_p3", "accelerated": "matched_p3"})
     naive, matched = kind["naive_diverges"], kind["accelerated_bound"]
     return CheckResult(
         name="naive_vs_matched",
@@ -625,21 +624,20 @@ def _check_damped_oscillator_threshold(ctx: SuiteContext) -> CheckResult:
 def _check_uniformly_convex_discrete(ctx: SuiteContext) -> CheckResult:
     """Uniform convexity upgrades the discrete methods to linear rates.
 
-    The plain method (order 2, N = 2, eps = 0.1) on the strongly convex
-    quadratic obeys the geometric gap bound and the per-step inverse-gap
-    increment floor. The restart scheme contracts ||anchor - x*||^p by at
-    least 1/e per epoch and lands under its final bound after 3 epochs, for
-    orders 2 (quadratic) and 3 (the cubic power norm). quick: descent
-    K = 200 instead of 500; restarts are cheap and run unreduced.
+    The optimize kind's descent (order 2, N = 2, eps = 0.1) on the strongly
+    convex quadratic obeys the geometric gap bound and the per-step
+    inverse-gap increment floor. The restart kind at its defaults contracts
+    ||anchor - x*||^p by at least 1/e per epoch and lands under its final
+    bound after 3 epochs, for orders 2 (quadratic) and 3 (the cubic power
+    norm); its anchors are written. quick: descent K = 200 instead of 500.
     """
-    problems = builtin_problems()
-    quad = problems["quadratic"]
     K = 500 if ctx.full() else 200
-    rec = higher_order_descent(quad, StepConfig(2, 0.1, 2.0), np.array([1.0, 1.0]), K)
-    report = rec.invariant_report()
-    bound_ok = report["geometric_bound"]["ok"]
-    increments_ok = report["inverse_gap_increments"]["ok"]
-    ctx.artifacts("uniformly_convex_discrete").record("geometric_descent", rec)
+    descent, kept = ctx.run_kind("uniformly_convex_discrete", "optimize",
+                                 {"algorithm": "descent", "epsilon": 0.1, "K": K},
+                                 {"iterates": "geometric_descent"})
+    rec = kept["iterates"]
+    bound_ok = descent["geometric_bound"].status == "pass"
+    increments_ok = descent["inverse_gap_increments"].status == "pass"
     parts = [
         f"geometric bound {'ok' if bound_ok else 'VIOLATED'} "
         f"(rate {rec.extras['linear_rate']:.4f}), increments "
@@ -647,11 +645,10 @@ def _check_uniformly_convex_discrete(ctx: SuiteContext) -> CheckResult:
     ]
     worst_ratio = 0.0
     restarts_ok = True
-    for name, eps in (("quadratic", 0.1), ("power_3", 1.0)):
-        f = problems[name]
-        restart = restart_accelerated(f, eps, np.ones(f.dimension), RESTART_EPOCHS)
-        report = restart.invariant_report()
-        bad = [k for k, v in report.items() if not v["ok"]]
+    for name in ("quadratic", "power_3"):
+        checks, kept = ctx.run_kind(None, "restart", {}, problem=name)
+        restart = kept["anchors"]
+        bad = [k for k, c in checks.items() if c.status != "pass"]
         restarts_ok = restarts_ok and not bad
         dist = np.asarray(restart.extras["distance_powers"])
         ratio = float(np.max(dist[1:] / dist[:-1]))
@@ -712,8 +709,8 @@ def _check_flow_method_correspondence(ctx: SuiteContext) -> CheckResult:
     10 over t in [1, 10]. Both scales run the stated parameters (already
     desk-scale).
     """
-    kind = ctx.run_kind("flow_method_correspondence", "compare", {},
-                        {"iterates": "accelerated_p2", "flow": "flow_p2"})
+    kind, _ = ctx.run_kind("flow_method_correspondence", "compare", {},
+                           {"iterates": "accelerated_p2", "flow": "flow_p2"})
     return replace(kind["within_factor"], name="flow_method_correspondence")
 
 
@@ -849,11 +846,14 @@ def run_check(spec: CheckSpec, ctx: SuiteContext) -> CheckResult:
 
     A crash inside a runner becomes a failed CheckResult tagged
     internal_error instead of aborting the suite, so one broken check cannot
-    hide the verdicts of the other sixteen.
+    hide the verdicts of the other sixteen; a run it reads that stopped
+    short fails it cleanly, with the run's termination in extras.
     """
     start = time.perf_counter()
     try:
         result = spec.runner(ctx)
+    except _StoppedShort as exc:
+        result = replace(exc.args[0], name=spec.name)
     except Exception as exc:  # noqa: BLE001 - the tag preserves the class
         result = _internal_error(spec.name, exc)
     result.runtime = time.perf_counter() - start

@@ -11,7 +11,7 @@ bounds, so everything they have in common lives here exactly once:
 - the adapter from an invariant report to CheckResults,
 - the run parameters of the checks and kinds that stay apart.
 
-Five checks run the kind they mirror (see experiments.py); the others keep
+Ten checks run the kind they mirror (see experiments.py); the others keep
 their own run parameters, verdicts and detail strings.
 """
 
@@ -51,7 +51,6 @@ CORRESPONDENCE_FACTOR = 10.0
 NAIVE_STEP_BUDGET = 100_000
 DILATION_HORIZON = 10.0  # window end of the full-scale dilation runs
 DILATION_STEPS = 20_000  # rk4 steps of the full-scale dilation runs
-RESTART_EPOCHS = 3  # epochs of a restarted run unless a config sets them
 GAP_FLOOR = 1e-10  # rate fits exclude samples at the numerical floor
 MONITOR_ABS_SLACK = 1e-6  # additive slack on the alternative-monitor increments
 PRIMARY_MONITOR_FLOOR = -1e-12  # the primary-monitor margin may undershoot zero by this
@@ -64,9 +63,9 @@ PRIMARY_MONITOR_FLOOR = -1e-12  # the primary-monitor margin may undershoot zero
 class ArtifactWriter:
     """Writes CSVs and plot data under root, listing each file as prefix + name.
 
-    With root None nothing is written or listed. Writers may share one file
-    list: the suite gives each check its own directory and prefix, and labels
-    renames a kind's trajectory and record labels to the check's file names.
+    runs keeps every run handed in by its label, also with root None, where
+    nothing is written or listed. Writers may share one file list: the suite
+    gives each check a directory and prefix; labels renames a kind's labels.
     """
 
     def __init__(self, root=None, prefix: str = "", files: list | None = None,
@@ -77,6 +76,7 @@ class ArtifactWriter:
         self.prefix = prefix
         self.files = [] if files is None else files
         self.labels = labels or {}
+        self.runs = {}
 
     def plot(self, name: str, xs, ys, comment: str) -> None:
         if self.root is None:
@@ -86,6 +86,7 @@ class ArtifactWriter:
 
     def trajectory(self, label: str, traj) -> None:
         """Trajectory CSV plus, when a gap series exists, log-log plot data."""
+        self.runs[label] = traj
         if self.root is None:
             return
         label = self.labels.get(label, label)
@@ -97,6 +98,7 @@ class ArtifactWriter:
 
     def record(self, label: str, rec) -> None:
         """Iterate CSV plus log-log gap-vs-iteration plot data."""
+        self.runs[label] = rec
         if self.root is None:
             return
         label = self.labels.get(label, label)

@@ -7,20 +7,20 @@ trace CSV, log-log plot data, and a schema-valid summary.json. Tolerances,
 the artifact writer and the measurements come from checks.py, the module the
 acceptance suite uses too.
 
-Five acceptance checks run the kind they mirror through _RUNNERS and build
-their verdicts from its CheckResults: flow_method_correspondence runs
-compare, naive_vs_matched naive_demo, rescaled_flow_descent the rescaled
-flow (its exact e^{-t} x0 run on power_3 is its own), polynomial_flow_rate
-the six polynomial flows, and energy_monotonicity reads those six and runs
-the exponential flow. These pairs stay apart:
+Ten acceptance checks run the kind they mirror through _RUNNERS and build
+their verdicts from its CheckResults and the runs its writer kept:
+flow_method_correspondence runs compare, naive_vs_matched naive_demo,
+rescaled_flow_descent the rescaled flow (its exact e^{-t} x0 run on power_3
+is its own), polynomial_flow_rate the six polynomial flows,
+energy_monotonicity those six and the exponential flow, plain_method_rate
+optimize descent, uniformly_convex_discrete optimize descent and restart
+(anchors only), and the three accelerated-run checks five compute-only
+optimize runs; only the standalone Taylor-step sweep calls a method. Apart:
 - dilation_check, time_dilation_match: the check's quick horizon and step
-  count would need new kind fields;
-- restart, uniformly_convex_discrete: the check's epoch ratio reads the
-  run's record, and its two problems' anchors and epoch_j files would collide;
-- optimize, accelerated_gap_bound: five cached runs against one;
+  count would need new kind fields (both share DILATION_HORIZON and
+  DILATION_STEPS, checks.py);
 - massless flow, small_mass_limit: three masses share one limit flow;
 - uniformly_convex_flow: its envelope reads the trajectory itself.
-The first two pairs share their run parameters by name in checks.py.
 """
 
 from __future__ import annotations
@@ -58,7 +58,6 @@ from .checks import (
     ENERGY_REL_SLACK,
     NAIVE_STEP_BUDGET,
     PRIMARY_MONITOR_FLOOR,
-    RESTART_EPOCHS,
     SLOPE_SLACK,
     TRIPLE_GRID_TOL,
     ArtifactWriter,
@@ -418,7 +417,7 @@ def _run_dilation_check(cfg: ExperimentConfig, emit: ArtifactWriter) -> list[Che
 def _run_restart(cfg: ExperimentConfig, emit: ArtifactWriter) -> list[CheckResult]:
     f = cfg.problem_oracle()
     x0 = cfg.resolved_x0()
-    epochs = cfg.number("epochs", RESTART_EPOCHS)
+    epochs = cfg.number("epochs", 3)
     epsilon = cfg.number("epsilon")
     if epsilon is None:
         if f.uniform_convexity is None:

@@ -678,7 +678,7 @@ def test_restart_inner_runs_use_scheme_constants():
     f = builtin_problems()["quadratic"]
     rec = restart_accelerated(f, 0.1, np.array([1.0, 1.0]), 2)
     for inner in rec.inner:
-        assert inner.config["N"] == 2.0
+        assert inner.config["N"] == rec.config["N"] == 2.0  # the record states its epochs' N
         assert inner.config["C"] == pytest.approx(1.0 / 64.0)  # (4p)^-p at p=2
         assert inner.config["K"] == rec.config["m"]
         # every inner run carries its own green certificate set

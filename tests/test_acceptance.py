@@ -18,9 +18,12 @@ import contextlib
 import io
 import json
 import os
+from dataclasses import replace
 
 import pytest
 
+from accelflow import accel
+from accelflow.errors import SolverError
 from accelflow.harness import (
     CHECKS,
     DEFAULT_SUITE_SEED,
@@ -123,6 +126,10 @@ def test_quick_suite_through_experiment_config(tmp_path):
 
 POOL_SUBSET = ("accelerated_gap_bound", "estimate_sequence_invariants",
                "taylor_step_certificates", "naive_vs_matched", "force_free_motion")
+# the checks that read a discrete run, in registry order
+DISCRETE_READERS = ("accelerated_gap_bound", "estimate_sequence_invariants",
+                    "taylor_step_certificates", "plain_method_rate",
+                    "uniformly_convex_discrete")
 
 
 def _registry(monkeypatch, specs, cpus):
@@ -301,6 +308,75 @@ def test_checks_write_the_bytes_of_the_kinds_they_run(monkeypatch, tmp_path):
         ours = _artifacts(tmp_path / "suite" / check.name)
         assert set(ours) - set(written) == OWN_FILES.get(check.name, set())
         assert written == {name: ours[name] for name in written}
+
+
+# (check, the optimize descent config it runs at quick scale, its file label)
+DESCENT_RUNS = (
+    ("plain_method_rate", {"algorithm": "descent", "p": 2, "K": 300}, "quadratic_p2"),
+    ("plain_method_rate", {"algorithm": "descent", "p": 3, "K": 300}, "quadratic_p3"),
+    ("uniformly_convex_discrete", {"algorithm": "descent", "epsilon": 0.1, "K": 200},
+     "geometric_descent"),
+)
+
+
+def test_discrete_checks_write_the_bytes_of_the_descent_runs(monkeypatch, tmp_path):
+    _registry(monkeypatch, _subset({check for check, _, _ in DESCENT_RUNS}), 2)
+    suite = acceptance_suite(scale="quick", out_dir=tmp_path / "suite", seed=0)
+    assert suite.all_pass, suite.failing()
+    for check, method, label in DESCENT_RUNS:
+        out = tmp_path / label
+        assert run_experiment(ExperimentConfig(kind="optimize", method=method,
+                                               out=str(out))).all_pass
+        for suffix in (".csv", "_gap_loglog.dat"):
+            assert ((out / f"iterates{suffix}").read_bytes()
+                    == (tmp_path / "suite" / check / f"{label}{suffix}").read_bytes())
+
+
+def test_discrete_checks_take_their_verdicts_from_the_kinds(monkeypatch, tmp_path):
+    # a failing kind check fails each suite check that reads it, by name
+    report_checks = experiments.report_checks
+
+    def increments_fail(report):
+        return [replace(c, status="fail") if c.name == "inverse_gap_increments" else c
+                for c in report_checks(report)]
+
+    monkeypatch.setattr(experiments, "report_checks", increments_fail)
+    ctx = SuiteContext(scale="quick", seed=0, root=tmp_path)
+    plain = acceptance._check_plain_method_rate(ctx)
+    assert plain.status == "fail"
+    assert plain.detail.count("failing: ['inverse_gap_increments']") == 2
+    uniform = acceptance._check_uniformly_convex_discrete(ctx)
+    assert uniform.status == "fail" and "increments VIOLATED" in uniform.detail
+
+
+def test_discrete_run_that_stops_short_fails_each_check_that_reads_it(monkeypatch, tmp_path):
+    # every 40th Taylor step of the methods raises: every discrete run the
+    # five checks read stops short, and each check fails, naming the
+    # termination, instead of passing on a short run or crashing
+    g_step = accel.g_step
+    calls = [0]
+
+    def failing_every_40th(f, x, cfg):
+        calls[0] += 1
+        if calls[0] % 40 == 0:
+            raise SolverError("injected", residual=0.25)
+        return g_step(f, x, cfg)
+
+    monkeypatch.setattr(accel, "g_step", failing_every_40th)
+    _registry(monkeypatch, _subset(DISCRETE_READERS), 1)
+    suite = acceptance_suite(scale="quick", out_dir=tmp_path, seed=0)
+    assert [c.name for c in suite.checks] == list(DISCRETE_READERS)
+    for check in suite.checks:
+        assert check.status == "fail", (check.name, check.detail)
+        assert "internal_error" not in check.extras, check.detail
+        assert check.extras["termination"]["status"] == "solver_error"
+        assert check.extras["termination"]["message"] == "injected"
+        assert "run terminated solver_error at k=" in check.detail
+
+
+def test_suite_reaches_the_discrete_methods_only_through_the_kinds():
+    for name in ("accelerated", "higher_order_descent", "restart_accelerated", "AccelConfig"):
+        assert not hasattr(acceptance, name), name
 
 
 def test_naive_scheme_that_completes_fails_the_check(monkeypatch, tmp_path):

@@ -30,7 +30,10 @@ import numpy as np
 import pytest
 
 import accelflow
+from accelflow.accel import higher_order_descent
+from accelflow.core import builtin_problems
 from accelflow.errors import CapabilityError, InputError
+from accelflow.flows import build_rescaled_gradient_flow, integrate
 from accelflow.harness import (
     CHECKS,
     CONFIG_FIELDS,
@@ -46,8 +49,10 @@ from accelflow.harness import (
     validate_summary,
     write_plot_data,
 )
+from accelflow.harness.checks import ArtifactWriter
 from accelflow.harness.cli import main
 from accelflow.harness.reporting import jsonable
+from accelflow.taylorstep import StepConfig
 
 SCHEMA_PATH = Path(__file__).resolve().parents[1] / "schemas" / "summary.json"
 
@@ -262,6 +267,22 @@ def test_flow_without_out_emits_nothing(tmp_path):
     summary = run_experiment(_flow_config())
     assert summary.files == []
     assert not list(tmp_path.iterdir())
+
+
+def test_writer_without_root_keeps_every_run_by_label_and_writes_nothing(tmp_path,
+                                                                         monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    f = builtin_problems()["quadratic"]
+    rec = higher_order_descent(f, StepConfig(2, 0.1), np.ones(2), 5)
+    traj = integrate(build_rescaled_gradient_flow(f, 2), np.ones(2), 0.0, 1.0,
+                     {"method": "rk4", "steps": 10})
+    emit = ArtifactWriter()
+    emit.record("iterates", rec)
+    emit.trajectory("trajectory", traj)
+    emit.plot("ratio.dat", [1.0], [1.0], "x   y")
+    assert list(emit.runs) == ["iterates", "trajectory"]
+    assert emit.runs["iterates"] is rec and emit.runs["trajectory"] is traj
+    assert emit.files == [] and not list(tmp_path.iterdir())
 
 
 def test_exponential_flow_checks(tmp_path):
