@@ -39,6 +39,7 @@ from .errors import CapabilityError, InputError, SolverError
 from .flows.integrate import DIVERGENCE_THRESHOLD
 from .taylorstep import (
     CERTIFICATE_DTYPE,
+    DEFAULT_N,
     StepConfig,
     _check_order,
     g_step,
@@ -75,6 +76,13 @@ def _blown(v: np.ndarray) -> bool:
     """A non-finite vector, one whose square overflows, or one past the
     threshold: each has a norm that is not <= DIVERGENCE_THRESHOLD."""
     return not norm(v) <= DIVERGENCE_THRESHOLD
+
+
+def _row_dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """<A[i], B[i]> per row (B may be one vector for every row), bit for bit
+    float(A[i] @ B[i]): the stacked matmul takes each row as one 1-d dot, as
+    the @ of two vectors does, where einsum and (A * B).sum(1) do not."""
+    return (A[:, None, :] @ B[..., :, None])[:, 0, 0]
 
 
 def _kept(buf: np.ndarray, n: int) -> np.ndarray:
@@ -337,7 +345,7 @@ class AccelConfig:
     p: int
     epsilon: float
     x0: Point
-    N: float = 2.0
+    N: float = DEFAULT_N
     C: float | None = None
     mirror: MirrorMap | None = None
 
@@ -529,11 +537,21 @@ def accelerated(f: ObjectiveOracle, cfg: AccelConfig, K: int) -> RunRecord:
     z_k = grad h*(w_k), and average x_{k+1} = p/(k+p) z_k + k/(k+p) y_k.
 
     The estimate sequence psi_k(x) = C p sum_i i^(p-1) [f(y_i) +
-    <grad f(y_i), x - y_i>] + D_h(x, x_0)/eps is tracked in closed form:
+    <grad f(y_i), x - y_i>] + D_h(x, x_0)/eps is evaluated in closed form:
     z_k is its exact minimizer (dual optimality is recorded), its value
     there stays above C k^(p) f(y_k), and its value at the minimizer stays
     below C k^(p) f* + D_h(x*, x_0)/eps. Those two pin the certified rate
     f(y_k) - f* <= D_h(x*, x_0) / (C eps k^(p)).
+
+    The loop does only the recursion x -> y -> w -> z and keeps, per row,
+    y, z, w, grad f(y), the step certificate, f(y), h(z) and grad h(z).
+    One vectorized pass over the kept rows then forms the prefix sums
+    S1_k = sum_i i^(p-1) (f(y_i) - <grad f(y_i), y_i>) and
+    S2_k = sum_i i^(p-1) grad f(y_i), and from them every psi column, so
+    psi_k(x) = C p (S1_k + <S2_k, x>) + D_h(x, x_0)/eps. The pass calls no
+    oracle or mirror method, and each value is bit for bit what updating
+    the sums inside the loop gives: np.cumsum adds in sequence, and each
+    row's dot product is one 1-d dot (_row_dots).
     """
     x0 = _start(f, cfg.x0, K)
     h = cfg.mirror
@@ -553,24 +571,17 @@ def accelerated(f: ObjectiveOracle, cfg: AccelConfig, K: int) -> RunRecord:
     xs = np.empty((m, d))
     ys = np.empty((m, d))
     zs = np.empty((m, d))
+    ws = np.empty((m, d))
     f_xs = np.empty(m)
     f_ys = np.empty(m)
     grad_ys = np.empty((m, d))
-    psi_values = np.empty(m)
-    psi_grad_norms = np.empty(m)
-    psi_grad_scales = np.empty(m)
-    psi_at_min = np.full(m, np.nan)
-    psi_upper = np.full(m, np.nan)
-    ckp_fy = np.empty(m)
-    bounds = np.full(m, np.nan)
+    h_zs = np.empty(m)
+    grad_h_zs = np.empty((m, d))
     certs = np.empty(m, CERTIFICATE_DTYPE)
     termination = {"status": "completed", "k": None}
 
     w0 = h.gradient(x0)
-    w0_norm = norm(w0)
     w = w0.copy()
-    S1 = 0.0
-    S2 = np.zeros(d)
     x = x0.copy()
     n = 0
     for k in range(m):
@@ -584,8 +595,7 @@ def accelerated(f: ObjectiveOracle, cfg: AccelConfig, K: int) -> RunRecord:
         except SolverError as exc:
             termination = _solver_failure(k, exc)
             break
-        weight = rising_factorial(k, p - 1)
-        w = w - (eps * C * p * weight) * g
+        w = w - (eps * C * p * rising_factorial(k, p - 1)) * g
         z = h.dual_gradient(w)
         if _blown(y) or _blown(z):
             termination = {"status": "diverged", "k": k}
@@ -593,27 +603,33 @@ def accelerated(f: ObjectiveOracle, cfg: AccelConfig, K: int) -> RunRecord:
         certs[k] = cert
         ys[k] = y
         zs[k] = z
-        f_ys[k] = f.value(y)
+        ws[k] = w
         grad_ys[k] = g
-        S1 += weight * (f_ys[k] - float(g @ y))
-        S2 = S2 + weight * g
-        kp = rising_factorial(k, p)
-        dh_z = h.value(z) - h_x0 - float(w0 @ (z - x0))
-        psi_values[k] = C * p * (S1 + float(S2 @ z)) + dh_z / eps
-        grad_psi = C * p * S2 + (h.gradient(z) - w0) / eps
-        psi_grad_norms[k] = norm(grad_psi)
-        psi_grad_scales[k] = norm(w) + w0_norm
-        ckp_fy[k] = C * kp * f_ys[k]
-        if x_star is not None:
-            psi_at_min[k] = C * p * (S1 + float(S2 @ x_star)) + dh_star / eps
-            if f_star is not None:
-                psi_upper[k] = C * kp * f_star + dh_star / eps
-                if k >= 1:
-                    bounds[k] = dh_star / (C * eps * kp)
+        f_ys[k] = f.value(y)
+        h_zs[k] = h.value(z)
+        grad_h_zs[k] = h.gradient(z)
         n += 1
         if k < K:
             x = (p / (k + p)) * z + (k / (k + p)) * y
 
+    ys, zs = _kept(ys, n), _kept(zs, n)
+    grad_ys, f_ys = _kept(grad_ys, n), _kept(f_ys, n)
+    weights = np.array([float(rising_factorial(k, p - 1)) for k in range(n)])
+    kps = np.array([float(rising_factorial(k, p)) for k in range(n)])
+    # sums started from +0.0, as in a loop: adding it turns row 0's -0.0
+    # (weight 0 times a negative) into +0.0
+    S1 = np.cumsum(weights * (f_ys - _row_dots(grad_ys, ys))) + 0.0
+    S2 = np.cumsum(weights[:, None] * grad_ys, axis=0) + 0.0
+    dh_z = h_zs[:n] - h_x0 - _row_dots(zs - x0, w0)
+    grad_psi = C * p * S2 + (grad_h_zs[:n] - w0) / eps
+    psi_at_min = None
+    psi_upper = None if f_star is None else np.full(n, np.nan)
+    bounds = np.full(n, np.nan)
+    if x_star is not None:
+        psi_at_min = C * p * (S1 + _row_dots(S2, x_star)) + dh_star / eps
+        if f_star is not None:
+            psi_upper = C * kps * f_star + dh_star / eps
+            bounds[1:] = dh_star / (C * eps * kps[1:])
     return RunRecord(
         algorithm="accelerated",
         config={**cfg.snapshot(), "K": int(K), "objective": f.name},
@@ -622,18 +638,18 @@ def accelerated(f: ObjectiveOracle, cfg: AccelConfig, K: int) -> RunRecord:
         f_xs=_kept(f_xs, n),
         f_star=f_star,
         termination=termination,
-        ys=_kept(ys, n),
-        zs=_kept(zs, n),
-        f_ys=_kept(f_ys, n),
-        grad_ys=_kept(grad_ys, n),
+        ys=ys,
+        zs=zs,
+        f_ys=f_ys,
+        grad_ys=grad_ys,
         certificates=_kept(certs, n),
-        psi_values=_kept(psi_values, n),
-        psi_grad_norms=_kept(psi_grad_norms, n),
-        psi_grad_scales=_kept(psi_grad_scales, n),
-        psi_at_minimizer=_kept(psi_at_min, n) if x_star is not None else None,
-        psi_upper_envelope=_kept(psi_upper, n) if f_star is not None else None,
-        ckp_fy=_kept(ckp_fy, n),
-        bound_values=_kept(bounds, n),
+        psi_values=C * p * (S1 + _row_dots(S2, zs)) + dh_z / eps,
+        psi_grad_norms=np.sqrt(_row_dots(grad_psi, grad_psi)),
+        psi_grad_scales=np.sqrt(_row_dots(ws[:n], ws[:n])) + norm(w0),
+        psi_at_minimizer=psi_at_min,
+        psi_upper_envelope=psi_upper,
+        ckp_fy=C * kps * f_ys,
+        bound_values=bounds,
         extras={"dh_star_x0": dh_star},
     )
 

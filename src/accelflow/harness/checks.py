@@ -48,7 +48,6 @@ NATURAL_MOTION_SUP_TOL = 1e-6
 RESCALED_EXACT_SUP_TOL = 1e-5
 UC_FLOW_REL_SLACK = 1e-4
 CORRESPONDENCE_FACTOR = 10.0
-NAIVE_STEP_BUDGET = 100_000
 DILATION_HORIZON = 10.0  # window end of the full-scale dilation runs
 DILATION_STEPS = 20_000  # rk4 steps of the full-scale dilation runs
 GAP_FLOOR = 1e-10  # rate fits exclude samples at the numerical floor

@@ -49,14 +49,13 @@ from ..flows import (
     build_rescaled_gradient_flow,
     integrate,
 )
-from ..taylorstep import StepConfig, smoothness_epsilon
+from ..taylorstep import DEFAULT_N, StepConfig, smoothness_epsilon
 from .checks import (
     CORRESPONDENCE_FACTOR,
     DILATION_HORIZON,
     DILATION_STEPS,
     DILATION_SUP_TOL,
     ENERGY_REL_SLACK,
-    NAIVE_STEP_BUDGET,
     PRIMARY_MONITOR_FLOOR,
     SLOPE_SLACK,
     TRIPLE_GRID_TOL,
@@ -74,6 +73,9 @@ from .checks import (
 )
 from .config import ExperimentConfig
 from .reporting import CheckResult, ReportSummary
+
+# naive_demo's default step count: the naive scheme diverges well before it
+NAIVE_STEP_BUDGET = 100_000
 
 
 def _merge_controls(cfg: ExperimentConfig, defaults: dict) -> tuple[float, float, dict]:
@@ -314,7 +316,7 @@ def _run_optimize(cfg: ExperimentConfig, emit: ArtifactWriter) -> list[CheckResu
     epsilon = cfg.number("epsilon")
     if epsilon is None:
         epsilon = smoothness_epsilon(f, p)
-    N = cfg.number("N", 2.0)
+    N = cfg.number("N", DEFAULT_N)
 
     if algorithm == "accelerated":
         acfg = AccelConfig(p=p, epsilon=epsilon, x0=x0, N=N, C=cfg.number("C"),
@@ -344,7 +346,7 @@ def _run_compare(cfg: ExperimentConfig, emit: ArtifactWriter) -> list[CheckResul
     except OverflowError:
         raise InputError(f"epsilon = delta**p overflows at delta = {delta:g}, "
                          f"p = {p}") from None
-    acfg = AccelConfig(p=p, epsilon=epsilon, x0=x0, N=cfg.number("N", 2.0),
+    acfg = AccelConfig(p=p, epsilon=epsilon, x0=x0, N=cfg.number("N", DEFAULT_N),
                        C=cfg.number("C"))
 
     lo, hi = tuple(cfg.window) if cfg.window else (1.0, 10.0)
@@ -443,7 +445,7 @@ def _run_naive_demo(cfg: ExperimentConfig, emit: ArtifactWriter) -> list[CheckRe
     # the accelerated run goes first: its entry checks reject an x0 the
     # matched method cannot start from before either run writes a file
     matched = accelerated(
-        f, AccelConfig(p=p, epsilon=epsilon, x0=x0, N=cfg.number("accel_N", 2.0)),
+        f, AccelConfig(p=p, epsilon=epsilon, x0=x0, N=cfg.number("accel_N", DEFAULT_N)),
         accel_K,
     )
     naive = naive_discretization(f, EuclideanMap(), p, C, epsilon, x0, K)

@@ -7,6 +7,9 @@ precision through one symmetric eigendecomposition; for p = 4 a
 quartic-regularized secular solve warm-starts a damped Newton iteration on
 the model. A step evaluates the Hessian at x once: the secular solve, the
 p = 4 polish and the certificate's model gradient all read that matrix.
+The decomposition is kept for the last distinct Hessian (_eigh), so a
+step whose Hessian has the previous one's bytes, as on a quadratic,
+reuses it: one eigendecomposition per distinct Hessian.
 Every step returns a certificate holding the progress inequality
 
     <grad f(y), x - y>  >=  M eps^{1/(p-1)} ||grad f(y)||^{p/(p-1)},
@@ -35,6 +38,7 @@ RESIDUAL_TARGET = 1e-9  # relative, p in {2, 3}
 RESIDUAL_LIMIT_P4 = 1e-6
 SECULAR_RTOL = 4.0 * np.finfo(float).eps
 SECULAR_MAXITER = 100
+DEFAULT_N = 2.0  # the default N of StepConfig, AccelConfig and the kinds
 
 
 def _check_order(p) -> None:
@@ -52,7 +56,7 @@ class StepConfig:
 
     p: int
     epsilon: float
-    N: float = 2.0
+    N: float = DEFAULT_N
 
     def __post_init__(self):
         _check_order(self.p)
@@ -191,11 +195,28 @@ def _secular_displacement(eigvals, eigvecs, g, scale: float, power: int):
     return -(eigvecs @ (coords / _secular_root(lam, coords, scale, power)[1]))
 
 
+_last_eigh = [None]  # (key, eigenvalues, eigenvectors), replaced whole
+
+
+def _eigh(H):
+    """np.linalg.eigh(H) as read-only arrays, kept for the last distinct H:
+    the key is H's shape, dtype and bytes, so only an identical matrix
+    reuses a decomposition (a list goes through np.asarray first)."""
+    H = np.asarray(H)
+    key = (H.shape, H.dtype, H.tobytes())
+    memo = _last_eigh[0]
+    if memo is not None and memo[0] == key:
+        return memo[1:]
+    eigvals, eigvecs = np.linalg.eigh(H)
+    eigvals.flags.writeable = eigvecs.flags.writeable = False
+    _last_eigh[0] = (key, eigvals, eigvecs)
+    return eigvals, eigvecs
+
+
 def _newton_polish_p4(f, x, g, H, u0, cfg: StepConfig, target: float):
     """Damped Newton on the order-3 model with quartic regularization."""
     scale = cfg.N / cfg.epsilon
     d = x.size
-    eye = np.eye(d)
 
     def model_value(u):
         r2 = float(u @ u)
@@ -207,11 +228,13 @@ def _newton_polish_p4(f, x, g, H, u0, cfg: StepConfig, target: float):
         )
 
     u = u0
-    val = model_value(u)
-    for _ in range(100):
+    for i in range(100):
         gm = _model_gradient(f, x, g, H, u, cfg)
         if norm(gm) <= target:
             break
+        if i == 0:  # most polishes end at the test above, before these
+            eye = np.eye(d)
+            val = model_value(u)
         third_cols = np.column_stack(
             [f.third_apply(x, u, eye[:, j]) for j in range(d)]
         )
@@ -269,8 +292,8 @@ def g_step(f, x: Point, cfg: StepConfig) -> tuple[Point, Point, StepCertificate]
     if cfg.p == 2:
         return _certify(f, x, x - (cfg.epsilon / cfg.N) * g, cfg, g, H)
 
-    eigvals, eigvecs = np.linalg.eigh(H)
-    if eigvals[0] < -1e-8 * max(1.0, float(np.max(np.abs(eigvals)))):
+    eigvals, eigvecs = _eigh(H)
+    if eigvals[0] < -1e-8 * max(1.0, abs(eigvals[0]), abs(eigvals[-1])):
         raise SolverError(
             f"Taylor model at x is not convex (eigenvalue {eigvals[0]:.3e}); "
             "the subproblem solvers assume convex benchmarks",

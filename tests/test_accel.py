@@ -33,6 +33,7 @@ from accelflow.core import (
     builtin_problems,
     rising_factorial,
 )
+from accelflow.core.numerics import norm
 from accelflow.accel import (
     MAX_ITERS,
     AccelConfig,
@@ -459,6 +460,128 @@ def test_estimate_sequence_value_input_validation():
     plain = higher_order_descent(f, StepConfig(2, 0.1, 2.0), cfg.x0, 5)
     with pytest.raises(InputError):
         estimate_sequence_value(plain, cfg, np.zeros(2), 3)
+
+
+def _per_iteration_estimate_sequence(f, cfg, rec):
+    """Reference: the estimate-sequence bookkeeping as a per-iteration loop
+    over the record's rows, the way accelerated once updated S1, S2 and
+    every psi column inside its recursion. It replays w_k and z_k from
+    grad f(y_k) and checks them and the next average against the record."""
+    h, p, C, eps, x0 = cfg.mirror, cfg.p, cfg.C, cfg.epsilon, cfg.x0
+    x_star, f_star = f.minimizer, f.min_value
+    h_x0 = h.value(x0)
+    dh_star = h.bregman(x_star, x0) if x_star is not None else None
+    n = len(rec.ks)
+    cols = {name: np.full(n, np.nan) for name in (
+        "psi_values", "psi_grad_norms", "psi_grad_scales", "psi_at_minimizer",
+        "psi_upper_envelope", "ckp_fy", "bound_values")}
+    w0 = h.gradient(x0)
+    w0_norm = norm(w0)
+    w = w0.copy()
+    S1 = 0.0
+    S2 = np.zeros(x0.size)
+    for k in range(n):
+        y, g = rec.ys[k], rec.grad_ys[k]
+        weight = rising_factorial(k, p - 1)
+        w = w - (eps * C * p * weight) * g
+        z = h.dual_gradient(w)
+        assert z.tobytes() == rec.zs[k].tobytes(), k
+        if k + 1 < n:
+            x = (p / (k + p)) * z + (k / (k + p)) * y
+            assert x.tobytes() == rec.xs[k + 1].tobytes(), k
+        S1 += weight * (rec.f_ys[k] - float(g @ y))
+        S2 = S2 + weight * g
+        kp = rising_factorial(k, p)
+        dh_z = h.value(z) - h_x0 - float(w0 @ (z - x0))
+        cols["psi_values"][k] = C * p * (S1 + float(S2 @ z)) + dh_z / eps
+        grad_psi = C * p * S2 + (h.gradient(z) - w0) / eps
+        cols["psi_grad_norms"][k] = norm(grad_psi)
+        cols["psi_grad_scales"][k] = norm(w) + w0_norm
+        cols["ckp_fy"][k] = C * kp * rec.f_ys[k]
+        if x_star is not None:
+            cols["psi_at_minimizer"][k] = C * p * (S1 + float(S2 @ x_star)) + dh_star / eps
+            if f_star is not None:
+                cols["psi_upper_envelope"][k] = C * kp * f_star + dh_star / eps
+                if k >= 1:
+                    cols["bound_values"][k] = dh_star / (C * eps * kp)
+    return cols
+
+
+def _assert_post_pass_matches_the_loop(f, cfg, rec):
+    n = len(rec.ks)
+    for name, expected in _per_iteration_estimate_sequence(f, cfg, rec).items():
+        got = getattr(rec, name)
+        if got is None:  # no minimizer or no f*: the loop left the column NaN
+            assert name in ("psi_at_minimizer", "psi_upper_envelope"), name
+            assert np.isnan(expected).all(), name
+            continue
+        assert got.shape == (n,) and got.dtype == np.float64, name
+        assert got.tobytes() == expected.tobytes(), name
+
+
+class _Unsolved:
+    """Delegates to an objective oracle that declares neither x* nor f*."""
+
+    minimizer = None
+    min_value = None
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+
+@pytest.mark.parametrize("problem, p, variant, K", [
+    ("quadratic", 2, None, 150),  # Euclidean
+    ("quadratic", 2, "scaled_power", 150),
+    ("quadratic", 3, None, 150),  # scaled power, anchored at x0
+    ("quadratic", 4, None, 60),
+    ("quadratic_10d", 4, None, 40),
+    ("least_squares", 2, None, 150),
+    ("least_squares", 3, None, 150),
+    ("log_sum_exp", 3, None, 80),
+    ("quadratic", 3, "unsolved", 60),  # psi_at_minimizer None, bounds NaN
+])
+def test_estimate_sequence_post_pass_equals_the_per_iteration_loop(problem, p, variant, K):
+    f = builtin_problems()[problem]
+    rng = np.random.default_rng(RNG_SEED + p)
+    x0 = f.minimizer + rng.standard_normal(f.dimension)
+    h = ScaledPthPowerMap(p, anchor=x0) if variant == "scaled_power" else None
+    if variant == "unsolved":
+        f = _Unsolved(f)
+    cfg = AccelConfig(p=p, epsilon=smoothness_epsilon(f, p), x0=x0, mirror=h)
+    rec = accelerated(f, cfg, K)
+    assert rec.termination["status"] == "completed"
+    _assert_post_pass_matches_the_loop(f, cfg, rec)
+    if variant == "unsolved":
+        assert rec.psi_upper_envelope is None and np.isnan(rec.bound_values).all()
+
+
+def test_estimate_sequence_post_pass_on_runs_cut_short(monkeypatch):
+    f = builtin_problems()["quadratic"]
+    # five times the certified epsilon: the p = 2 run diverges at k = 27
+    cfg = AccelConfig(p=2, epsilon=5 * smoothness_epsilon(f, 2), x0=np.ones(2))
+    rec = accelerated(f, cfg, 200)
+    assert rec.termination == {"status": "diverged", "k": 27}
+    _assert_post_pass_matches_the_loop(f, cfg, rec)
+    # a solver failure at k = 7 keeps rows 0..6
+    _failing_g_step(monkeypatch, fail_at=7)
+    cfg = AccelConfig(p=3, epsilon=smoothness_epsilon(f, 3), x0=np.ones(2))
+    rec = accelerated(f, cfg, 50)
+    assert (rec.termination["status"], len(rec.ks)) == ("solver_error", 7)
+    _assert_post_pass_matches_the_loop(f, cfg, rec)
+
+
+def test_estimate_sequence_post_pass_in_restart_epochs():
+    f = builtin_problems()["power_3"]
+    rec = restart_accelerated(f, 1.0, np.array([1.0, -1.0, 0.5]), 3)
+    assert rec.termination["status"] == "completed"
+    for j, inner in enumerate(rec.inner):
+        cfg = AccelConfig(p=3, epsilon=1.0, x0=rec.xs[j], C=inner.config["C"])
+        _assert_post_pass_matches_the_loop(f, cfg, inner)
+        # each anchor is the epoch's last step output
+        assert rec.xs[j + 1].tobytes() == inner.ys[-1].tobytes()
 
 
 def test_accelerated_on_least_squares():

@@ -68,7 +68,8 @@ def test_tracer_counts_every_layer_and_restores_the_package(tmp_path):
     try:
         traj = integrate(system, np.array([1.0, 1.0]), 0.1, 1.0,
                          {"method": "rk4", "steps": 20})
-        rec = accelerated(f, AccelConfig(p=3, epsilon=0.1, x0=np.array([1.0, 1.0])), 3)
+        rec = accelerated(tracing.OracleProxy(f, tracer),
+                          AccelConfig(p=3, epsilon=0.1, x0=np.array([1.0, 1.0])), 3)
         traj.to_csv(tmp_path / "trajectory.csv")
         rec.to_csv(tmp_path / "iterates.csv")
     finally:
@@ -77,6 +78,8 @@ def test_tracer_counts_every_layer_and_restores_the_package(tmp_path):
     assert tracer.stat("systems.certificate").calls > 0
     assert tracer.stat("integrate").calls == 1
     assert tracer.stat("taylorstep.g_step.p3").calls > 0
+    # one Hessian per p >= 3 step, also where the step reuses its eigh
+    assert tracer.stat("oracles.hessian").calls == len(rec.ks) == 4
     assert tracer.stat("accel.accelerated").calls == 1
     assert tracer.counts["accel.iters"] == len(rec.ks)
     assert tracer.stat("emit").calls == 2

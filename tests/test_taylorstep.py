@@ -10,6 +10,8 @@ local-minimality probes of the model itself.
 from __future__ import annotations
 
 import math
+import sys
+import threading
 from unittest import mock
 
 import numpy as np
@@ -162,6 +164,161 @@ def test_g_step_deterministic(p):
     y1, _, _ = g_step(f, x, cfg)
     y2, _, _ = g_step(f, x, cfg)
     assert float(np.max(np.abs(y1 - y2))) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# one eigendecomposition per distinct Hessian
+
+
+@pytest.fixture
+def eigh_calls(monkeypatch):
+    """Count np.linalg.eigh calls, starting from an empty memo."""
+    taylorstep._last_eigh[0] = None
+    calls = []
+    real = np.linalg.eigh
+
+    def counting(H):
+        calls.append(H)
+        return real(H)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    return calls
+
+
+def test_eigh_runs_once_per_distinct_hessian_in_a_run(eigh_calls):
+    K = 30
+    # log_sum_exp's Hessian moves with x, except from x_0 to x_1 = x_0 (the
+    # k = 0 mirror weight vanishes): K decompositions for K + 1 steps
+    for name, expected in (("quadratic", 1), ("log_sum_exp", K)):
+        f = builtin_problems()[name]
+        x0 = np.full(f.dimension, 0.7)
+        eigh_calls.clear()
+        rec = accelerated(f, AccelConfig(p=3, epsilon=smoothness_epsilon(f, 3), x0=x0), K)
+        assert rec.termination["status"] == "completed"
+        assert len(rec.ks) == K + 1
+        assert len(eigh_calls) == expected, name
+
+
+def _interleaved_steps(cases, fresh):
+    """Two steps at each point, problem after problem; with fresh set, the
+    memo is emptied before every step."""
+    steps = []
+    for i in range(3):
+        for f, cfg, points in cases:
+            for _ in range(2):
+                if fresh:
+                    taylorstep._last_eigh[0] = None
+                steps.append(g_step(f, points[i], cfg))
+    return steps
+
+
+def test_memo_steps_on_interleaved_problems_equal_fresh_decompositions():
+    taylorstep._last_eigh[0] = None
+    problems = builtin_problems()
+    rng = np.random.default_rng(RNG_SEED)
+    cases = []
+    # quadratic_10d twice in a row: its constant Hessian is shared across
+    # points and orders
+    for name, p in (("quadratic_10d", 3), ("quadratic_10d", 4), ("log_sum_exp", 3),
+                    ("least_squares", 4), ("power_4", 4)):
+        f = problems[name]
+        cases.append((f, StepConfig(p, smoothness_epsilon(f, p)),
+                      0.5 * rng.standard_normal((3, f.dimension))))
+    memo = _interleaved_steps(cases, fresh=False)
+    fresh = _interleaved_steps(cases, fresh=True)
+    for (y, gy, cert), (y2, gy2, cert2) in zip(memo, fresh):
+        assert y.tobytes() == y2.tobytes() and gy.tobytes() == gy2.tobytes()
+        assert np.array([cert], taylorstep.CERTIFICATE_DTYPE).tobytes() == \
+            np.array([cert2], taylorstep.CERTIFICATE_DTYPE).tobytes()
+
+
+def test_memo_decomposes_a_hessian_one_ulp_away_and_is_read_only(eigh_calls):
+    H = np.array([[2.0, 0.5], [0.5, 1.0]])
+    vals, vecs = taylorstep._eigh(H)
+    again = taylorstep._eigh(H.copy())
+    assert len(eigh_calls) == 1 and again[0] is vals and again[1] is vecs
+    near = H.copy()
+    near[1, 1] = np.nextafter(1.0, 2.0)
+    vals2, _ = taylorstep._eigh(near)
+    assert len(eigh_calls) == 2 and vals2 is not vals
+    for array in (vals, vecs, vals2):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 0.0
+
+
+def test_memo_shared_by_threads_returns_each_steps_own_decomposition():
+    # four threads (more than the two cores) step on problems with different
+    # Hessians through the one memo, switching every microsecond; a torn or
+    # mismatched entry would give some thread another matrix's eigenvectors
+    problems = builtin_problems()
+    cases = [(problems[name], StepConfig(p, smoothness_epsilon(problems[name], p)))
+             for name, p in (("quadratic_10d", 3), ("log_sum_exp", 3),
+                             ("least_squares", 4), ("quadratic_10d", 4))]
+    rng = np.random.default_rng(RNG_SEED)
+    points = [0.5 * rng.standard_normal((4, f.dimension)) for f, _ in cases]
+    expected = []
+    for (f, cfg), xs in zip(cases, points):
+        row = []
+        for x in xs:
+            taylorstep._last_eigh[0] = None
+            row.append(g_step(f, x, cfg)[0].tobytes())
+        expected.append(row)
+    mismatches = []
+
+    def work(i):
+        f, cfg = cases[i]
+        try:
+            for _ in range(25):
+                for j, x in enumerate(points[i]):
+                    if g_step(f, x, cfg)[0].tobytes() != expected[i][j]:
+                        mismatches.append((i, j))
+        except Exception as exc:  # a thread's error must fail the test
+            mismatches.append((i, repr(exc)))
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(len(cases))]
+    saved = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(saved)
+    assert not any(t.is_alive() for t in threads)
+    assert mismatches == []
+
+
+class _ListHessian:
+    """Delegates to an objective oracle; its hessian_dense returns a list."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+    def hessian_dense(self, x):
+        return self.inner.hessian_dense(x).tolist()
+
+
+@pytest.mark.parametrize("key, p", [("log_sum_exp", 3), ("least_squares", 4),
+                                    ("power_4", 4)])
+def test_a_list_from_hessian_dense_steps_as_an_array_does(key, p):
+    f = builtin_problems()[key]
+    cfg = StepConfig(p, smoothness_epsilon(f, p))
+    x = np.linspace(-0.6, 0.8, f.dimension)
+    steps = []
+    for oracle in (f, _ListHessian(f), _ListHessian(f)):  # a miss, then a hit
+        if oracle is f:
+            taylorstep._last_eigh[0] = None
+        y, gy, cert = g_step(oracle, x, cfg)
+        steps.append((y.tobytes(), gy.tobytes(), tuple(cert)))
+    taylorstep._last_eigh[0] = None
+    y, gy, cert = g_step(_ListHessian(f), x, cfg)
+    steps.append((y.tobytes(), gy.tobytes(), tuple(cert)))
+    assert steps[1:] == steps[:1] * 3
 
 
 def test_g_step_checks_derivative_order():
