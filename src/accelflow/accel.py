@@ -156,11 +156,6 @@ class RunRecord:
     def final_gap_x(self) -> float:
         return float(self.f_gaps_x[-1])
 
-    @property
-    def final_gap_y(self) -> float | None:
-        gaps = self.f_gaps_y
-        return None if gaps is None or len(gaps) == 0 else float(gaps[-1])
-
     def to_csv(self, path) -> None:
         """Write one row per recorded iteration under a fixed header.
 
@@ -188,7 +183,10 @@ class RunRecord:
 
         Returns {name: {"ok": bool, "checked": int, "worst": float}} where
         ``worst`` is the smallest margin seen (negative = violation beyond
-        the pinned tolerance). Checks whose inputs are unavailable (unknown
+        the pinned tolerance). A certificate entry has no margin; it adds
+        ``failures`` and ``first_failure``, the first failing row: the step
+        from xs[k] at row k, and for a restart's epochs their rows in
+        order, m + 1 per epoch. Checks whose inputs are unavailable (unknown
         minimizer, no certificates) are omitted rather than guessed.
         """
         if self.algorithm == "higher_order_descent":
@@ -210,8 +208,12 @@ def _margin_check(margins) -> dict:
 
 
 def _certificate_check(certs: np.ndarray) -> dict:
-    bad = len(certs) - int(np.count_nonzero(certs["ok"]))
-    return {"ok": bad == 0, "checked": len(certs), "worst": None, "failures": bad}
+    """The step certificates' verdict, with how many failed and the first
+    failing row (None when none failed)."""
+    failed = np.flatnonzero(~certs["ok"])
+    return {"ok": failed.size == 0, "checked": len(certs), "worst": None,
+            "failures": int(failed.size),
+            "first_failure": int(failed[0]) if failed.size else None}
 
 
 def _descent_report(rec: RunRecord) -> dict:
@@ -236,12 +238,16 @@ def _descent_report(rec: RunRecord) -> dict:
         denom = (N + 1.0) * R**p
         prev, nxt = gaps[:-1], gaps[1:]
         ok_prev = prev > 0
-        drop = np.zeros_like(prev)
-        drop[ok_prev] = ((p - 1.0) / p) * (eps * prev[ok_prev] ** p / denom) ** (
-            1.0 / (p - 1.0)
-        )
+        # the step's model bound at z = x + t (x* - x), minimized over t in
+        # [0, 1], where convexity bounds f(z): inside, at t* = (eps gap_k /
+        # ((N+1) R^p))^{1/(p-1)} <= 1, it drops ((p-1)/p) gap_k t*; past
+        # t* = 1 it is its value at t = 1, (N+1) R^p / (eps p)
+        bound = np.full_like(prev, denom / (eps * p))
+        inside = ok_prev & (eps * prev <= denom)
+        bound[inside] = prev[inside] - ((p - 1.0) / p) * (
+            eps * prev[inside] ** p / denom) ** (1.0 / (p - 1.0))
         checks["gap_recursion"] = _margin_check(
-            (prev - drop + GAP_RECURSION_TOL - nxt)[ok_prev]
+            (bound + GAP_RECURSION_TOL - nxt)[ok_prev]
         )
         # e_k = gap_k^{-1/(p-1)} gains at least (1/p)(eps/((N+1)R^p))^{1/(p-1)}
         # per step; pairs with a gap below 1e-12 (1 + |f*|) are skipped, the
@@ -887,7 +893,7 @@ def restart_accelerated(
             break
         xhat = np.asarray(rec.ys[-1])
         anchors[j + 1] = xhat
-        f_anchors[j + 1] = f.value(xhat)
+        f_anchors[j + 1] = rec.f_ys[-1]  # f(xhat), which the epoch evaluated
         n += 1
 
     extras: dict = {"m": m, "kappa": float(kappa)}

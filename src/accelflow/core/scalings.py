@@ -117,13 +117,12 @@ class IdealScalingReport:
     beta_ok:   beta_dot <= e^alpha everywhere (within SCALING_TOL)
     gamma_ok:  gamma_dot == e^alpha everywhere (within SCALING_TOL)
     beta_tight: beta_dot == e^alpha everywhere (the rate-optimal choice)
-    max_beta_excess / max_gamma_defect: worst signed violation observed
+    max_gamma_defect: worst violation of the gamma condition observed
     """
 
     beta_ok: bool
     gamma_ok: bool
     beta_tight: bool
-    max_beta_excess: float
     max_gamma_defect: float
 
 
@@ -143,6 +142,5 @@ def ideal_scaling_check(s: ScalingTriple, grid) -> IdealScalingReport:
         beta_ok=beta_excess <= SCALING_TOL,
         gamma_ok=gamma_defect <= SCALING_TOL,
         beta_tight=beta_defect <= SCALING_TOL,
-        max_beta_excess=beta_excess,
         max_gamma_defect=gamma_defect,
     )

@@ -19,14 +19,13 @@ from ..errors import DivergenceError, InputError, NumericalError, SolverError
 
 DIVERGENCE_THRESHOLD = 1e8
 # the most steps one integration may take: rk4's steps, rk4_adaptive's
-# default max_steps
+# step attempts (read once per call)
 MAX_STEPS = 2_000_000
 
 # the controls each integration method reads (defaults in integrate)
 METHOD_CONTROLS = {
     "rk4": frozenset({"method", "steps", "record_every"}),
-    "rk4_adaptive": frozenset({"method", "rel_tol", "abs_tol", "initial_step",
-                               "max_steps", "record_every"}),
+    "rk4_adaptive": frozenset({"method", "rel_tol", "abs_tol", "record_every"}),
 }
 
 # Dormand-Prince 8(5,3), DOP853 (Hairer, Norsett & Wanner, Solving ODEs I,
@@ -242,33 +241,33 @@ def integrate(sys, x0, t0: float, t_end: float, controls: dict,
     controls is one of
       {"method": "rk4", "steps": n, "record_every": k}
       {"method": "rk4_adaptive", "rel_tol": 1e-8, "abs_tol": 1e-12,
-       "initial_step": (t_end - t0) / 100, "max_steps": MAX_STEPS,
        "record_every": k}
     with the defaults shown; record_every defaults to 1 and steps has none.
     METHOD_CONTROLS lists the keys each method reads; any other key, steps
-    on rk4_adaptive or a tolerance on rk4, raises InputError. steps,
-    record_every and max_steps are integers >= 1, steps at most MAX_STEPS;
-    initial_step and abs_tol are finite and positive, rel_tol finite and
-    nonnegative, and rk4_adaptive needs t_end - t0 above its end tolerance
-    1e-14 * max(1, |t_end|). A violation raises InputError, as do t0 before the
-    system's domain and an x0 outside the system's dimension. Deterministic
-    given controls.
+    on rk4_adaptive or a tolerance on rk4, raises InputError. steps and
+    record_every are integers >= 1, steps at most MAX_STEPS; abs_tol is
+    finite and positive, rel_tol finite and nonnegative, and rk4_adaptive
+    needs t_end - t0 above its end tolerance 1e-14 * max(1, |t_end|). A
+    violation raises InputError, as do t0 before the system's domain and an
+    x0 outside the system's dimension. Deterministic given controls.
 
     rk4 takes steps fixed steps of 4 field evaluations. rk4_adaptive is
-    Dormand-Prince 8(5,3), DOP853: each attempt evaluates stages 2..12 and
-    advances with the eighth-order solution. With e5 and e3 the max over
-    coordinates of |h E5 . K| and |h E3 . K| divided by abs_tol + rel_tol *
-    max(|y|, |y_new|), it accepts when e5^2 / sqrt(e5^2 + 0.01 e3^2) is at
-    most 1, and a PI controller picks the next step. Stage 13, the field at
-    an accepted state, is both the recorded derivative and the next step's
-    stage 1; no estimate reads it, so a rejected attempt skips it, and
-    step_stats["field_evals"] is 12 * accepted + 11 * rejected + 1.
+    Dormand-Prince 8(5,3), DOP853: its first attempt is (t_end - t0) / 100
+    long, it makes at most MAX_STEPS attempts, and each attempt evaluates
+    stages 2..12 and advances with the eighth-order solution. With e5 and
+    e3 the max over coordinates of |h E5 . K| and |h E3 . K| divided by
+    abs_tol + rel_tol * max(|y|, |y_new|), it accepts when
+    e5^2 / sqrt(e5^2 + 0.01 e3^2) is at most 1, and a PI controller picks
+    the next step. Stage 13, the field at an accepted state, is both the
+    recorded derivative and the next step's stage 1; no estimate reads it,
+    so a rejected attempt skips it, and step_stats["field_evals"] is
+    12 * accepted + 11 * rejected + 1.
 
     initial_state overrides the system's standard initial state (used by
     force-free oracle checks that start with nonzero velocity). Divergence
     (state norm above DIVERGENCE_THRESHOLD, the initial state's included)
     raises DivergenceError carrying the partial trajectory, whose step_stats
-    count the steps and field evaluations so far; exceeding max_steps
+    count the steps and field evaluations so far; exceeding MAX_STEPS
     attempts, a non-finite error estimate and a step too small to advance t
     raise SolverError; NaN/Inf in the state raises NumericalError.
     """
@@ -296,16 +295,12 @@ def integrate(sys, x0, t0: float, t_end: float, controls: dict,
     else:
         rel_tol = as_real("rel_tol", controls.get("rel_tol", 1e-8))
         abs_tol = as_real("abs_tol", controls.get("abs_tol", 1e-12))
-        h = as_real("initial_step", controls.get("initial_step", (t_end - t0) / 100.0))
-        max_steps = as_integer("max_steps", controls.get("max_steps", MAX_STEPS))
+        h = (t_end - t0) / 100.0
+        max_steps = MAX_STEPS
         if not (math.isfinite(rel_tol) and rel_tol >= 0.0):
             raise InputError(f"rel_tol must be finite and >= 0, got {rel_tol}")
         if not (math.isfinite(abs_tol) and abs_tol > 0.0):
             raise InputError(f"abs_tol must be finite and > 0, got {abs_tol}")
-        if not (math.isfinite(h) and h > 0.0):
-            raise InputError(f"initial_step must be finite and > 0, got {h}")
-        if max_steps < 1:
-            raise InputError("max_steps must be >= 1")
         near_end = t_end - 1e-14 * max(1.0, abs(t_end))
         if t0 >= near_end:
             raise InputError(f"rk4_adaptive needs t_end - t0 above its end tolerance "

@@ -813,10 +813,12 @@ if len(set(_names)) != len(_names):  # pragma: no cover - registry typo guard
 
 # The pool's schedule, in start order. Checks that read the same cached
 # runs share a task, so each cached run is computed once per task; the first
-# six tasks hold the slowest checks at either scale, slowest first
-# (quick-scale seconds on one CPU: 31, 16, 6.4, 2.4, 2.0, 1.6; the rest take
-# under 0.7 s each). Every other check runs as a task of its own after these,
-# in registry order, so the short checks fill in around the long ones: the
+# six tasks hold the slowest checks at either scale and start first
+# (seconds under taskset -c 0 on a shared 2-CPU host; quick, two runs:
+# 26-39, 3.9-4.1, 4.3-5.2, 1.7-2.0, 0.9-1.1, 1.5-1.6; full: 31, 41, 7.7,
+# 4.7, 2.6, 1.0; every later task under 1 s at either scale). Every other
+# check runs as a task of its own after these, in registry order, so the
+# short checks fill in around the long ones: the
 # wall time stays near the suite's CPU time over the worker count, and no
 # long check starts late because of which worker happened to be free first.
 # Keyed by name: callers may rebuild the registry's specs.

@@ -213,14 +213,14 @@ def limit_distance(traj, limit, check_times) -> float:
 # discrete-method measurements
 
 
-def gap_ratios(f, rec, flow, delta: float, lo: float, hi: float, factor: float):
+def gap_ratios(f, rec, flow, delta: float, lo: float, hi: float):
     """Method gap against flow gap at t = delta k, for lo <= t <= hi.
 
-    The two are within factor when each gap is at most factor times the
-    other, so a pair of zero gaps (a run from the minimizer) holds. Returns
-    the times and ratios of the samples where both gaps are positive, the
-    worst factor max(r, 1/r) over them (1.0 where there is none), and
-    whether every sample holds.
+    The two are within CORRESPONDENCE_FACTOR when each gap is at most that
+    many times the other, so a pair of zero gaps (a run from the minimizer)
+    holds. Returns the times and ratios of the samples where both gaps are
+    positive, the worst factor max(r, 1/r) over them (1.0 where there is
+    none), and whether every sample holds.
     """
     times, gaps, flow_gaps = [], [], []
     for k, gap in zip(rec.ks, rec.f_gaps_x):
@@ -230,6 +230,7 @@ def gap_ratios(f, rec, flow, delta: float, lo: float, hi: float, factor: float):
             gaps.append(gap)
             flow_gaps.append(f.gap(flow.interp_state(t)[: flow.d]))
     times, gaps, flow_gaps = np.asarray(times), np.asarray(gaps), np.asarray(flow_gaps)
+    factor = CORRESPONDENCE_FACTOR
     holds = bool(np.all((gaps <= factor * flow_gaps) & (flow_gaps <= factor * gaps)))
     positive = (gaps > 0.0) & (flow_gaps > 0.0)
     ratios = gaps[positive] / flow_gaps[positive]
@@ -249,16 +250,28 @@ def worst_bound_ratio(rec) -> float:
 
 
 def report_checks(report: dict) -> list[CheckResult]:
-    """One CheckResult per invariant-report entry (worst margin as measured)."""
+    """One CheckResult per invariant-report entry: the worst margin as
+    measured; an entry without one names its failure count and first
+    failing k in the detail. Every key but ok, checked and worst goes to
+    extras."""
     out = []
     for name, entry in report.items():
         worst = entry.get("worst")
+        detail = f"{entry.get('checked', 0)} inequalities checked; "
+        if worst is not None:
+            detail += "measured is the worst margin (nonnegative is satisfied)"
+        elif "failures" in entry:
+            first = entry["first_failure"]
+            detail += f"{entry['failures']} failed" + (
+                "" if first is None else f", the first at k = {first}")
+        else:
+            detail += "the entry has no margin"
         out.append(CheckResult(
             name=name,
             status="pass" if entry["ok"] else "fail",
             measured=None if worst is None else float(worst),
             bound=0.0 if worst is not None else None,
-            detail=f"{entry.get('checked', 0)} inequalities checked; "
-                   "measured is the worst margin (nonnegative is satisfied)",
+            detail=detail,
+            extras={k: v for k, v in entry.items() if k not in ("ok", "checked", "worst")},
         ))
     return out

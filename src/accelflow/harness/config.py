@@ -6,9 +6,10 @@ identifiers so configs stay diffable and machine-checkable. Method parameter
 constraints (admissible C, N > 1, epsilon > 0, ...) are owned by the method
 constructors themselves — validation here checks identifiers, field names,
 shapes, that every method number is finite (and integral where the runner
-needs an integer), and that integration controls, a fit window and a
-scale go only to runs that read them, then lets the modules reject bad
-numbers.
+needs an integer), and that integration controls and a scale go only to
+runs that read them, then lets the modules reject bad numbers. A config
+picks the experiment and its inputs; the kind owns how it is computed and
+judged: the integration method, the rate-fit window and every bound.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ CONFIG_FIELDS = (
     "x0",
     "method",
     "integration",
-    "window",
     "out",
     "seed",
     "scale",
@@ -49,10 +49,10 @@ METHOD_KEYS = {
     ("optimize", "accelerated"): {"algorithm", "p", "epsilon", "N", "C", "K", "mirror"},
     ("optimize", "descent"): {"algorithm", "p", "epsilon", "N", "K"},
     ("optimize", "exponential"): {"algorithm", "c", "delta", "K", "mirror"},
-    ("compare", None): {"p", "delta", "N", "C", "factor"},
+    ("compare", None): {"p", "delta", "N", "C"},
     ("dilation_check", None): {"p", "C"},
     ("restart", None): {"epsilon", "epochs"},
-    ("naive_demo", None): {"p", "C", "epsilon", "K", "accel_K", "accel_N"},
+    ("naive_demo", None): {"p", "C", "epsilon", "K", "accel_K"},
     ("acceptance", None): set(),
 }
 
@@ -64,9 +64,9 @@ _NAME_KEYS = {"family", "algorithm", "mirror"}
 # method numbers that count something; the discrete kinds' order p is one too
 _INTEGER_KEYS = {"K", "epochs", "accel_K"}
 
-_INTEGRATION_KEYS = {"t0", "t_end"}.union(*METHOD_CONTROLS.values())
-# the (kind, variant) pairs whose runs read a rate-fit window
-_WINDOW_USERS = {("flow", "polynomial"), ("flow", "rescaled"), ("compare", None)}
+# t0, t_end and the controls each family's own integrator reads, its method
+# name aside: a family runs the method its defaults name
+_INTEGRATION_KEYS = {"t0", "t_end"}.union(*METHOD_CONTROLS.values()) - {"method"}
 
 
 @dataclass
@@ -78,7 +78,6 @@ class ExperimentConfig:
     x0: list | None = None
     method: dict = field(default_factory=dict)
     integration: dict = field(default_factory=dict)
-    window: list | None = None
     out: str | None = None
     seed: int = 0
     scale: str = "quick"
@@ -140,18 +139,6 @@ class ExperimentConfig:
             and all(math.isfinite(as_real("x0 coordinate", v)) for v in self.x0)
         ):
             raise InputError("x0 must be a non-empty list of finite numbers")
-        if self.window is not None:
-            if (self.kind, variant) not in _WINDOW_USERS:
-                raise InputError(
-                    "window is used only by polynomial and rescaled flows and compare"
-                )
-            if (
-                not isinstance(self.window, (list, tuple))
-                or len(self.window) != 2
-                or not as_real("window lo", self.window[0])
-                < as_real("window hi", self.window[1])
-            ):
-                raise InputError(f"window must be [lo, hi] with lo < hi, got {self.window!r}")
         if not isinstance(self.seed, int) or isinstance(self.seed, bool) or self.seed < 0:
             raise InputError(f"seed must be a nonnegative integer, got {self.seed!r}")
         if self.scale not in ("quick", "full"):
@@ -209,7 +196,6 @@ class ExperimentConfig:
             "x0": None if self.x0 is None else [float(v) for v in self.x0],
             "method": dict(self.method),
             "integration": dict(self.integration),
-            "window": None if self.window is None else list(self.window),
             "out": self.out,
             "seed": int(self.seed),
             "scale": self.scale,

@@ -5,7 +5,11 @@ where nothing draws random numbers), evaluates the checks that the chosen
 dynamics certify, and — when an output directory is configured — emits the
 trace CSV, log-log plot data, and a schema-valid summary.json. Tolerances,
 the artifact writer and the measurements come from checks.py, the module the
-acceptance suite uses too.
+acceptance suite uses too. A config sets a kind's inputs, never its verdict:
+each flow family runs the integration method its defaults name, polynomial
+flows fit their rate from one decade above t0 to t_end and rescaled flows
+over [1, t_end], and compare holds t = delta k in [1, 10] to
+CORRESPONDENCE_FACTOR.
 
 Ten acceptance checks run the kind they mirror through _RUNNERS and build
 their verdicts from its CheckResults and the runs its writer kept:
@@ -79,13 +83,8 @@ NAIVE_STEP_BUDGET = 100_000
 
 
 def _merge_controls(cfg: ExperimentConfig, defaults: dict) -> tuple[float, float, dict]:
-    """Split (t0, t_end) from the integrator controls, config over defaults.
-
-    The family's method controls are defaults only while the config keeps
-    the family's method; with another method only t0 and t_end are.
-    """
-    if cfg.integration.get("method", defaults["method"]) != defaults["method"]:
-        defaults = {"t0": defaults["t0"], "t_end": defaults["t_end"]}
+    """Split (t0, t_end) from the integrator controls, config over the
+    family's defaults; the method is always the one the defaults name."""
     merged = {**defaults, **cfg.integration}
     t0 = as_real("t0", merged.pop("t0"))
     t_end = as_real("t_end", merged.pop("t_end"))
@@ -100,7 +99,7 @@ def _default_window(t0: float, t_end: float) -> tuple[float, float]:
     if not lo < t_end:
         raise InputError(
             f"no fit window left after the transient: [{lo}, {t_end}]; "
-            "give an explicit window"
+            "the fit starts one decade above t0, so t_end must exceed it"
         )
     return lo, t_end
 
@@ -179,9 +178,8 @@ def _run_flow(cfg: ExperimentConfig, emit: ArtifactWriter) -> list[CheckResult]:
         })
         traj = integrate(build_el_system(mirror, f, triple), x0, t0, t_end, controls)
         emit.trajectory("trajectory", traj)
-        window = tuple(cfg.window) if cfg.window else _default_window(t0, t_end)
         return [
-            _slope_check(traj, window, -p + SLOPE_SLACK),
+            _slope_check(traj, _default_window(t0, t_end), -p + SLOPE_SLACK),
             _energy_check(traj),
             _pointwise_check(traj, triple),
         ]
@@ -206,8 +204,7 @@ def _run_flow(cfg: ExperimentConfig, emit: ArtifactWriter) -> list[CheckResult]:
         })
         traj = integrate(build_rescaled_gradient_flow(f, p), x0, t0, t_end, controls)
         emit.trajectory("trajectory", traj)
-        window = tuple(cfg.window) if cfg.window else (1.0, t_end)
-        checks = [_slope_check(traj, window, -(p - 1) + SLOPE_SLACK)]
+        checks = [_slope_check(traj, (1.0, t_end), -(p - 1) + SLOPE_SLACK)]
         checks.extend(_rescaled_monitor_checks(f, p, traj))
         return checks
 
@@ -338,7 +335,6 @@ def _run_compare(cfg: ExperimentConfig, emit: ArtifactWriter) -> list[CheckResul
     x0 = cfg.resolved_x0()
     p = cfg.number("p", 2)
     delta = cfg.number("delta", 0.05)
-    factor = cfg.number("factor", CORRESPONDENCE_FACTOR)
     if f.min_value is None:
         raise InputError("compare needs a problem with a declared optimal value")
     try:
@@ -349,10 +345,8 @@ def _run_compare(cfg: ExperimentConfig, emit: ArtifactWriter) -> list[CheckResul
     acfg = AccelConfig(p=p, epsilon=epsilon, x0=x0, N=cfg.number("N", DEFAULT_N),
                        C=cfg.number("C"))
 
-    lo, hi = tuple(cfg.window) if cfg.window else (1.0, 10.0)
-    last = hi / delta
-    if not math.isfinite(last):
-        raise InputError(f"window end {hi:g} is out of reach at delta = {delta:g}")
+    lo, hi = 1.0, 10.0  # the matched times t = delta k that are compared
+    last = hi / delta  # finite: a delta that small makes epsilon 0, rejected above
     K = int(math.ceil(last)) + 1
     # t = delta k grows with k: the last sample at most hi is within one
     # step of floor(hi / delta)
@@ -365,12 +359,12 @@ def _run_compare(cfg: ExperimentConfig, emit: ArtifactWriter) -> list[CheckResul
     # the method's continuous-time limit: the flow on the method's own mirror
     flow = integrate(
         build_el_system(acfg.mirror, f, polynomial_triple(p, acfg.C)),
-        x0, min(0.1, lo), hi + delta,
+        x0, 0.1, hi + delta,
         {"method": "rk4_adaptive", "rel_tol": 1e-9, "abs_tol": 1e-12},
     )
     emit.record("iterates", rec)
     emit.trajectory("flow", flow)
-    times, ratios, worst, holds = gap_ratios(f, rec, flow, delta, lo, hi, factor)
+    times, ratios, worst, holds = gap_ratios(f, rec, flow, delta, lo, hi)
     emit.plot("gap_ratio.dat", times, ratios, "t = delta k   method-gap / flow-gap")
     spread = (f"gap ratio in [{ratios.min():.3f}, {ratios.max():.3f}] at {len(ratios)} "
               "sample times" if len(ratios) else "no sample time with both gaps positive")
@@ -378,7 +372,7 @@ def _run_compare(cfg: ExperimentConfig, emit: ArtifactWriter) -> list[CheckResul
         name="within_factor",
         status="pass" if holds else "fail",
         measured=worst,
-        bound=factor,
+        bound=CORRESPONDENCE_FACTOR,
         detail=f"{spread}, t = delta k in [{lo:g}, {hi:g}], "
                f"shared force constant C = {acfg.C:g}",
     )]
@@ -445,8 +439,7 @@ def _run_naive_demo(cfg: ExperimentConfig, emit: ArtifactWriter) -> list[CheckRe
     # the accelerated run goes first: its entry checks reject an x0 the
     # matched method cannot start from before either run writes a file
     matched = accelerated(
-        f, AccelConfig(p=p, epsilon=epsilon, x0=x0, N=cfg.number("accel_N", DEFAULT_N)),
-        accel_K,
+        f, AccelConfig(p=p, epsilon=epsilon, x0=x0), accel_K,
     )
     naive = naive_discretization(f, EuclideanMap(), p, C, epsilon, x0, K)
     emit.record("naive", naive)

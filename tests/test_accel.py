@@ -295,14 +295,19 @@ def _quadratic_run(p, K=150, eps=None):
 
 
 class _CountingOracle:
-    """Delegates to an objective oracle and counts its gradient calls."""
+    """Delegates to an objective oracle and counts its value and gradient
+    calls."""
 
     def __init__(self, inner):
         self.inner = inner
-        self.gradient_calls = 0
+        self.value_calls = self.gradient_calls = 0
 
     def __getattr__(self, name):
         return getattr(self.inner, name)
+
+    def value(self, x):
+        self.value_calls += 1
+        return self.inner.value(x)
 
     def gradient(self, x):
         self.gradient_calls += 1
@@ -595,7 +600,7 @@ def test_accelerated_on_least_squares():
         assert all(c["ok"] for c in report.values()), (p, report)
         # ill-conditioned problem: check rate-consistent progress, not an
         # absolute target the certified bound does not promise at K = 150
-        assert rec.final_gap_y < 1e-2 * rec.f_gaps_y[1]
+        assert rec.f_gaps_y[-1] < 1e-2 * rec.f_gaps_y[1]
 
 
 def test_acceleration_dominates_plain_method():
@@ -864,6 +869,44 @@ def test_geometric_bound_fails_on_a_gap_above_its_envelope():
     rec.f_xs[20] = f.min_value + 1.01 * prefactor * rho**19
     entry = rec.invariant_report()["geometric_bound"]
     assert not entry["ok"] and entry["worst"] < 0
+
+
+def test_gap_recursion_holds_past_the_convexity_segment():
+    # t* = (eps gap_0 / ((N+1) R^p))^{1/2} = 17.8 > 1: the drop
+    # ((p-1)/p) gap_k t* exceeded the gap itself (worst margin -1.105e-4);
+    # past t* = 1 the bound is the model's value at t = 1, (N+1) R^p / (eps p)
+    f = DiagonalQuadratic([6.634])
+    eps = smoothness_epsilon(f, 3)
+    rec = higher_order_descent(f, StepConfig(3, eps), np.array([-0.001753]), 200)
+    gap0, R = rec.f_gaps_x[0], rec.extras["level_radius"]
+    assert (eps * gap0 / (3.0 * R**3)) ** 0.5 > 17.0
+    entry = rec.invariant_report()["gap_recursion"]
+    assert entry["ok"] and entry["checked"] > 0, entry
+
+
+def test_gap_recursion_inside_the_segment_keeps_its_drop():
+    # t* <= 1 at every pair of this run: each margin is the drop formula's
+    f = builtin_problems()["quadratic"]
+    rec = higher_order_descent(f, StepConfig(3, smoothness_epsilon(f, 3)), np.ones(2), 50)
+    eps, R = rec.config["epsilon"], rec.extras["level_radius"]
+    denom = 3.0 * R**3
+    prev, nxt = rec.f_gaps_x[:-1], rec.f_gaps_x[1:]
+    live = prev > 0
+    assert np.all(eps * prev <= denom)
+    drop = (2.0 / 3.0) * (eps * prev[live] ** 3 / denom) ** 0.5
+    worst = float(np.min(prev[live] - drop + 1e-9 - nxt[live]))
+    assert rec.invariant_report()["gap_recursion"]["worst"] == worst
+
+
+def test_restart_reads_each_anchor_value_from_its_epoch():
+    # f(x0), f(x_k) and f(y_k) for k = 0..m in each epoch, and the trailing
+    # step's f(y): f(anchor) is the epoch's last f(y_k), not a new call
+    f = _CountingOracle(builtin_problems()["quadratic"])
+    rec = restart_accelerated(f, 0.1, np.array([1.0, 1.0]), 3)
+    m = rec.config["m"]
+    assert f.value_calls == 1 + 3 * 2 * (m + 1) + 1
+    for j, inner in enumerate(rec.inner):
+        assert rec.f_xs[j + 1] == inner.f_ys[-1] == f.inner.value(rec.xs[j + 1])
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ Oracles used here, all derived by hand and independent of the implementation:
 
 from __future__ import annotations
 
+import importlib
 import math
 
 import numpy as np
@@ -366,7 +367,7 @@ def test_adaptive_non_finite_error_estimate_is_a_solver_error():
                      lambda x0, t0: as_point(x0))
     with pytest.raises(SolverError, match="non-finite error estimate"):
         integrate(sys, np.array([1.0]), 0.0, 2.0,
-                  {"method": "rk4_adaptive", "rel_tol": 1e-7, "max_steps": 20000})
+                  {"method": "rk4_adaptive", "rel_tol": 1e-7})
 
 
 def test_adaptive_step_that_no_longer_advances_is_a_solver_error():
@@ -377,8 +378,7 @@ def test_adaptive_step_that_no_longer_advances_is_a_solver_error():
                      lambda x0, t0: as_point(x0))
     with pytest.raises(SolverError, match="no longer advances"):
         integrate(sys, np.array([1.0]), 0.0, 2.0,
-                  {"method": "rk4_adaptive", "rel_tol": 0.0, "abs_tol": 1e-300,
-                   "max_steps": 20000})
+                  {"method": "rk4_adaptive", "rel_tol": 0.0, "abs_tol": 1e-300})
 
 
 @pytest.mark.parametrize("controls", [
@@ -401,6 +401,14 @@ def test_controls_the_method_does_not_read_are_rejected(controls):
         integrate(_growth_system(), np.array([1.0]), 0.0, 1.0, controls)
 
 
+@pytest.mark.parametrize("key, value", [("initial_step", 0.01), ("max_steps", 100)])
+def test_removed_adaptive_controls_are_rejected(key, value):
+    # the first attempt is (t_end - t0) / 100 and the budget MAX_STEPS
+    with pytest.raises(InputError, match=rf"rk4_adaptive does not read the controls \['{key}'\]"):
+        integrate(_growth_system(), np.array([1.0]), 0.0, 1.0,
+                  {"method": "rk4_adaptive", key: value})
+
+
 def test_integrate_input_validation():
     sys = _growth_system()
     with pytest.raises(InputError):
@@ -420,6 +428,7 @@ def test_integrate_input_validation():
     (0.1, math.nan, {"method": "rk4", "steps": 10}),
     (math.inf, 1.0, {"method": "rk4", "steps": 10}),
     (0.1, math.inf, {"method": "rk4_adaptive"}),
+    # initial_step and max_steps are not controls: any value is rejected
     (0.1, 1.0, {"method": "rk4_adaptive", "initial_step": -1.0}),
     (0.1, 1.0, {"method": "rk4_adaptive", "initial_step": 0.0}),
     (0.1, 1.0, {"method": "rk4_adaptive", "initial_step": math.nan}),
@@ -501,11 +510,13 @@ def test_adaptive_matches_fixed_step():
                                rtol=0, atol=1e-6)
 
 
-def test_adaptive_step_budget_guard():
+def test_adaptive_step_budget_guard(monkeypatch):
+    # integrate reads MAX_STEPS once per call (the package's integrate is
+    # the function, so the module comes from importlib)
+    monkeypatch.setattr(importlib.import_module("accelflow.flows.integrate"), "MAX_STEPS", 5)
     sys = build_el_system(EuclideanMap(), quadratic_2d(), polynomial_triple(2, 1.0))
     with pytest.raises(SolverError, match="exceeded 5 step attempts"):
-        integrate(sys, np.array([1.0, 1.0]), 0.1, 50.0,
-                  {"method": "rk4_adaptive", "max_steps": 5})
+        integrate(sys, np.array([1.0, 1.0]), 0.1, 50.0, {"method": "rk4_adaptive"})
 
 
 def _counting(sys):

@@ -18,6 +18,7 @@ Oracles used here, written before the implementations they check:
 from __future__ import annotations
 
 import ast
+import importlib
 import json
 import math
 import os
@@ -49,7 +50,9 @@ from accelflow.harness import (
     validate_summary,
     write_plot_data,
 )
+from accelflow.flows.integrate import METHOD_CONTROLS
 from accelflow.harness.checks import ArtifactWriter
+from accelflow.harness.config import METHOD_KEYS
 from accelflow.harness.cli import main
 from accelflow.harness.reporting import jsonable
 from accelflow.taylorstep import StepConfig
@@ -88,6 +91,19 @@ def test_method_keys_are_per_kind():
     ExperimentConfig(kind="restart", method={"epochs": 3})
 
 
+def test_settable_values_are_pinned():
+    # a config picks the experiment and its inputs; the integration method,
+    # the fit window and the bounds are the kind's own
+    assert CONFIG_FIELDS == ("kind", "problem", "x0", "method", "integration",
+                             "out", "seed", "scale")
+    assert METHOD_CONTROLS == {
+        "rk4": {"method", "steps", "record_every"},
+        "rk4_adaptive": {"method", "rel_tol", "abs_tol", "record_every"},
+    }
+    assert METHOD_KEYS["compare", None] == {"p", "delta", "N", "C"}
+    assert METHOD_KEYS["naive_demo", None] == {"p", "C", "epsilon", "K", "accel_K"}
+
+
 def test_unknown_config_field_rejected():
     with pytest.raises(InputError):
         config_from({"kind": "flow", "tolerance": 1e-6})
@@ -115,8 +131,8 @@ def test_overrides_apply_and_none_is_absent():
 @pytest.mark.parametrize("bad", [
     {"x0": [1.0, float("nan")]},
     {"x0": []},
-    {"window": [2.0, 2.0]},
-    {"window": [3.0]},
+    {"integration": {"method": "rk4"}},  # a family runs its own method
+    {"integration": {"max_steps": 5}},
     {"seed": -1},
     {"seed": True},
     {"scale": "huge"},
@@ -384,14 +400,14 @@ def test_misdeclared_smoothness_fails_gap_bound():
 
 def test_compare_kind_within_factor(tmp_path):
     summary = run_experiment(ExperimentConfig(
-        kind="compare", method={"delta": 0.05}, window=[1.0, 3.0],
-        out=str(tmp_path),
+        kind="compare", method={"delta": 0.05}, out=str(tmp_path),
     ))
     assert summary.all_pass
     check = summary.checks[0]
     assert check.name == "within_factor"
-    assert check.measured <= 10.0
+    assert check.measured <= check.bound == 10.0
     assert check.detail.startswith("gap ratio in [")
+    assert "t = delta k in [1, 10]" in check.detail
     _assert_emitted_exactly(summary, tmp_path, [
         "flow.csv", "flow_gap_loglog.dat", "gap_ratio.dat",
         "iterates.csv", "iterates_gap_loglog.dat",
@@ -405,13 +421,13 @@ def test_compare_flow_runs_on_the_methods_mirror(tmp_path):
     from accelflow.core import ScaledPthPowerMap, builtin_problems, polynomial_triple
     from accelflow.flows import build_el_system, integrate
 
-    run_experiment(ExperimentConfig(kind="compare", method={"p": 3}, window=[1.0, 2.0],
+    run_experiment(ExperimentConfig(kind="compare", method={"p": 3},
                                     out=str(tmp_path / "kind")))
     f, x0 = builtin_problems()["quadratic"], np.ones(2)
     C = AccelConfig(p=3, epsilon=0.05**3, x0=x0).C
     flow = integrate(
         build_el_system(ScaledPthPowerMap(3, anchor=x0), f, polynomial_triple(3, C)),
-        x0, 0.1, 2.05, {"method": "rk4_adaptive", "rel_tol": 1e-9, "abs_tol": 1e-12},
+        x0, 0.1, 10.05, {"method": "rk4_adaptive", "rel_tol": 1e-9, "abs_tol": 1e-12},
     )
     flow.to_csv(tmp_path / "flow.csv")
     assert (tmp_path / "kind" / "flow.csv").read_bytes() == (tmp_path / "flow.csv").read_bytes()
@@ -604,26 +620,54 @@ def test_cli_fields_the_run_ignores_are_exit_two(tmp_path, capsys, command, doc)
     assert "config error" in capsys.readouterr().err
 
 
-def test_polynomial_flow_takes_another_method_without_its_defaults(tmp_path, capsys):
-    # rk4 on the polynomial family runs without the adaptive tolerances
+def test_flow_integration_method_is_exit_two(tmp_path, capsys):
+    # each family runs the integration method its defaults name
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"integration": {"method": "rk4", "steps": 2000}}))
     out = tmp_path / "out"
-    assert main(["flow", "--config", str(path), "--out", str(out)]) == 0
-    capsys.readouterr()
-    doc = json.loads((out / "summary.json").read_text())
-    assert doc["config"]["integration"] == {"method": "rk4", "steps": 2000}
+    assert main(["flow", "--config", str(path), "--out", str(out)]) == 2
+    assert "unknown integration controls ['method']" in capsys.readouterr().err
+    assert not out.exists()
 
 
-@pytest.mark.parametrize("command, doc, error", [
-    ("flow", {"x0": [1e9, 1]}, "DivergenceError"),
-    ("flow", {"x0": [1e9, 1], "method": {"family": "exponential"}}, "DivergenceError"),
-    ("compare", {"x0": [1e9, 1]}, "DivergenceError"),
-    ("dilation-check", {"x0": [1e9, 1], "method": {"p": 3}}, "DivergenceError"),
-    ("flow", {"integration": {"max_steps": 5}}, "SolverError"),
+@pytest.mark.parametrize("command, doc, message", [
+    ("flow", {"integration": {"initial_step": 0.01}},
+     "unknown integration controls ['initial_step']"),
+    ("flow", {"integration": {"max_steps": 20000}},
+     "unknown integration controls ['max_steps']"),
+    ("flow", {"method": {"family": "exponential"}, "integration": {"method": "rk4_adaptive"}},
+     "unknown integration controls ['method']"),
+    ("flow", {"window": [1.0, 50.0]}, "unknown config fields ['window']"),
+    ("flow", {"method": {"family": "rescaled"}, "window": [1.0, 30.0]},
+     "unknown config fields ['window']"),
+    ("compare", {"window": [1.0, 10.0]}, "unknown config fields ['window']"),
+    ("compare", {"method": {"factor": 10.0}}, "method keys ['factor'] are not used by compare"),
+    ("naive-demo", {"method": {"accel_N": 2.0}},
+     "method keys ['accel_N'] are not used by naive_demo"),
+], ids=["initial_step", "max_steps", "integration_method", "polynomial_window",
+        "rescaled_window", "compare_window", "compare_factor", "naive_accel_N"])
+def test_cli_removed_options_are_exit_two(tmp_path, capsys, command, doc, message):
+    # each one, set to its old default, once let a config pick part of its verdict
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    assert main([command, "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and message in err
+
+
+@pytest.mark.parametrize("command, doc, budget, error", [
+    ("flow", {"x0": [1e9, 1]}, None, "DivergenceError"),
+    ("flow", {"x0": [1e9, 1], "method": {"family": "exponential"}}, None, "DivergenceError"),
+    ("compare", {"x0": [1e9, 1]}, None, "DivergenceError"),
+    ("dilation-check", {"x0": [1e9, 1], "method": {"p": 3}}, None, "DivergenceError"),
+    ("flow", {}, 5, "SolverError"),
 ], ids=["polynomial_diverges", "exponential_diverges", "compare_diverges",
         "dilation_diverges", "step_budget"])
-def test_cli_typed_run_failures_are_exit_two(tmp_path, capsys, command, doc, error):
+def test_cli_typed_run_failures_are_exit_two(tmp_path, capsys, monkeypatch, command, doc,
+                                             budget, error):
+    if budget is not None:  # the adaptive step budget, read once per integration
+        monkeypatch.setattr(importlib.import_module("accelflow.flows.integrate"),
+                            "MAX_STEPS", budget)
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(doc))
     assert main([command, "--config", str(path)]) == 2
@@ -652,14 +696,12 @@ def test_cli_flow_dimension_mismatch_is_exit_two(tmp_path, capsys, command, doc)
 
 
 @pytest.mark.parametrize("command, doc, message", [
-    ("compare", {"method": {"delta": 1.0}, "window": [1.2, 1.5]},
-     "window [1.2, 1.5] holds no sample time t = delta k"),
+    ("compare", {"method": {"delta": 20.0}},
+     "window [1, 10] holds no sample time t = delta k at delta = 20"),
     ("compare", {"method": {"delta": 1e300}}, "epsilon = delta**p overflows"),
-    ("compare", {"method": {"delta": 0.05}, "window": [1.0, 1e308]},
-     "window end 1e+308 is out of reach"),
     ("flow", {"method": {"family": "exponential"}, "integration": {"t_end": 1e-15}},
      "above its end tolerance"),
-], ids=["compare_empty_window", "compare_delta_overflow", "compare_window_overflow",
+], ids=["compare_empty_window", "compare_delta_overflow",
         "adaptive_horizon_within_tolerance"])
 def test_cli_runs_with_nothing_to_sample_are_exit_two(tmp_path, capsys, command, doc,
                                                       message):
@@ -741,10 +783,8 @@ def test_cli_inputs_that_overflow_are_exit_two(tmp_path, capsys, command, doc, m
     ({"x0": [1.0, "quadratic"]}, "x0 coordinate must be a number"),
     ({"x0": [[], 1.0]}, "x0 coordinate must be a number"),
     ({"x0": [10**400, 1.0]}, "x0 coordinate is out of the float range"),
-    ({"window": [[1.0], 3]}, "window lo must be a number"),
-    ({"window": [1, [1e308, 1]]}, "window hi must be a number"),
 ], ids=["problem_list", "problem_dict", "x0_string", "x0_string_coordinate",
-        "x0_nested_list", "x0_huge_int", "window_list_lo", "window_list_hi"])
+        "x0_nested_list", "x0_huge_int"])
 def test_cli_config_values_of_the_wrong_type_are_exit_two(tmp_path, capsys, doc, message):
     # each raised TypeError, ValueError or OverflowError in validation (exit 3)
     path = tmp_path / "cfg.json"
@@ -947,7 +987,23 @@ def test_cli_restart_fails_when_an_inner_step_certificate_fails(tmp_path, capsys
     assert code == 1
     failed = [c for c in doc["checks"] if c["status"] == "fail"]
     assert [c["name"] for c in failed] == ["inner_step_certificates"]
-    assert failed[0]["detail"].startswith(f"{calls[0] - 1} inequalities checked")
+    assert failed[0]["detail"] == (f"{calls[0] - 1} inequalities checked; "
+                                   "1 failed, the first at k = 4")
+    assert failed[0]["extras"] == {"failures": 1, "first_failure": 4}
+
+
+def test_cli_failed_step_certificates_say_how_many_and_where(tmp_path, capsys):
+    # the plain method at p = 3 on least squares reaches the rounding floor
+    # of the gradient at k = 15, where the move-norm bounds stop holding
+    code, doc = _run_cli(tmp_path, capsys, "optimize", {
+        "problem": "least_squares", "method": {"algorithm": "descent", "p": 3, "K": 20},
+    })
+    assert code == 1
+    failed = [c for c in doc["checks"] if c["status"] == "fail"]
+    assert [c["name"] for c in failed] == ["step_certificates"]
+    assert failed[0]["measured"] is None
+    assert failed[0]["extras"] == {"failures": 5, "first_failure": 15}
+    assert failed[0]["detail"] == "20 inequalities checked; 5 failed, the first at k = 15"
 
 
 def test_cli_diverged_optimize_run_is_exit_one(tmp_path, capsys):

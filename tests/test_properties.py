@@ -513,13 +513,13 @@ def test_el_field_is_bit_equal_to_separate_alpha_beta(case):
 
 _NOT_A_NUMBER = st.sampled_from(("tight", "", None, [1e-8]))
 _NONFINITE = st.sampled_from((math.nan, math.inf, -math.inf))
-# steps / record_every / max_steps: integers >= 1 (integral floats admitted)
+# steps / record_every: integers >= 1 (integral floats admitted)
 _BAD_COUNT = (st.integers(-10**6, 0)
               | st.floats(-1e6, 0.0)
               | st.floats(allow_nan=True).filter(
                   lambda v: not (math.isfinite(v) and v.is_integer()))
               | st.booleans() | _NOT_A_NUMBER)
-# initial_step / abs_tol: finite and > 0
+# abs_tol: finite and > 0
 _BAD_POSITIVE = st.floats(-1e6, 0.0) | _NONFINITE | _NOT_A_NUMBER
 # rel_tol: finite and >= 0
 _BAD_NONNEGATIVE = st.floats(-1e6, -5e-324) | _NONFINITE | _NOT_A_NUMBER
@@ -528,12 +528,10 @@ _VALID = {
     "rk4": {"steps": st.integers(1, 20), "record_every": st.integers(1, 5)},
     "rk4_adaptive": {
         "rel_tol": st.floats(0.0, 1e-3), "abs_tol": st.floats(1e-12, 1e-3),
-        "initial_step": st.floats(1e-3, 1.0), "max_steps": st.integers(1, 50),
         "record_every": st.integers(1, 5),
     },
 }
-_BAD = {"steps": _BAD_COUNT, "record_every": _BAD_COUNT, "max_steps": _BAD_COUNT,
-        "initial_step": _BAD_POSITIVE, "abs_tol": _BAD_POSITIVE,
+_BAD = {"steps": _BAD_COUNT, "record_every": _BAD_COUNT, "abs_tol": _BAD_POSITIVE,
         "rel_tol": _BAD_NONNEGATIVE}
 
 
@@ -562,7 +560,7 @@ _FLOW = build_el_system(EuclideanMap(), DiagonalQuadratic((1.0, 10.0)),
 @given(_bad_controls())
 @example((1.0, {"method": "rk4"}))
 @example((1.0, {"method": "rk4_adaptive", "rel_tol": -1.0, "abs_tol": -1.0}))
-@example((1.0, {"method": "rk4_adaptive", "max_steps": 1e4 + 0.5}))
+@example((1.0, {"method": "rk4_adaptive", "record_every": 1e4 + 0.5}))
 def test_every_invalid_integrator_control_raises_input_error(case):
     t_end, controls = case
     with pytest.raises(InputError):
@@ -735,7 +733,7 @@ FUZZ_BASES = [
     ("optimize", {"method": {"algorithm": "accelerated", "p": 3, "K": 20}}),
     ("optimize", {"method": {"algorithm": "descent", "p": 3, "K": 20}}),
     ("optimize", {"method": {"algorithm": "exponential", "K": 20}}),
-    ("compare", {"method": {"delta": 0.1}, "window": [1, 3]}),
+    ("compare", {"method": {"delta": 0.1}}),
     ("restart", {"method": {"epochs": 2}}),
     ("naive-demo", {"method": {"K": 20, "accel_K": 20}}),
 ]
@@ -756,14 +754,12 @@ def _fuzzed_configs(draw):
     doc = json.loads(json.dumps(base))
     for _ in range(draw(st.integers(1, 2))):
         field = draw(st.sampled_from(("method", "method", "integration", "x0",
-                                      "window", "problem", "seed")))
+                                      "problem", "seed")))
         value = draw(HOSTILE)
         if field in FUZZ_KEYS:
             doc.setdefault(field, {})[draw(st.sampled_from(FUZZ_KEYS[field]))] = value
         elif field == "x0":
             doc["x0"] = draw(st.sampled_from((value, [value, 1.0])))
-        elif field == "window":
-            doc["window"] = draw(st.sampled_from((value, [1.0, value])))
         elif field == "problem":
             doc["problem"] = draw(st.sampled_from(sorted(PROBLEMS)) | st.just(value))
         else:
