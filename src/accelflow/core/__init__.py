@@ -33,6 +33,7 @@ from .scalings import (
     ideal_scaling_check,
     massless_triple,
     polynomial_triple,
+    r_damped_triple,
 )
 
 __all__ = [
@@ -62,6 +63,7 @@ __all__ = [
     "ideal_scaling_check",
     "massless_triple",
     "polynomial_triple",
+    "r_damped_triple",
     "rising_factorial",
     "taylor_model",
 ]

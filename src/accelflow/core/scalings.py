@@ -92,6 +92,29 @@ def exponential_triple(c: float) -> ScalingTriple:
     )
 
 
+def r_damped_triple(r: float) -> ScalingTriple:
+    """alpha = log(r-1) - log t, beta = 2 log t - 2 log(r-1), gamma = (r-1)
+    log t: under the Euclidean map the flow x_ddot + (r/t) x_dot + grad f = 0
+    (e^alpha - alpha_dot = r/t, e^{2 alpha + beta} = 1), valid from t = 0.1.
+    gamma_dot = e^alpha for every r > 1; beta_dot = 2/t <= e^alpha iff
+    r >= 3, so more damping cannot beat the 1/t^2 rate."""
+    if not r > 1:
+        raise InputError(f"r-damped triple needs r > 1, got {r!r}")
+    q = float(r) - 1.0
+    logq = math.log(q)
+    if logq - math.log(0.1) > LOG_FLOAT_MAX:
+        raise InputError(f"e^alpha = (r - 1) / t overflows a float at t = 0.1 with r = {r:g}")
+    return ScalingTriple(
+        alpha=lambda t: logq - math.log(t),
+        beta=lambda t: 2.0 * math.log(t) - 2.0 * logq,
+        gamma=lambda t: q * math.log(t),
+        alpha_dot=lambda t: -1.0 / t,
+        beta_dot=lambda t: 2.0 / t,
+        gamma_dot=lambda t: q / t,
+        valid_from=0.1,
+    )
+
+
 def massless_triple(m: float) -> ScalingTriple:
     """alpha = -log m, beta = log m, gamma = t/m: the small-mass family whose
     flow relaxes onto the natural gradient flow as m -> 0."""

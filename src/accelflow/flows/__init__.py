@@ -7,9 +7,7 @@ from .systems import (
     GRADIENT_FLOOR,
     FlowSystem,
     build_el_system,
-    build_euclidean_r_system,
     build_hamiltonian_system,
-    build_massless_system,
     build_natural_gradient_flow,
     build_rescaled_gradient_flow,
 )
@@ -21,9 +19,7 @@ __all__ = [
     "TimeDilation",
     "Trajectory",
     "build_el_system",
-    "build_euclidean_r_system",
     "build_hamiltonian_system",
-    "build_massless_system",
     "build_natural_gradient_flow",
     "build_rescaled_gradient_flow",
     "dilate_trajectory",

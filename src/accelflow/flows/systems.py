@@ -4,7 +4,11 @@ Every system is reduced to first order with named state blocks of equal
 dimension d. The damped oscillator form of the variational flow is never
 integrated directly: the (X, W) form with W = grad h(Z), Z = X + e^{-alpha}
 X_dot only needs grad h and its inverse, avoiding the mirror Hessian and its
-singular inverse on the trajectory.
+singular inverse on the trajectory. Every damped flow is that form under its
+scaling triple: the polynomial, exponential and small-mass families, and the
+r-damped x_ddot + (r/t) x_dot + grad f = 0 (r_damped_triple under the
+Euclidean map). Four builders make a FlowSystem: the (X, W) flow, its
+(X, P) dual form, and the rescaled and natural gradient flows.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from ..core.mirrors import MirrorMap
 from ..core.numerics import LOG_FLOAT_MAX, norm
 from ..core.oracles import ObjectiveOracle
 from ..core.points import as_point
-from ..core.scalings import ScalingTriple, ideal_scaling_check, massless_triple
+from ..core.scalings import ScalingTriple, ideal_scaling_check
 from ..errors import CapabilityError, InputError, NumericalError
 from .energy import energy_at
 
@@ -96,8 +100,7 @@ def _dimension(f: ObjectiveOracle, h: MirrorMap) -> int | None:
     return dims.pop() if dims else None
 
 
-def build_el_system(h: MirrorMap, f: ObjectiveOracle, s: ScalingTriple,
-                    kind: str = "euler_lagrange") -> FlowSystem:
+def build_el_system(h: MirrorMap, f: ObjectiveOracle, s: ScalingTriple) -> FlowSystem:
     """The variational flow in (X, W) form.
 
     X_dot = e^{alpha} (grad h*(W) - X),  W_dot = -e^{alpha+beta} grad f(X),
@@ -140,16 +143,8 @@ def build_el_system(h: MirrorMap, f: ObjectiveOracle, s: ScalingTriple,
             d = y.size // 2
             return energy_at(h, f, s, t, y[:d], y[d:], x_star)
 
-    return FlowSystem(kind, ("X", "W"), field, init, valid_from=s.valid_from,
+    return FlowSystem("euler_lagrange", ("X", "W"), field, init, valid_from=s.valid_from,
                       objective=f, energy=energy, dimension=dimension)
-
-
-def build_massless_system(h: MirrorMap, f: ObjectiveOracle, m: float) -> FlowSystem:
-    """The small-mass variational flow: X_dot = (1/m)(grad h*(W) - X),
-    W_dot = -grad f(X). Relaxes onto the natural gradient flow as m -> 0."""
-    if m <= 0:
-        raise InputError(f"mass must be positive, got {m}")
-    return build_el_system(h, f, massless_triple(m), kind="massless_lagrangian")
 
 
 def build_hamiltonian_system(h: MirrorMap, f: ObjectiveOracle,
@@ -239,46 +234,3 @@ def build_natural_gradient_flow(h: MirrorMap, f: ObjectiveOracle) -> FlowSystem:
 
     return FlowSystem("natural_gradient", ("X",), field,
                       lambda x0, t0: as_point(x0), objective=f, dimension=dimension)
-
-
-def build_euclidean_r_system(f: ObjectiveOracle, r: float,
-                             force_scaling="unit") -> FlowSystem:
-    """x_ddot + (r/t) x_dot + force(t) grad f(x) = 0 as a system in (X, V),
-    valid from t = 0.1 (the r/t damping is singular at t = 0).
-
-    force_scaling "unit" uses force = 1 (the classical r-damped equation;
-    r = 3 is the accelerated-gradient limit ODE). force_scaling ("matched", C)
-    uses force = C p^2 t^{p-2} with p = r - 1, the Euclidean specialization
-    of the polynomial variational flow (note (p+1)/t = r/t, so only the force
-    term differs).
-    """
-    if r <= 0:
-        raise InputError(f"r must be positive, got {r}")
-    if force_scaling == "unit":
-        force = lambda t: 1.0
-    else:
-        try:
-            kind_tag, C = force_scaling
-        except (TypeError, ValueError):
-            raise InputError(
-                f"force_scaling must be 'unit' or ('matched', C), got {force_scaling!r}"
-            ) from None
-        if kind_tag != "matched" or C <= 0:
-            raise InputError(
-                f"force_scaling must be 'unit' or ('matched', C > 0), got {force_scaling!r}"
-            )
-        p = r - 1.0
-        force = lambda t: C * p * p * t ** (p - 2.0)
-
-    def field(t, y):
-        d = y.size // 2
-        x, v = y[:d], y[d:]
-        dv = -(r / t) * v - force(t) * f.gradient(x)
-        return np.concatenate([v, dv])
-
-    def init(x0, t0):
-        x0 = as_point(x0)
-        return np.concatenate([x0, np.zeros_like(x0)])
-
-    return FlowSystem("euclidean_r", ("X", "V"), field, init,
-                      valid_from=0.1, objective=f, dimension=f.dimension)

@@ -45,14 +45,14 @@ from ..core import (
     builtin_mirror_maps,
     builtin_problems,
     exponential_triple,
+    massless_triple,
     polynomial_triple,
+    r_damped_triple,
 )
 from ..errors import InputError
 from ..flows import (
     build_el_system,
-    build_euclidean_r_system,
     build_hamiltonian_system,
-    build_massless_system,
     build_natural_gradient_flow,
     build_rescaled_gradient_flow,
     integrate,
@@ -571,7 +571,7 @@ def _check_small_mass_limit(ctx: SuiteContext) -> CheckResult:
         ctx.artifacts("small_mass_limit").trajectory(f"{label}_limit", limit)
         sups = []
         for m in masses:
-            traj = integrate(build_massless_system(mirror, f, m), x0, 0.0, 2.0,
+            traj = integrate(build_el_system(mirror, f, massless_triple(m)), x0, 0.0, 2.0,
                              {"method": "rk4", "steps": 2 * base_steps,
                               "record_every": 20})
             sups.append(limit_distance(traj, limit, check_times))
@@ -592,24 +592,28 @@ def _check_small_mass_limit(ctx: SuiteContext) -> CheckResult:
 def _check_damped_oscillator_threshold(ctx: SuiteContext) -> CheckResult:
     """Euclidean r-damped dynamics hit their rates on both force scalings.
 
-    Unit force: slope <= -2 + 0.2 for r in {3, 4, 5} (more damping cannot
-    beat the quadratic rate without rescaling the force). Matched force
-    (C = 1): slope <= -(r-1) + 0.3 for r in {3, 4}. quick: horizon 15 and
-    10000 steps instead of 30 and 30000.
+    x_ddot + (r/t) x_dot + force grad f = 0 runs as the (X, W) flow of a
+    triple under the Euclidean map. Unit force, r_damped_triple(r): slope
+    <= -2 + 0.2 for r in {3, 4, 5} (its beta_dot = 2/t <= e^alpha = (r-1)/t,
+    tight at r = 3, so more damping cannot beat the quadratic rate without
+    rescaling the force). Matched force C p^2 t^{p-2}, p = r - 1,
+    polynomial_triple(r - 1, C = 1): slope <= -(r-1) + 0.3 for r in {3, 4}.
+    quick: horizon 15 and 10000 steps instead of 30 and 30000.
     """
     f = builtin_problems()["quadratic"]
     x0 = np.array([1.0, 1.0])
     t_end, steps = (30.0, 30000) if ctx.full() else (15.0, 10000)
-    cases = [("unit", r, -2.0 + UNIT_FORCE_SLOPE_SLACK) for r in (3, 4, 5)]
-    cases += [(("matched", 1.0), r, -(r - 1.0) + SLOPE_SLACK) for r in (3, 4)]
+    cases = [("unit", r, r_damped_triple(r), -2.0 + UNIT_FORCE_SLOPE_SLACK)
+             for r in (3, 4, 5)]
+    cases += [("matched", r, polynomial_triple(r - 1, 1.0), -(r - 1.0) + SLOPE_SLACK)
+              for r in (3, 4)]
     worst_excess = -math.inf
     parts = []
-    for force, r, limit in cases:
-        traj = integrate(build_euclidean_r_system(f, r, force), x0, 0.1, t_end,
+    for tag, r, triple, limit in cases:
+        traj = integrate(build_el_system(EuclideanMap(), f, triple), x0, 0.1, t_end,
                          {"method": "rk4", "steps": steps, "record_every": 3})
         slope = masked_slope(traj, (1.0, t_end))
         worst_excess = max(worst_excess, slope - limit)
-        tag = "unit" if force == "unit" else "matched"
         parts.append(f"{tag} r={r}: slope {slope:+.3f} (limit {limit:+.1f})")
         ctx.artifacts("damped_oscillator_threshold").trajectory(f"{tag}_r{r}", traj)
     return CheckResult(

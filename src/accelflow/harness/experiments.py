@@ -42,13 +42,12 @@ from ..accel import (
     naive_discretization,
     restart_accelerated,
 )
-from ..core import EuclideanMap, exponential_triple, polynomial_triple
+from ..core import EuclideanMap, exponential_triple, massless_triple, polynomial_triple
 from ..core.numerics import LOG_FLOAT_MAX
 from ..core.points import as_real
 from ..errors import InputError
 from ..flows import (
     build_el_system,
-    build_massless_system,
     build_natural_gradient_flow,
     build_rescaled_gradient_flow,
     integrate,
@@ -215,7 +214,7 @@ def _run_flow(cfg: ExperimentConfig, emit: ArtifactWriter) -> list[CheckResult]:
         "t0": 0.0, "t_end": 2.0,
         "method": "rk4", "steps": 40000, "record_every": 20,
     })
-    traj = integrate(build_massless_system(mirror, f, m), x0, t0, t_end, controls)
+    traj = integrate(build_el_system(mirror, f, massless_triple(m)), x0, t0, t_end, controls)
     emit.trajectory("trajectory", traj)
     limit = integrate(build_natural_gradient_flow(mirror, f), x0, t0, t_end,
                       {"method": "rk4",

@@ -31,10 +31,10 @@ from accelflow.core import (
     ideal_scaling_check,
     massless_triple,
     polynomial_triple,
+    r_damped_triple,
     rising_factorial,
     taylor_model,
 )
-from accelflow.core.scalings import ScalingTriple
 from accelflow.errors import CapabilityError, InputError
 
 RNG_SEED = 20260819
@@ -222,19 +222,25 @@ def test_ideal_scaling_polynomial_family_sweep():
 def test_ideal_scaling_slack_variant_not_tight():
     # slow objective weight: beta grows like 2 log t while e^alpha = (r-1)/t
     # allows up to (r-1) log t; with r = 5 the rate condition holds strictly
-    r = 5.0
-    s = ScalingTriple(
-        alpha=lambda t: math.log(r - 1.0) - math.log(t),
-        beta=lambda t: 2.0 * math.log(t) - 2.0 * math.log(r - 1.0),
-        gamma=lambda t: (r - 1.0) * math.log(t),
-        alpha_dot=lambda t: -1.0 / t,
-        beta_dot=lambda t: 2.0 / t,
-        gamma_dot=lambda t: (r - 1.0) / t,
-        valid_from=0.1,
-    )
-    rep = ideal_scaling_check(s, [1.0, 3.0, 10.0])
+    rep = ideal_scaling_check(r_damped_triple(5.0), [1.0, 3.0, 10.0])
     assert rep.beta_ok and rep.gamma_ok
     assert not rep.beta_tight
+
+
+@pytest.mark.parametrize("r", [1.01, 1.5, 2.0, 2.99, 3.0, 3.01, 4.0, 5.0, 50.0])
+def test_r_damped_triple_meets_the_rate_condition_iff_r_at_least_three(r):
+    # gamma_dot = (r-1)/t = e^alpha for every r > 1; beta_dot = 2/t
+    rep = ideal_scaling_check(r_damped_triple(r), np.linspace(0.1, 50.0, 23))
+    assert rep.gamma_ok
+    assert rep.beta_ok == (r >= 3.0)
+    assert rep.beta_tight == (r == 3.0)
+
+
+@pytest.mark.parametrize("r", [1.0, 0.5, -2.0, math.nan, 1e308, math.inf])
+def test_r_damped_triple_guards(r):
+    # r <= 1 leaves no log(r - 1); at 1e308 e^alpha = (r-1)/0.1 overflows
+    with pytest.raises(InputError):
+        r_damped_triple(r)
 
 
 def test_ideal_scaling_grid_domain_guard():
@@ -246,8 +252,9 @@ def test_ideal_scaling_grid_domain_guard():
 
 @pytest.mark.parametrize(
     "triple",
-    [polynomial_triple(3, 0.5), exponential_triple(0.7), massless_triple(0.01)],
-    ids=["polynomial", "exponential", "massless"],
+    [polynomial_triple(3, 0.5), exponential_triple(0.7), massless_triple(0.01),
+     r_damped_triple(4.0)],
+    ids=["polynomial", "exponential", "massless", "r_damped"],
 )
 def test_scaling_derivatives_match_finite_differences(triple):
     for t in np.linspace(max(0.2, triple.valid_from + 0.1), 5.0, 9):

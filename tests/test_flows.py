@@ -21,6 +21,10 @@ Oracles used here, all derived by hand and independent of the implementation:
   alpha picks up log tau_dot = log(p/2) + (p/2 - 1) log t, which combines
   with alpha(tau) = log 2 - (p/2) log t to give log p - log t.
 
+* The r-damped equation x_ddot + (r/t) x_dot + force(t) grad f = 0 in its
+  damped oscillator form (X, V), integrated by a fixed-step RK4 written in
+  the test: the (X, W) flow of its triple must trace the same X.
+
 * The adaptive integrator's tableau against the Butcher order conditions
   (one per rooted tree up to order 5), and its final states against scipy's
   independent DOP853 at rtol 1e-13.
@@ -49,6 +53,7 @@ from accelflow.core import (
     exponential_triple,
     massless_triple,
     polynomial_triple,
+    r_damped_triple,
 )
 from accelflow.errors import (
     CapabilityError,
@@ -61,9 +66,7 @@ from accelflow.flows import (
     FlowSystem,
     TimeDilation,
     build_el_system,
-    build_euclidean_r_system,
     build_hamiltonian_system,
-    build_massless_system,
     build_natural_gradient_flow,
     build_rescaled_gradient_flow,
     dilate_trajectory,
@@ -118,8 +121,7 @@ def test_exponential_field_hand_values():
 
 
 def test_massless_field_hand_values():
-    sys = build_massless_system(EuclideanMap(), quadratic_2d(), 0.1)
-    assert sys.kind == "massless_lagrangian"
+    sys = build_el_system(EuclideanMap(), quadratic_2d(), massless_triple(0.1))
     y = np.array([1.0, -1.0, 0.5, 2.0])
     dy = sys.vector_field(3.0, y)
     # X_dot = (1/m)(W - X); W_dot = -grad f exactly (alpha + beta = 0)
@@ -155,30 +157,81 @@ def test_el_rejects_broken_damping():
         build_hamiltonian_system(EuclideanMap(), quadratic_2d(), bad)
 
 
-def test_r_system_field_unit_force():
-    sys = build_euclidean_r_system(quadratic_2d(), 3.0)
-    y = np.array([1.0, -1.0, 0.2, 0.4])  # X, V
-    dy = sys.vector_field(0.5, y)
-    np.testing.assert_allclose(dy[:2], [0.2, 0.4], rtol=0)
-    # V_dot = -(3/0.5) V - grad f = (-1.2 - 1, -2.4 + 10)
-    np.testing.assert_allclose(dy[2:], [-2.2, 7.6], rtol=1e-14)
+def _r_damped(tag, r, C=1.0):
+    """The triple of x_ddot + (r/t) x_dot + force(t) grad f = 0 and its
+    force: 1 (unit) or C p^2 t^{p-2} with p = r - 1 (matched)."""
+    if tag == "unit":
+        return r_damped_triple(r), lambda t: 1.0
+    return polynomial_triple(r - 1.0, C), lambda t: C * (r - 1.0) ** 2 * t ** (r - 3.0)
 
 
-def test_r_system_field_matched_force():
-    sys = build_euclidean_r_system(quadratic_2d(), 4.0, force_scaling=("matched", 0.5))
-    y = np.array([1.0, -1.0, 0.2, 0.4])
-    dy = sys.vector_field(2.0, y)
-    # p = 3, force = 0.5 * 9 * t = 9 at t = 2; damping 4/2 = 2
-    np.testing.assert_allclose(dy[2:], [-0.4 - 9.0, -0.8 + 90.0], rtol=1e-14)
+@pytest.mark.parametrize("tag, r, C", [
+    ("unit", 1.5, 1.0), ("unit", 3.0, 1.0), ("unit", 4.0, 1.0), ("unit", 5.0, 1.0),
+    ("matched", 3.0, 1.0), ("matched", 4.0, 0.5), ("matched", 5.5, 2.0),
+])
+def test_el_field_is_the_r_damped_equation(tag, r, C):
+    # Euclidean (X, W): X_dot = e^alpha (W - X), so X_ddot = alpha_dot X_dot
+    # + e^alpha (W_dot - X_dot), which must equal -(r/t) X_dot - force grad f
+    f = quadratic_2d()
+    triple, force = _r_damped(tag, r, C)
+    sys = build_el_system(EuclideanMap(), f, triple)
+    y = np.array([1.0, -1.0, 0.5, 2.0])
+    for t in (0.1, 0.7, 2.0, 9.0):
+        dy = sys.vector_field(t, y)
+        xdot, wdot = dy[:2], dy[2:]
+        xddot = triple.alpha_dot(t) * xdot + triple.exp_alpha(t) * (wdot - xdot)
+        expected = -(r / t) * xdot - force(t) * f.gradient(y[:2])
+        np.testing.assert_allclose(xddot, expected, rtol=1e-14, atol=1e-14)
 
 
-def test_r_system_rejects_bad_force_scaling():
-    with pytest.raises(InputError):
-        build_euclidean_r_system(quadratic_2d(), 3.0, force_scaling="mystery")
-    with pytest.raises(InputError):
-        build_euclidean_r_system(quadratic_2d(), 3.0, force_scaling=("matched", -1.0))
-    with pytest.raises(InputError):
-        build_euclidean_r_system(quadratic_2d(), 0.0)
+def _r_damped_rk4_x(f, r, force, x0, t0, t_end, steps):
+    """X at every step of fixed-step RK4 on x_ddot + (r/t) x_dot + force(t)
+    grad f(x) = 0 in (X, V) from rest: the damped oscillator form itself."""
+    d = x0.size
+
+    def field(t, y):
+        x, v = y[:d], y[d:]
+        return np.concatenate([v, -(r / t) * v - force(t) * f.gradient(x)])
+
+    h = (t_end - t0) / steps
+    y = np.concatenate([x0, np.zeros(d)])
+    xs = [y[:d].copy()]
+    t = t0
+    for i in range(steps):
+        k1 = field(t, y)
+        k2 = field(t + 0.5 * h, y + (0.5 * h) * k1)
+        k3 = field(t + 0.5 * h, y + (0.5 * h) * k2)
+        k4 = field(t + h, y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        t = t0 + (i + 1) * h
+        xs.append(y[:d].copy())
+    return np.array(xs)
+
+
+@pytest.mark.parametrize("tag, r", [("unit", 3), ("unit", 4), ("unit", 5),
+                                    ("matched", 3), ("matched", 4)])
+def test_r_damped_el_flow_matches_the_oscillator_form(tag, r):
+    # the quick damped_oscillator_threshold runs: quadratic, x0 = (1, 1),
+    # [0.1, 15], 10000 RK4 steps, every third sample kept
+    f = builtin_problems()["quadratic"]
+    x0 = np.array([1.0, 1.0])
+    triple, force = _r_damped(tag, r)
+    traj = integrate(build_el_system(EuclideanMap(), f, triple), x0, 0.1, 15.0,
+                     {"method": "rk4", "steps": 10000, "record_every": 3})
+    reference = _r_damped_rk4_x(f, r, force, x0, 0.1, 15.0, 10000)
+    kept = list(range(0, 10000, 3)) + [10000]
+    assert traj.blocks == ("X", "W")
+    np.testing.assert_allclose(traj.block("X"), reference[kept], rtol=0, atol=1e-9)
+
+
+def test_removed_damped_builders_stay_gone():
+    import inspect
+
+    import accelflow.flows as flows
+
+    for name in ("build_euclidean_r_system", "build_massless_system"):
+        assert not hasattr(flows, name) and name not in flows.__all__
+    assert list(inspect.signature(build_el_system).parameters) == ["h", "f", "s"]
 
 
 def test_hamiltonian_field_reduces_in_euclidean_case():

@@ -992,18 +992,40 @@ def test_cli_restart_fails_when_an_inner_step_certificate_fails(tmp_path, capsys
     assert failed[0]["extras"] == {"failures": 1, "first_failure": 4}
 
 
-def test_cli_failed_step_certificates_say_how_many_and_where(tmp_path, capsys):
+def test_cli_failed_step_certificates_say_how_many_and_where(tmp_path, capsys,
+                                                             monkeypatch):
+    import accelflow.accel as accel_module
+
+    real = accel_module.g_step
+    calls = [0]
+
+    def g_step(f, x, cfg):
+        calls[0] += 1
+        y, gy, cert = real(f, x, cfg)
+        return y, gy, cert._replace(ok=False) if calls[0] == 5 else cert
+
+    monkeypatch.setattr(accel_module, "g_step", g_step)
+    code, doc = _run_cli(tmp_path, capsys, "optimize",
+                         {"method": {"algorithm": "descent", "K": 20}})
+    assert code == 1
+    failed = [c for c in doc["checks"] if c["status"] == "fail"]
+    assert [c["name"] for c in failed] == ["step_certificates"]
+    assert failed[0]["measured"] is None
+    assert failed[0]["extras"] == {"failures": 1, "first_failure": 4, "at_floor": 0}
+    assert failed[0]["detail"] == "20 inequalities checked; 1 failed, the first at k = 4"
+
+
+def test_cli_descent_steps_at_the_rounding_floor_are_not_failures(tmp_path, capsys):
     # the plain method at p = 3 on least squares reaches the rounding floor
     # of the gradient at k = 15, where the move-norm bounds stop holding
     code, doc = _run_cli(tmp_path, capsys, "optimize", {
         "problem": "least_squares", "method": {"algorithm": "descent", "p": 3, "K": 20},
     })
-    assert code == 1
-    failed = [c for c in doc["checks"] if c["status"] == "fail"]
-    assert [c["name"] for c in failed] == ["step_certificates"]
-    assert failed[0]["measured"] is None
-    assert failed[0]["extras"] == {"failures": 5, "first_failure": 15}
-    assert failed[0]["detail"] == "20 inequalities checked; 5 failed, the first at k = 15"
+    assert code == 0
+    cert = next(c for c in doc["checks"] if c["name"] == "step_certificates")
+    assert cert["status"] == "pass"
+    assert cert["extras"] == {"failures": 0, "first_failure": None, "at_floor": 5}
+    assert cert["detail"] == "20 inequalities checked; 0 failed"
 
 
 def test_cli_diverged_optimize_run_is_exit_one(tmp_path, capsys):

@@ -20,7 +20,9 @@ Oracles, each the code as first written, kept here as references:
 
 Every invalid integrator control must raise InputError, never integrate,
 and a NaN method parameter must raise InputError, never run. A Taylor step
-at the certified epsilon must certify itself.
+at the certified epsilon must certify itself, and the plain method's every
+invariant-report entry must hold on random quadratics and least-squares
+problems at that epsilon.
 
 The secular solve, where the root lies below 1e-16 r_hi = 1e-16
 (||g|| / s)^{1/(power+1)} and the regularizer is negligible against every
@@ -56,11 +58,13 @@ from accelflow import accel  # noqa: E402
 from accelflow.accel import (  # noqa: E402
     AccelConfig,
     exponential_discretization,
+    higher_order_descent,
     naive_discretization,
 )
 from accelflow.core import (  # noqa: E402
     DiagonalQuadratic,
     EuclideanMap,
+    LeastSquares,
     PowerNorm,
     PthPowerMap,
     ScaledPthPowerMap,
@@ -460,6 +464,35 @@ def test_step_at_certified_epsilon_is_certified(case):
         assert cert.residual <= RESIDUAL_TARGET * (1.0 + norm(f.gradient(x)))
     elif p == 4:
         assert cert.residual <= RESIDUAL_LIMIT_P4
+
+
+@st.composite
+def _descent_cases(draw):
+    """A DiagonalQuadratic with curvatures 10^U(-3, 3) or a LeastSquares with
+    a random m x d matrix, m >= d; d in 1..6, x0 at 10^U(-2, 1) from x*."""
+    d = draw(st.integers(1, 6))
+    p = draw(st.sampled_from((2, 3, 4)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        f = DiagonalQuadratic(10.0 ** rng.uniform(-3.0, 3.0, d))
+    else:
+        m = draw(st.integers(d, d + 4))
+        f = LeastSquares(rng.normal(size=(m, d)), rng.normal(size=m))
+    u = rng.normal(size=d)
+    x0 = f.minimizer + 10.0 ** rng.uniform(-2.0, 1.0) * u / norm(u)
+    return f, p, x0
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_descent_cases())
+@example((LeastSquares([[1.0]], [1.0]), 4, np.array([-2.0])))  # grad f(y_6) = 0
+def test_plain_method_report_holds_on_random_convex_instances(case):
+    f, p, x0 = case
+    rec = higher_order_descent(f, StepConfig(p, smoothness_epsilon(f, p)), x0, 200)
+    report = rec.invariant_report()
+    assert "step_certificates" in report
+    bad = {name: entry for name, entry in report.items() if not entry["ok"]}
+    assert not bad, (f.name, p, x0, rec.config, bad)
 
 
 # ---------------------------------------------------------------------------
