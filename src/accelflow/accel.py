@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core.mirrors import EuclideanMap, MirrorMap, ScaledPthPowerMap
-from .core.numerics import LOG_FLOAT_MAX, norm, rising_factorial
+from .core.numerics import LOG_FLOAT_MAX, norm, rising_factorial, row_dots
 from .core.oracles import ObjectiveOracle
 from .core.points import Point, as_point
 from .errors import CapabilityError, InputError, SolverError
@@ -76,13 +76,6 @@ def _blown(v: np.ndarray) -> bool:
     """A non-finite vector, one whose square overflows, or one past the
     threshold: each has a norm that is not <= DIVERGENCE_THRESHOLD."""
     return not norm(v) <= DIVERGENCE_THRESHOLD
-
-
-def _row_dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """<A[i], B[i]> per row (B may be one vector for every row), bit for bit
-    float(A[i] @ B[i]): the stacked matmul takes each row as one 1-d dot, as
-    the @ of two vectors does, where einsum and (A * B).sum(1) do not."""
-    return (A[:, None, :] @ B[..., :, None])[:, 0, 0]
 
 
 def _kept(buf: np.ndarray, n: int) -> np.ndarray:
@@ -569,7 +562,7 @@ def accelerated(f: ObjectiveOracle, cfg: AccelConfig, K: int) -> RunRecord:
     psi_k(x) = C p (S1_k + <S2_k, x>) + D_h(x, x_0)/eps. The pass calls no
     oracle or mirror method, and each value is bit for bit what updating
     the sums inside the loop gives: np.cumsum adds in sequence, and each
-    row's dot product is one 1-d dot (_row_dots).
+    row's dot product is one 1-d dot (row_dots).
     """
     x0 = _start(f, cfg.x0, K)
     h = cfg.mirror
@@ -636,15 +629,15 @@ def accelerated(f: ObjectiveOracle, cfg: AccelConfig, K: int) -> RunRecord:
     kps = np.array([float(rising_factorial(k, p)) for k in range(n)])
     # sums started from +0.0, as in a loop: adding it turns row 0's -0.0
     # (weight 0 times a negative) into +0.0
-    S1 = np.cumsum(weights * (f_ys - _row_dots(grad_ys, ys))) + 0.0
+    S1 = np.cumsum(weights * (f_ys - row_dots(grad_ys, ys))) + 0.0
     S2 = np.cumsum(weights[:, None] * grad_ys, axis=0) + 0.0
-    dh_z = h_zs[:n] - h_x0 - _row_dots(zs - x0, w0)
+    dh_z = h_zs[:n] - h_x0 - row_dots(zs - x0, w0)
     grad_psi = C * p * S2 + (grad_h_zs[:n] - w0) / eps
     psi_at_min = None
     psi_upper = None if f_star is None else np.full(n, np.nan)
     bounds = np.full(n, np.nan)
     if x_star is not None:
-        psi_at_min = C * p * (S1 + _row_dots(S2, x_star)) + dh_star / eps
+        psi_at_min = C * p * (S1 + row_dots(S2, x_star)) + dh_star / eps
         if f_star is not None:
             psi_upper = C * kps * f_star + dh_star / eps
             bounds[1:] = dh_star / (C * eps * kps[1:])
@@ -661,9 +654,9 @@ def accelerated(f: ObjectiveOracle, cfg: AccelConfig, K: int) -> RunRecord:
         f_ys=f_ys,
         grad_ys=grad_ys,
         certificates=_kept(certs, n),
-        psi_values=C * p * (S1 + _row_dots(S2, zs)) + dh_z / eps,
-        psi_grad_norms=np.sqrt(_row_dots(grad_psi, grad_psi)),
-        psi_grad_scales=np.sqrt(_row_dots(ws[:n], ws[:n])) + norm(w0),
+        psi_values=C * p * (S1 + row_dots(S2, zs)) + dh_z / eps,
+        psi_grad_norms=np.sqrt(row_dots(grad_psi, grad_psi)),
+        psi_grad_scales=np.sqrt(row_dots(ws[:n], ws[:n])) + norm(w0),
         psi_at_minimizer=psi_at_min,
         psi_upper_envelope=psi_upper,
         ckp_fy=C * kps * f_ys,

@@ -29,12 +29,14 @@ class MirrorMap:
     uniform_convexity, when declared, is a pair (p, sigma) certifying
     D_h(y, x) >= (sigma/p) ||y - x||^p for all y, x.
     dimension is None for maps defined on R^d for every d, otherwise the
-    fixed dimension the map was constructed with.
+    fixed dimension the map was constructed with. rowwise: dual_gradient
+    maps an (R, d) stack row by row, bit for bit (a family of flows needs it).
     """
 
     name = "mirror"
     uniform_convexity: tuple[float, float] | None = None
     dimension: int | None = None
+    rowwise = False
 
     def value(self, x: Point) -> float:
         raise NotImplementedError
@@ -65,6 +67,7 @@ class EuclideanMap(MirrorMap):
 
     name = "euclidean"
     uniform_convexity = (2.0, 1.0)
+    rowwise = True
 
     def value(self, x):
         return 0.5 * float(x @ x)
@@ -85,6 +88,8 @@ class DiagonalMap(MirrorMap):
     The simplest map whose Hessian metric differs from the identity; used to
     exercise natural-gradient and massless flows beyond the Euclidean case.
     """
+
+    rowwise = True
 
     def __init__(self, q):
         q = as_point(q)

@@ -1,5 +1,5 @@
-"""Small pure numeric helpers: the Euclidean norm, rising factorials, Taylor
-models, differences.
+"""Small pure numeric helpers: the Euclidean norm, row dot products, rising
+factorials, Taylor models, differences.
 
 ``norm(v)`` is the one Euclidean norm on the per-iteration paths. For a
 float64 array it returns, bit for bit, ``float(np.linalg.norm(v))``: numpy
@@ -26,6 +26,13 @@ def norm(v: np.ndarray) -> float:
     """Euclidean norm of a float64 array, bitwise float(np.linalg.norm(v))."""
     v = v.ravel("K")
     return math.sqrt(v.dot(v))
+
+
+def row_dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """<A[i], B[i]> per row (B may be one vector for every row), bit for bit
+    float(A[i] @ B[i]): the stacked matmul takes each row as one 1-d dot, as
+    the @ of two vectors does, where einsum and (A * B).sum(1) do not."""
+    return (A[:, None, :] @ B[..., :, None])[:, 0, 0]
 
 
 def rising_factorial(k: int, m: int) -> int:

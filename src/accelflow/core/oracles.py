@@ -7,7 +7,8 @@ third_apply (the vector nabla^3 f(x)[u, v, .]). It also declares
 smoothness constants L_s (Lipschitz constants of nabla^s f, possibly
 conservative: a larger declared constant is always valid), optional uniform
 convexity (p, sigma) certifying D_f(y,x) >= (sigma/p)||y-x||^p, and the exact
-minimizer when one is known in closed form.
+minimizer when one is known in closed form. rowwise: gradient maps an (R, d)
+stack row by row, bit for bit (a family of flows needs it).
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ class ObjectiveOracle:
     minimizer: Point | None = None
     min_value: float | None = None
     dimension: int | None = None
+    rowwise = False
 
     def value(self, x: Point) -> float:
         raise NotImplementedError
@@ -87,6 +89,7 @@ class DiagonalQuadratic(ObjectiveOracle):
     """
 
     derivative_order = 3
+    rowwise = True
 
     def __init__(self, lam, name="quadratic"):
         lam = as_point(lam)

@@ -51,8 +51,9 @@ def polynomial_triple(p: float, C: float = 1.0, t_min: float = 0.1) -> ScalingTr
     """The O(1/t^p) family: alpha = log p - log t, beta = p log t + log C,
     gamma = p log t. Singular at t = 0, hence valid_from = t_min, where
     e^alpha = p / t is largest; it must be a finite float."""
-    if p <= 0 or C <= 0 or t_min <= 0:
-        raise InputError("polynomial triple needs p > 0, C > 0, t_min > 0")
+    for name, value in (("p", p), ("C", C), ("t_min", t_min)):
+        if not value > 0:
+            raise InputError(f"polynomial triple needs {name} > 0, got {value!r}")
     p, C = float(p), float(C)
     logp, logC = math.log(p), math.log(C)
     if logp - math.log(t_min) > LOG_FLOAT_MAX:
@@ -77,8 +78,8 @@ def polynomial_triple(p: float, C: float = 1.0, t_min: float = 0.1) -> ScalingTr
 
 def exponential_triple(c: float) -> ScalingTriple:
     """The O(e^{-ct}) family: alpha = log c, beta = gamma = c t."""
-    if c <= 0:
-        raise InputError("exponential triple needs c > 0")
+    if not c > 0:
+        raise InputError(f"exponential triple needs c > 0, got {c!r}")
     c = float(c)
     logc = math.log(c)
     return ScalingTriple(
@@ -118,8 +119,8 @@ def r_damped_triple(r: float) -> ScalingTriple:
 def massless_triple(m: float) -> ScalingTriple:
     """alpha = -log m, beta = log m, gamma = t/m: the small-mass family whose
     flow relaxes onto the natural gradient flow as m -> 0."""
-    if m <= 0:
-        raise InputError("massless triple needs m > 0")
+    if not m > 0:
+        raise InputError(f"massless triple needs m > 0, got {m!r}")
     m = float(m)
     logm = math.log(m)
     return ScalingTriple(

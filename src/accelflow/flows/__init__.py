@@ -2,7 +2,7 @@
 
 from .dilation import TimeDilation, dilate_trajectory, dilate_triple
 from .energy import energy_at, fit_rate
-from .integrate import DIVERGENCE_THRESHOLD, Trajectory, integrate
+from .integrate import DIVERGENCE_THRESHOLD, Trajectory, integrate, integrate_family
 from .systems import (
     GRADIENT_FLOOR,
     FlowSystem,
@@ -27,4 +27,5 @@ __all__ = [
     "energy_at",
     "fit_rate",
     "integrate",
+    "integrate_family",
 ]

@@ -14,6 +14,7 @@ import math
 
 import numpy as np
 
+from ..core.numerics import row_dots
 from ..core.points import as_integer, as_point, as_real
 from ..errors import DivergenceError, InputError, NumericalError, SolverError
 
@@ -208,6 +209,12 @@ class Trajectory:
                 out.write(",".join(row) + "\n")
 
 
+def _by_row(y: np.ndarray) -> np.ndarray:
+    """A family's states (..., 2R, d) as the rows (x_r, w_r), (..., R, 2d)."""
+    *lead, n, d = y.shape
+    return y.reshape(*lead, 2, n // 2, d).swapaxes(-3, -2).reshape(*lead, n // 2, 2 * d)
+
+
 class _Recorder:
     def __init__(self, sys, d):
         self.sys = sys
@@ -221,15 +228,18 @@ class _Recorder:
         self.states.append(np.array(y))
         self.derivs.append(np.array(dy))
 
-    def build(self, stats) -> Trajectory:
-        sys = self.sys
+    def build(self, stats, row=None) -> Trajectory:
+        sys, states, derivs = self.sys, self.states, self.derivs
+        if row is not None:
+            sys = sys.rows[row]
+            states, derivs = (_by_row(np.array(a))[:, row].copy() for a in (states, derivs))
         f_gap = energy = None
         if sys.has_gap:
-            f_gap = [sys.gap_value(t, y) for t, y in zip(self.times, self.states)]
+            f_gap = [sys.gap_value(t, y) for t, y in zip(self.times, states)]
         if sys.has_energy:
-            energy = [sys.energy_value(t, y) for t, y in zip(self.times, self.states)]
+            energy = [sys.energy_value(t, y) for t, y in zip(self.times, states)]
         return Trajectory(
-            sys.kind, sys.blocks, self.d, self.times, self.states, self.derivs,
+            sys.kind, sys.blocks, self.d, self.times, states, derivs,
             f_gap=f_gap, energy=energy, step_stats=stats,
         )
 
@@ -270,7 +280,28 @@ def integrate(sys, x0, t0: float, t_end: float, controls: dict,
     count the steps and field evaluations so far; exceeding MAX_STEPS
     attempts, a non-finite error estimate and a step too small to advance t
     raise SolverError; NaN/Inf in the state raises NumericalError.
+    A family, build_el_system(h, f, triples), runs through integrate_family
+    (here InputError) as one state on rk4 only (on rk4_adaptive each row
+    would need its own step size). Row i's Trajectory is bit for bit
+    integrate's for triples[i], f_gap, energy and step_stats included. A
+    failing row raises what integrate raises for it alone (class, t, partial
+    trajectory): of several, the one a single run meets first (a step's field
+    evaluations, then the check of the new state), at a tie the lowest row.
     """
+    if sys.rows is not None:
+        raise InputError("a family of flows runs through integrate_family")
+    return _integrate(sys, x0, t0, t_end, controls, initial_state)
+
+
+def integrate_family(sys, x0, t0: float, t_end: float, controls: dict) -> list[Trajectory]:
+    """integrate for a family system: one Trajectory per row (see integrate)."""
+    if sys.rows is None:
+        raise InputError("integrate_family needs build_el_system(h, f, triples)")
+    return _integrate(sys, x0, t0, t_end, controls)
+
+
+def _integrate(sys, x0, t0, t_end, controls, initial_state=None):
+    rows = sys.rows
     t0, t_end = float(t0), float(t_end)
     if not (math.isfinite(t0) and math.isfinite(t_end)):
         raise InputError(f"t0 and t_end must be finite, got [{t0}, {t_end}]")
@@ -292,6 +323,9 @@ def integrate(sys, x0, t0: float, t_end: float, controls: dict,
         steps = as_integer("steps", controls.get("steps"))
         if not 1 <= steps <= MAX_STEPS:
             raise InputError(f"rk4 steps = {steps} is outside [1, MAX_STEPS = {MAX_STEPS}]")
+    elif rows is not None:
+        raise InputError("a family runs on rk4 only: on rk4_adaptive each row "
+                         "would need its own step size")
     else:
         rel_tol = as_real("rel_tol", controls.get("rel_tol", 1e-8))
         abs_tol = as_real("abs_tol", controls.get("abs_tol", 1e-12))
@@ -317,24 +351,26 @@ def integrate(sys, x0, t0: float, t_end: float, controls: dict,
                 f"the {sys.kind} system is {sys.dimension}-dimensional, x0 has size {x0.size}"
             )
         y0 = sys.initial_state_from(x0, t0)
-    d = y0.size // len(sys.blocks)
+    d = y0.size // len(sys.blocks) // (1 if rows is None else len(rows))
     rec = _Recorder(sys, d)
 
     field = sys.vector_field
 
     def checked(t, y, progress):
-        """Raise on a non-finite or diverged state; progress() gives the
+        """Raise on a non-finite or diverged state (row); progress() gives the
         partial record's step_stats, built only when it is needed. A finite
         squared norm means a finite state, so the elementwise test runs only
         when it is not (a finite state whose square overflows diverged)."""
-        norm_sq = y.dot(y)
-        if not math.isfinite(norm_sq) and not np.isfinite(y).all():
-            raise NumericalError(f"non-finite state during integration at t = {t}")
-        if math.sqrt(norm_sq) > DIVERGENCE_THRESHOLD:
-            raise DivergenceError(
-                f"state norm exceeded {DIVERGENCE_THRESHOLD:g} at t = {t}",
-                partial=rec.build(progress()), t=t,
-            )
+        by_row = (y,) if rows is None else _by_row(y)
+        norms_sq = (y.dot(y),) if rows is None else row_dots(by_row, by_row).tolist()
+        for row, norm_sq in enumerate(norms_sq):
+            if not math.isfinite(norm_sq) and not np.isfinite(by_row[row]).all():
+                raise NumericalError(f"non-finite state during integration at t = {t}")
+            if math.sqrt(norm_sq) > DIVERGENCE_THRESHOLD:
+                raise DivergenceError(
+                    f"state norm exceeded {DIVERGENCE_THRESHOLD:g} at t = {t}",
+                    partial=rec.build(progress(), None if rows is None else row), t=t,
+                )
 
     if method == "rk4":
         h = (t_end - t0) / steps
@@ -359,10 +395,11 @@ def integrate(sys, x0, t0: float, t_end: float, controls: dict,
             evals += 4
             checked(t, y, progress)
         rec.push(t_end, y, field(t_end, y))
-        return rec.build(
-            {"method": "rk4", "steps": steps, "completed": steps,
-             "field_evals": evals + 1, "record_every": record_every}
-        )
+        stats = {"method": "rk4", "steps": steps, "completed": steps,
+                 "field_evals": evals + 1, "record_every": record_every}
+        if rows is None:
+            return rec.build(stats)
+        return [rec.build(stats, i) for i in range(len(rows))]
 
     y = y0.copy()
     t = t0

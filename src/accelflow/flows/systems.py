@@ -38,11 +38,13 @@ class FlowSystem:
     state is that of its first block, available when the objective declares
     its minimum value; energy is the Lyapunov functional, when the builder
     has one. The field and energy close over the mirror map, scaling triple
-    and parameters they need; the system keeps nothing else of them.
+    and parameters they need; the system keeps nothing else of them. A
+    family's rows are its single systems, which give each row's gap and energy.
     """
 
     def __init__(self, kind, blocks, vector_field, initial_state_from,
-                 valid_from=0.0, objective=None, energy=None, dimension=None):
+                 valid_from=0.0, objective=None, energy=None, dimension=None,
+                 rows=None):
         self.kind = kind
         self.blocks = tuple(blocks)
         self.vector_field = vector_field
@@ -51,6 +53,7 @@ class FlowSystem:
         self.objective = objective
         self._energy = energy
         self.dimension = dimension
+        self.rows = rows
 
     @property
     def has_energy(self) -> bool:
@@ -100,7 +103,22 @@ def _dimension(f: ObjectiveOracle, h: MirrorMap) -> int | None:
     return dims.pop() if dims else None
 
 
-def build_el_system(h: MirrorMap, f: ObjectiveOracle, s: ScalingTriple) -> FlowSystem:
+def _el_weights(s: ScalingTriple):
+    """weights(t) = (e^alpha, -e^{alpha+beta}) of s by math.exp; InputError
+    on overflow."""
+
+    def weights(t):
+        a, b = s.alpha_beta(t)
+        ab = a + b
+        if ab > LOG_FLOAT_MAX:
+            raise InputError(f"the flow's weight e^(alpha + beta) = e^{ab:.6g} "
+                             f"overflows a float at t = {t:.6g}; end the flow earlier")
+        return math.exp(a), -math.exp(ab)
+
+    return weights
+
+
+def build_el_system(h: MirrorMap, f: ObjectiveOracle, s) -> FlowSystem:
     """The variational flow in (X, W) form.
 
     X_dot = e^{alpha} (grad h*(W) - X),  W_dot = -e^{alpha+beta} grad f(X),
@@ -112,24 +130,52 @@ def build_el_system(h: MirrorMap, f: ObjectiveOracle, s: ScalingTriple) -> FlowS
     (alpha + beta > LOG_FLOAT_MAX, past t = 709 for the exponential triple
     with c = 1) raises InputError: the horizon lies beyond what the triple
     can represent.
+
+    s may also be a sequence of R triples: their flows from one x0 as a
+    family for integrate_family, its state the X rows and then the W rows
+    (2R, d). h and f must declare rowwise (else CapabilityError); of the
+    rows whose weight overflows, the lowest raises.
     """
     dimension = _dimension(f, h)
-    _require_ideal_damping(s, "(X, W) reduction")
 
     def field(t, y):
-        d = y.size // 2
-        x, w = y[:d], y[d:]
-        a, b = s.alpha_beta(t)
-        ab = a + b
-        if ab > LOG_FLOAT_MAX:
-            raise InputError(f"the flow's weight e^(alpha + beta) = e^{ab:.6g} "
-                             f"overflows a float at t = {t:.6g}; end the flow earlier")
+        # weights are floats, or (R, 1) columns on a family's (R, d) blocks
+        n = len(y) // 2
+        x, w = y[:n], y[n:]
+        ea, neg_eab = weights(t)
         out = np.empty(y.shape)
-        dx, dw = out[:d], out[d:]
+        dx, dw = out[:n], out[n:]
         np.subtract(h.dual_gradient(w), x, out=dx)
-        np.multiply(math.exp(a), dx, out=dx)
-        np.multiply(-math.exp(ab), f.gradient(x), out=dw)
+        np.multiply(ea, dx, out=dx)
+        np.multiply(neg_eab, f.gradient(x), out=dw)
         return out
+
+    if not isinstance(s, ScalingTriple):
+        for obj in (h, f):
+            if not obj.rowwise:
+                raise CapabilityError(f"{obj.name} does not act row by row, as a family needs")
+        triples = tuple(s)
+        rows = tuple(build_el_system(h, f, one) for one in triples)
+        if not rows:
+            raise InputError("a family of flows needs at least one scaling triple")
+        row_weights = [_el_weights(one) for one in triples]
+
+        def weights(t):
+            ea, neg_eab = np.empty((len(rows), 1)), np.empty((len(rows), 1))
+            for i, row_weight in enumerate(row_weights):
+                ea[i, 0], neg_eab[i, 0] = row_weight(t)
+            return ea, neg_eab
+
+        def init(x0, t0):
+            starts = np.array([row.initial_state_from(x0, t0) for row in rows])
+            return np.concatenate(np.split(starts, 2, axis=1))
+
+        return FlowSystem("euler_lagrange", ("X", "W"), field, init,
+                          valid_from=max(row.valid_from for row in rows),
+                          dimension=dimension, rows=rows)
+
+    _require_ideal_damping(s, "(X, W) reduction")
+    weights = _el_weights(s)
 
     def init(x0, t0):
         x0 = as_point(x0)

@@ -56,6 +56,7 @@ from ..flows import (
     build_natural_gradient_flow,
     build_rescaled_gradient_flow,
     integrate,
+    integrate_family,
 )
 from ..taylorstep import StepConfig, g_step, smoothness_epsilon
 from .checks import (
@@ -259,8 +260,8 @@ def _check_time_dilation(ctx: SuiteContext) -> CheckResult:
     worst_sup = 0.0
     parts = []
     out = ctx.artifacts("time_dilation_match")
-    for p in (3, 4):
-        direct, check_times, diff = dilation_mismatch(f, x0, p, 1.0, hi, steps)
+    for p, (direct, check_times, diff) in zip((3, 4), dilation_mismatch(
+            f, x0, (3, 4), 1.0, hi, steps)):
         sup = float(np.max(diff))
         worst_sup = max(worst_sup, sup)
         parts.append(f"p=2 -> {p}: sup|dX| = {sup:.2e}")
@@ -570,10 +571,10 @@ def _check_small_mass_limit(ctx: SuiteContext) -> CheckResult:
                           {"method": "rk4", "steps": base_steps, "record_every": 10})
         ctx.artifacts("small_mass_limit").trajectory(f"{label}_limit", limit)
         sups = []
-        for m in masses:
-            traj = integrate(build_el_system(mirror, f, massless_triple(m)), x0, 0.0, 2.0,
-                             {"method": "rk4", "steps": 2 * base_steps,
-                              "record_every": 20})
+        family = build_el_system(mirror, f, [massless_triple(m) for m in masses])
+        controls = {"method": "rk4", "steps": 2 * base_steps, "record_every": 20}
+        trajs = integrate_family(family, x0, 0.0, 2.0, controls)
+        for m, traj in zip(masses, trajs):
             sups.append(limit_distance(traj, limit, check_times))
             ctx.artifacts("small_mass_limit").trajectory(f"{label}_m{m:g}", traj)
         chains[label] = sups
@@ -609,9 +610,10 @@ def _check_damped_oscillator_threshold(ctx: SuiteContext) -> CheckResult:
               for r in (3, 4)]
     worst_excess = -math.inf
     parts = []
-    for tag, r, triple, limit in cases:
-        traj = integrate(build_el_system(EuclideanMap(), f, triple), x0, 0.1, t_end,
-                         {"method": "rk4", "steps": steps, "record_every": 3})
+    family = build_el_system(EuclideanMap(), f, [triple for _, _, triple, _ in cases])
+    trajs = integrate_family(family, x0, 0.1, t_end,
+                             {"method": "rk4", "steps": steps, "record_every": 3})
+    for (tag, r, _, limit), traj in zip(cases, trajs):
         slope = masked_slope(traj, (1.0, t_end))
         worst_excess = max(worst_excess, slope - limit)
         parts.append(f"{tag} r={r}: slope {slope:+.3f} (limit {limit:+.1f})")
@@ -819,12 +821,12 @@ if len(set(_names)) != len(_names):  # pragma: no cover - registry typo guard
 # runs share a task, so each cached run is computed once per task; the first
 # six tasks hold the slowest checks at either scale and start first
 # (seconds under taskset -c 0 on a shared 2-CPU host; quick, two runs:
-# 26-39, 3.9-4.1, 4.3-5.2, 1.7-2.0, 0.9-1.1, 1.5-1.6; full: 31, 41, 7.7,
-# 4.7, 2.6, 1.0; every later task under 1 s at either scale). Every other
-# check runs as a task of its own after these, in registry order, so the
-# short checks fill in around the long ones: the
-# wall time stays near the suite's CPU time over the worker count, and no
-# long check starts late because of which worker happened to be free first.
+# 17.8-18.2, 2.7-3.1, 2.7-2.8, 0.8-0.9, 0.7-0.8, 0.9-1.3; full: 17, 33,
+# 4.9, 2.4, 2.3, 0.9; every later task under 1.1 s at either scale).
+# Every other check runs as a task of its own after these, in registry
+# order, so the short checks fill in around the long ones: the wall time
+# stays near the suite's CPU time over the worker count, and no long check
+# starts late because of which worker happened to be free first.
 # Keyed by name: callers may rebuild the registry's specs.
 _TASKS = (
     ("rerun_determinism",),

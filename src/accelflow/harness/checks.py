@@ -30,6 +30,7 @@ from ..flows import (
     dilate_triple,
     fit_rate,
     integrate,
+    integrate_family,
 )
 from .reporting import CheckResult, log_gap_columns, write_plot_data
 
@@ -165,28 +166,34 @@ def rescaled_monitor_margins(p: int, traj, R: float) -> tuple[float, float]:
     return primary_margin, alternative_margin
 
 
-def dilation_mismatch(f, x0, p: int, C: float, hi: float, steps: int):
-    """Relabel the order-2 flow by tau(t) = t^{p/2} and compare it in X with
-    the directly integrated order-p flow at 200 times over [0.5, hi].
+def dilation_mismatch(f, x0, orders, C: float, hi: float, steps: int) -> list:
+    """For each p in orders, relabel the order-2 flow by tau(t) = t^{p/2} and
+    compare it in X with the directly integrated order-p flow at 200 times
+    over [0.5, hi].
 
-    Both flows run fixed-step rk4 with the given step count. Returns the
-    direct trajectory, the check times and |X_dilated - X_direct| per time
-    and coordinate.
+    Every flow runs fixed-step rk4 with the given step count; the direct
+    flows share a grid, so on a rowwise objective they run as one family.
+    Returns, per order, the direct trajectory, the check times and
+    |X_dilated - X_direct| per time and coordinate.
     """
-    a = p / 2.0
     controls = {"method": "rk4", "steps": steps, "record_every": 2}
-    source = integrate(
-        build_el_system(EuclideanMap(), f, polynomial_triple(2, C, t_min=0.05)),
-        x0, 0.5**a, hi**a, controls,
-    )
-    direct = integrate(
-        build_el_system(EuclideanMap(), f, polynomial_triple(p, C)),
-        x0, 0.5, hi, controls,
-    )
+    order_2 = build_el_system(EuclideanMap(), f, polynomial_triple(2, C, t_min=0.05))
+    sources = [integrate(order_2, x0, 0.5 ** (p / 2.0), hi ** (p / 2.0), controls)
+               for p in orders]
+    triples = [polynomial_triple(p, C) for p in orders]
+    if f.rowwise:
+        directs = integrate_family(build_el_system(EuclideanMap(), f, triples),
+                                   x0, 0.5, hi, controls)
+    else:
+        directs = [integrate(build_el_system(EuclideanMap(), f, s), x0, 0.5, hi, controls)
+                   for s in triples]
     check_times = np.linspace(0.5, hi, 200)
-    relabeled = dilate_trajectory(source, check_times, TimeDilation.power(a))
-    direct_x = np.array([direct.interp_state(t)[: direct.d] for t in check_times])
-    return direct, check_times, np.abs(relabeled.block("X") - direct_x)
+    out = []
+    for p, source, direct in zip(orders, sources, directs):
+        relabeled = dilate_trajectory(source, check_times, TimeDilation.power(p / 2.0))
+        direct_x = np.array([direct.interp_state(t)[: direct.d] for t in check_times])
+        out.append((direct, check_times, np.abs(relabeled.block("X") - direct_x)))
+    return out
 
 
 def triple_grid_defect(p: int, C: float) -> float:

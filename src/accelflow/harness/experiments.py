@@ -384,8 +384,8 @@ def _run_dilation_check(cfg: ExperimentConfig, emit: ArtifactWriter) -> list[Che
     if p not in (3, 4):
         raise InputError("dilation_check relabels the order-2 flow; p must be 3 or 4")
     C = cfg.number("C", 1.0)
-    direct, check_times, diff = dilation_mismatch(f, x0, p, C, DILATION_HORIZON,
-                                                  DILATION_STEPS)
+    [(direct, check_times, diff)] = dilation_mismatch(f, x0, (p,), C, DILATION_HORIZON,
+                                                      DILATION_STEPS)
     sup = float(np.max(diff))
     emit.trajectory("direct", direct)
     emit.plot("mismatch.dat", check_times, np.max(diff, axis=1),

@@ -74,6 +74,7 @@ from accelflow.flows import (
     energy_at,
     fit_rate,
     integrate,
+    integrate_family,
 )
 from accelflow.flows.integrate import _A as _DP_A
 from accelflow.flows.integrate import _C as _DP_C
@@ -813,6 +814,140 @@ def test_csv_export_is_deterministic(tmp_path):
     header = first.decode().splitlines()[0]
     assert header == "t,X_0,X_1,W_0,W_1,f_gap,energy"
     assert len(first.decode().splitlines()) == 202
+
+
+# ---------------------------------------------------------------------------
+# families: (X, W) flows on one grid advanced as one state
+
+
+def assert_same_record(a, b):
+    """Two trajectories equal bit for bit, f_gap, energy and step_stats
+    included."""
+    for name in ("times", "states", "derivs", "f_gap", "energy"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert (x is None) == (y is None), name
+        if x is not None:
+            assert x.shape == y.shape and x.tobytes() == y.tobytes(), name
+    assert a.step_stats == b.step_stats
+    assert (a.kind, a.blocks, a.d) == (b.kind, b.blocks, b.d)
+
+
+def _run_or_error(run):
+    try:
+        return run()
+    except (DivergenceError, NumericalError, InputError) as exc:
+        return exc
+
+
+@pytest.mark.parametrize("mirror", [EuclideanMap(), DiagonalMap((2.0, 5.0))],
+                         ids=["euclidean", "diagonal"])
+def test_family_rows_are_the_single_runs(mirror):
+    triples = [massless_triple(0.1), r_damped_triple(3), polynomial_triple(2, 1.0)]
+    controls = {"method": "rk4", "steps": 300, "record_every": 7}
+    x0 = np.array([1.0, -0.5])
+    family = integrate_family(build_el_system(mirror, quadratic_2d(), triples),
+                              x0, 0.1, 3.0, controls)
+    assert len(family) == 3
+    for triple, traj in zip(triples, family):
+        assert_same_record(traj, integrate(build_el_system(mirror, quadratic_2d(), triple),
+                                           x0, 0.1, 3.0, controls))
+
+
+@pytest.mark.parametrize("triples, raised", [
+    # rows diverge at t = 1.81, 0.385 and never: the earliest is raised
+    ([polynomial_triple(8), exponential_triple(10), polynomial_triple(2)], 1),
+    # both rows diverge at the check of t = 0.195: the lower row is raised
+    ([exponential_triple(31), exponential_triple(30)], 0),
+    ([exponential_triple(30), exponential_triple(31)], 0),
+], ids=["earliest", "tie", "tie_swapped"])
+def test_family_failure_is_the_single_run_error_of_its_row(triples, raised):
+    controls = {"method": "rk4", "steps": 40}
+    x0 = np.array([1.0, 1.0])
+
+    def single(triple):
+        return _run_or_error(lambda: integrate(
+            build_el_system(EuclideanMap(), quadratic_2d(), triple), x0, 0.1, 2.0, controls))
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        singles = [single(triple) for triple in triples]
+        with pytest.raises(DivergenceError) as info:
+            integrate_family(build_el_system(EuclideanMap(), quadratic_2d(), triples),
+                             x0, 0.1, 2.0, controls)
+    expected = singles[raised]
+    assert isinstance(expected, DivergenceError)
+    err = info.value
+    assert str(err) == str(expected) and err.t == expected.t
+    assert_same_record(err.partial, expected.partial)
+    if raised == 0:  # the tie: the other row's partial record differs
+        assert singles[1].t == err.t
+        assert singles[1].partial.states.tobytes() != err.partial.states.tobytes()
+
+
+def test_family_weight_overflow_raises_the_lowest_rows_error():
+    # x0 = 0 keeps every state at 0; the weights e^(alpha + beta) of rows 1
+    # and 2 first overflow at the same evaluation, t = 710
+    triples = [polynomial_triple(2), exponential_triple(1.0001), exponential_triple(1.0)]
+    controls = {"method": "rk4", "steps": 20}
+    x0 = np.zeros(2)
+    singles = [_run_or_error(lambda s=s: integrate(
+        build_el_system(EuclideanMap(), quadratic_2d(), s), x0, 700.0, 720.0, controls))
+        for s in triples]
+    assert isinstance(singles[1], InputError) and isinstance(singles[2], InputError)
+    assert str(singles[1]) != str(singles[2])
+    with pytest.raises(InputError) as info:
+        integrate_family(build_el_system(EuclideanMap(), quadratic_2d(), triples),
+                         x0, 700.0, 720.0, controls)
+    assert str(info.value) == str(singles[1])
+
+
+def test_family_non_finite_row_raises_its_numerical_error():
+    # e^(alpha + beta) = e^709.4 times grad f overflows to inf in one step,
+    # before the state's norm could cross the divergence threshold
+    triples = [polynomial_triple(2), exponential_triple(1.0)]
+    controls = {"method": "rk4", "steps": 2}
+    x0 = np.array([1.0, 1.0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        single = _run_or_error(lambda: integrate(
+            build_el_system(EuclideanMap(), quadratic_2d(), triples[1]),
+            x0, 709.4, 709.6, controls))
+        assert isinstance(single, NumericalError)
+        with pytest.raises(NumericalError) as info:
+            integrate_family(build_el_system(EuclideanMap(), quadratic_2d(), triples),
+                             x0, 709.4, 709.6, controls)
+    assert str(info.value) == str(single)
+
+
+@pytest.mark.parametrize("mirror, objective", [
+    (PthPowerMap(4), quadratic_2d()),  # one norm over the whole array
+    (EuclideanMap(), builtin_problems()["log_sum_exp"]),  # A @ X
+    (EuclideanMap(), ZeroObjective()),  # len(x)
+    (EuclideanMap(), builtin_problems()["least_squares"]),
+    (EuclideanMap(), PowerNorm(3, dimension=2)),
+], ids=["pth_power", "log_sum_exp", "zero", "least_squares", "power_norm"])
+def test_family_refuses_oracles_that_do_not_act_row_by_row(mirror, objective):
+    with pytest.raises(CapabilityError, match="row by row"):
+        build_el_system(mirror, objective, [polynomial_triple(2), polynomial_triple(3)])
+
+
+def test_family_runs_on_fixed_step_rk4_only():
+    family = build_el_system(EuclideanMap(), quadratic_2d(),
+                             [polynomial_triple(2), polynomial_triple(3)])
+    with pytest.raises(InputError, match="rk4_adaptive"):
+        integrate_family(family, np.array([1.0, 1.0]), 0.1, 2.0, {"method": "rk4_adaptive"})
+
+
+def test_family_and_single_systems_keep_their_entry_points():
+    x0, controls = np.array([1.0, 1.0]), {"method": "rk4", "steps": 10}
+    one = build_el_system(EuclideanMap(), quadratic_2d(), polynomial_triple(2))
+    family = build_el_system(EuclideanMap(), quadratic_2d(), [polynomial_triple(2)])
+    with pytest.raises(InputError, match="integrate_family"):
+        integrate(family, x0, 0.1, 2.0, controls)
+    with pytest.raises(InputError, match="integrate_family"):
+        integrate_family(one, x0, 0.1, 2.0, controls)
+    with pytest.raises(InputError, match="at least one"):
+        build_el_system(EuclideanMap(), quadratic_2d(), [])
+    assert_same_record(integrate_family(family, x0, 0.1, 2.0, controls)[0],
+                       integrate(one, x0, 0.1, 2.0, controls))
 
 
 # ---------------------------------------------------------------------------

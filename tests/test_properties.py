@@ -19,10 +19,13 @@ Oracles, each the code as first written, kept here as references:
   included, and the divergence test written with it and np.isfinite.
 
 Every invalid integrator control must raise InputError, never integrate,
-and a NaN method parameter must raise InputError, never run. A Taylor step
-at the certified epsilon must certify itself, and the plain method's every
-invariant-report entry must hold on random quadratics and least-squares
-problems at that epsilon.
+and a NaN method or scaling-triple parameter must raise InputError, never
+run. A Taylor step at the certified epsilon must certify itself, and every
+invariant-report entry of the plain, accelerated and restarted methods must
+hold on random quadratics and least-squares problems at that epsilon (half
+of it for the restarts, whose kappa must lie below 1). Each row of a family
+of (X, W) flows integrated as one state must be its single run bit for bit,
+or the family must raise the single-run error of its earliest failing row.
 
 The secular solve, where the root lies below 1e-16 r_hi = 1e-16
 (||g|| / s)^{1/(power+1)} and the regularizer is negligible against every
@@ -57,9 +60,11 @@ from hypothesis import strategies as st  # noqa: E402
 from accelflow import accel  # noqa: E402
 from accelflow.accel import (  # noqa: E402
     AccelConfig,
+    accelerated,
     exponential_discretization,
     higher_order_descent,
     naive_discretization,
+    restart_accelerated,
 )
 from accelflow.core import (  # noqa: E402
     DiagonalQuadratic,
@@ -70,7 +75,10 @@ from accelflow.core import (  # noqa: E402
     ScaledPthPowerMap,
     builtin_mirror_maps,
     builtin_problems,
+    exponential_triple,
+    massless_triple,
     polynomial_triple,
+    r_damped_triple,
 )
 from accelflow.core.numerics import (  # noqa: E402
     central_diff_directional,
@@ -78,8 +86,8 @@ from accelflow.core.numerics import (  # noqa: E402
     norm,
 )
 from accelflow.core.points import as_real  # noqa: E402
-from accelflow.errors import InputError, SolverError  # noqa: E402
-from accelflow.flows import build_el_system, integrate  # noqa: E402
+from accelflow.errors import DivergenceError, InputError, SolverError  # noqa: E402
+from accelflow.flows import build_el_system, integrate, integrate_family  # noqa: E402
 from accelflow.flows.integrate import DIVERGENCE_THRESHOLD, METHOD_CONTROLS  # noqa: E402
 from accelflow.harness.cli import main  # noqa: E402
 from accelflow.harness.config import METHOD_KEYS  # noqa: E402
@@ -495,6 +503,39 @@ def test_plain_method_report_holds_on_random_convex_instances(case):
     assert not bad, (f.name, p, x0, rec.config, bad)
 
 
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_descent_cases())
+def test_accelerated_report_holds_on_random_convex_instances(case):
+    f, p, x0 = case
+    rec = accelerated(f, AccelConfig(p, smoothness_epsilon(f, p), x0), 100)
+    report = rec.invariant_report()
+    assert {"step_certificates", "estimate_lower", "dual_optimality", "rate_bound"} <= set(report)
+    bad = {name: entry for name, entry in report.items() if not entry["ok"]}
+    assert not bad, (f.name, p, x0, rec.config, bad)
+
+
+@st.composite
+def _restart_cases(draw):
+    """The descent draw at eps = 1/(2L), so kappa = eps sigma <= 1/2, with
+    kappa >= 5e-4: an epoch takes at most m = ceil(16 / sqrt(kappa)) = 716
+    iterations."""
+    f, _, x0 = draw(_descent_cases())
+    uc = f.uniform_convexity
+    hypothesis.assume(uc is not None and uc[1] / f.smoothness_constant(1) >= 1e-3)
+    return f, x0, draw(st.integers(1, 3))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_restart_cases())
+def test_restart_report_holds_on_random_convex_instances(case):
+    f, x0, epochs = case
+    rec = restart_accelerated(f, smoothness_epsilon(f, 2) / 2.0, x0, epochs)
+    report = rec.invariant_report()
+    assert {"epoch_contraction", "final_bound", "inner_step_certificates"} <= set(report)
+    bad = {name: entry for name, entry in report.items() if not entry["ok"]}
+    assert not bad, (f.name, x0, epochs, rec.config, bad)
+
+
 # ---------------------------------------------------------------------------
 # the Euler-Lagrange field shares log t between alpha and beta
 
@@ -539,6 +580,61 @@ def test_el_field_is_bit_equal_to_separate_alpha_beta(case):
     f = DiagonalQuadratic(tuple(float(i + 1) for i in range(y.size // 2)))
     field = build_el_system(h, f, s).vector_field
     assert _bits(field(t, y)) == _bits(_el_field_formula(h, f, s, t, y))
+
+
+# ---------------------------------------------------------------------------
+# a family of (X, W) flows on one grid: every row is its single run
+
+
+_FAMILY_TRIPLES = (
+    st.floats(0.05, 1.0).map(lambda m: ("massless", m, massless_triple(m)))
+    | st.floats(1.5, 6.0).map(lambda r: ("r_damped", r, r_damped_triple(r)))
+    | st.tuples(st.floats(1.0, 4.0), st.floats(0.5, 2.0)).map(
+        lambda pc: ("polynomial", pc, polynomial_triple(*pc)))
+)
+
+
+@st.composite
+def _family_cases(draw):
+    triples = draw(st.lists(_FAMILY_TRIPLES, min_size=1, max_size=5))
+    mirror = draw(st.sampled_from(("euclidean", "diagonal_2_5")))
+    x0 = np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=2)))
+    t_end = 0.1 + draw(st.floats(0.5, 3.0))
+    controls = {"method": "rk4", "steps": draw(st.integers(50, 300)),
+                "record_every": draw(st.integers(1, 5))}
+    return triples, mirror, x0, t_end, controls
+
+
+def _same_record(a, b):
+    for name in ("times", "states", "derivs", "f_gap", "energy"):
+        assert _bits(getattr(a, name)) == _bits(getattr(b, name)), name
+    assert a.step_stats == b.step_stats
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_family_cases())
+def test_family_rows_are_bit_equal_to_single_runs(case):
+    labelled, mirror, x0, t_end, controls = case
+    h, f = builtin_mirror_maps()[mirror], DiagonalQuadratic((1.0, 10.0))
+    triples = [s for _, _, s in labelled]
+    singles, failures = [], []
+    for row, s in enumerate(triples):
+        try:
+            singles.append(integrate(build_el_system(h, f, s), x0, 0.1, t_end, controls))
+        except DivergenceError as exc:
+            failures.append((exc.t, row, exc))
+    family = build_el_system(h, f, triples)
+    if failures:  # the earliest failure, of a tie the lowest row's
+        _, _, expected = min(failures, key=lambda item: item[:2])
+        with pytest.raises(DivergenceError) as info:
+            integrate_family(family, x0, 0.1, t_end, controls)
+        assert str(info.value) == str(expected) and info.value.t == expected.t
+        _same_record(info.value.partial, expected.partial)
+        return
+    trajs = integrate_family(family, x0, 0.1, t_end, controls)
+    assert len(trajs) == len(triples)
+    for one, row in zip(singles, trajs):
+        _same_record(row, one)
 
 
 # ---------------------------------------------------------------------------
@@ -638,11 +734,20 @@ _NAN_CONSTRUCTORS = {
         kw.get("epsilon", 0.1), _X0, 5),
     "exponential": lambda kw: exponential_discretization(
         _QUAD, EuclideanMap(), kw.get("c", 1.0), kw.get("delta", 0.1), _X0, 5),
+    "polynomial_triple": lambda kw: polynomial_triple(
+        kw.get("p", 2), kw.get("C", 1.0), kw.get("t_min", 0.1)),
+    "exponential_triple": lambda kw: exponential_triple(kw["c"]),
+    "massless_triple": lambda kw: massless_triple(kw["m"]),
+    "r_damped_triple": lambda kw: r_damped_triple(kw["r"]),
 }
 _NAN_KEYS = {
     "accelerated": ("epsilon", "N", "C"),
     "naive": ("C", "epsilon"),
     "exponential": ("c", "delta"),
+    "polynomial_triple": ("p", "C", "t_min"),
+    "exponential_triple": ("c",),
+    "massless_triple": ("m",),
+    "r_damped_triple": ("r",),
 }
 
 
@@ -651,7 +756,7 @@ def _nan_parameters(draw):
     name = draw(st.sampled_from(sorted(_NAN_CONSTRUCTORS)))
     nan_keys = draw(st.sets(st.sampled_from(_NAN_KEYS[name]), min_size=1))
     kw = {key: math.nan for key in nan_keys}
-    if name != "exponential":
+    if name in ("accelerated", "naive"):
         kw["p"] = draw(st.sampled_from((2, 3, 4)))
     return name, kw
 
@@ -660,8 +765,10 @@ def _nan_parameters(draw):
 @given(_nan_parameters())
 def test_nan_method_parameters_raise_input_error(case):
     name, kw = case
-    with pytest.raises(InputError):
+    with pytest.raises(InputError) as info:
         _NAN_CONSTRUCTORS[name](kw)
+    if name.endswith("_triple"):  # the message names a NaN parameter
+        assert any(f"needs {key} >" in str(info.value) for key in kw)
 
 
 # ---------------------------------------------------------------------------
