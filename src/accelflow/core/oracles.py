@@ -189,27 +189,38 @@ class LogSumExp(ObjectiveOracle):
             self.minimizer = as_point(minimizer, dim=self.dimension)
             self.min_value = self.value(self.minimizer)
 
+    _last = None  # (key, softmax, value) at the last distinct point
+
     def _weights(self, x):
-        theta = self.A @ np.asarray(x, dtype=np.float64) + self.b
-        m = float(np.max(theta))
-        e = np.exp(theta - m)
-        s = float(np.sum(e))
-        return theta, m, e / s, np.log(s) + m
+        """(softmax of A x + b, f(x)), kept for the last distinct x (keyed on
+        its shape and bytes, as taylorstep._eigh keys H): one pass per point."""
+        x = np.asarray(x, dtype=np.float64)
+        key = (x.shape, x.tobytes())
+        last = self._last
+        if last is None or last[0] != key:
+            theta = self.A @ x + self.b
+            m = float(theta.max())
+            e = np.exp(theta - m)
+            s = float(e.sum())
+            pi = e / s
+            pi.flags.writeable = False
+            self._last = last = (key, pi, np.log(s) + m)
+        return last[1:]
 
     def value(self, x):
-        return self._weights(x)[3]
+        return self._weights(x)[1]
 
     def gradient(self, x):
-        pi = self._weights(x)[2]
+        pi = self._weights(x)[0]
         return self.A.T @ pi
 
     def hessian_dense(self, x):
-        pi = self._weights(x)[2]
+        pi = self._weights(x)[0]
         ap = self.A.T @ pi
         return self.A.T @ (pi[:, None] * self.A) - np.outer(ap, ap)
 
     def third_apply(self, x, u, v):
-        pi = self._weights(x)[2]
+        pi = self._weights(x)[0]
         s = self.A @ np.asarray(u, dtype=np.float64)
         t = self.A @ np.asarray(v, dtype=np.float64)
         es, et, est = float(pi @ s), float(pi @ t), float(pi @ (s * t))

@@ -3,7 +3,8 @@
 alpha_t sets the velocity scale, beta_t the objective weight, gamma_t the
 damping weight. The flows need e^{alpha} and the time derivatives exactly,
 so each triple carries analytic derivative callables; nothing here is ever
-differentiated numerically.
+differentiated numerically. exp_weight is the one rule for a weight e^x
+that overflows a float.
 
 The two scaling conditions that make the energy certificate work are
 beta_dot <= e^{alpha} (rate condition, equality is the optimal choice) and
@@ -21,6 +22,16 @@ from ..errors import InputError
 from .numerics import LOG_FLOAT_MAX
 
 SCALING_TOL = 1e-10
+
+
+def exp_weight(x: float, name: str, t: float) -> float:
+    """math.exp(x), the flow's time weight `name` at time t; InputError when
+    it overflows a float (x > LOG_FLOAT_MAX): the triple cannot represent t."""
+    if x > LOG_FLOAT_MAX:
+        raise InputError(f"the flow's weight {name} = e^{x:.6g} overflows a float "
+                         f"at t = {t:.6g}")
+    return math.exp(x)
+
 
 class ScalingTriple:
     """Bundle of (alpha, beta, gamma) and their analytic time derivatives.
@@ -44,7 +55,17 @@ class ScalingTriple:
             alpha_beta or (lambda t: (alpha(t), beta(t))))
 
     def exp_alpha(self, t: float) -> float:
-        return math.exp(self.alpha(t))
+        return exp_weight(self.alpha(t), "e^alpha", t)
+
+    def el_weights(self, t: float) -> tuple[float, float]:
+        """(e^alpha, -e^{alpha+beta}) at t, the (X, W) field's weights. The
+        field reads them at every evaluation, so exp_weight runs only to raise."""
+        a, b = self.alpha_beta(t)
+        ab = a + b
+        if a > LOG_FLOAT_MAX or ab > LOG_FLOAT_MAX:
+            exp_weight(a, "e^alpha", t)
+            exp_weight(ab, "e^(alpha + beta)", t)
+        return math.exp(a), -math.exp(ab)
 
 
 def polynomial_triple(p: float, C: float = 1.0, t_min: float = 0.1) -> ScalingTriple:
@@ -56,9 +77,7 @@ def polynomial_triple(p: float, C: float = 1.0, t_min: float = 0.1) -> ScalingTr
             raise InputError(f"polynomial triple needs {name} > 0, got {value!r}")
     p, C = float(p), float(C)
     logp, logC = math.log(p), math.log(C)
-    if logp - math.log(t_min) > LOG_FLOAT_MAX:
-        raise InputError(f"e^alpha = p / t overflows a float at t = {t_min:g} "
-                         f"with p = {p:g}")
+    exp_weight(logp - math.log(t_min), "e^alpha = p / t", t_min)
 
     def alpha_beta(t):
         log_t = math.log(t)
@@ -103,8 +122,7 @@ def r_damped_triple(r: float) -> ScalingTriple:
         raise InputError(f"r-damped triple needs r > 1, got {r!r}")
     q = float(r) - 1.0
     logq = math.log(q)
-    if logq - math.log(0.1) > LOG_FLOAT_MAX:
-        raise InputError(f"e^alpha = (r - 1) / t overflows a float at t = 0.1 with r = {r:g}")
+    exp_weight(logq - math.log(0.1), "e^alpha = (r - 1) / t", 0.1)
     return ScalingTriple(
         alpha=lambda t: logq - math.log(t),
         beta=lambda t: 2.0 * math.log(t) - 2.0 * logq,
@@ -123,6 +141,7 @@ def massless_triple(m: float) -> ScalingTriple:
         raise InputError(f"massless triple needs m > 0, got {m!r}")
     m = float(m)
     logm = math.log(m)
+    exp_weight(-logm, "e^alpha = 1 / m", 0.0)
     return ScalingTriple(
         alpha=lambda t: -logm,
         beta=lambda t: logm,

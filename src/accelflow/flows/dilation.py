@@ -53,14 +53,23 @@ def dilate_triple(triple: ScalingTriple, dilation: TimeDilation) -> ScalingTripl
     The damping term picks up log tau_dot; the other two scalings simply
     compose with tau. The result satisfies the ideal-scaling conditions with
     the same tightness as the source. The new domain starts at
-    tau^{-1}(old domain start).
+    tau^{-1}(old domain start), where tau_dot must be finite and positive
+    too: alpha takes its log.
     """
-    new_from = float(dilation.inverse(triple.valid_from))
-    for off in (0.01, 0.1, 1.0, 10.0):
+    try:
+        new_from = float(dilation.inverse(triple.valid_from))
+    except OverflowError:
+        raise InputError(f"dilation {dilation.name!r} maps the domain start "
+                         f"{triple.valid_from:g} past the float range") from None
+    for off in (0.0, 0.01, 0.1, 1.0, 10.0):
         t = new_from + off
-        if dilation.tau_dot(t) <= 0:
+        try:
+            rate = dilation.tau_dot(t)
+        except ZeroDivisionError:  # t^(a-1) at t = 0 with a < 1
+            rate = math.inf
+        if not 0.0 < rate < math.inf:
             raise InputError(
-                f"dilation {dilation.name!r} is not increasing at t = {t}"
+                f"dilation {dilation.name!r} has no finite positive rate at t = {t}"
             )
 
     tau, tau_dot, tau_ddot = dilation.tau, dilation.tau_dot, dilation.tau_ddot

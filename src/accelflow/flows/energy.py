@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
+from ..core.scalings import exp_weight
 from ..errors import InputError
 
 
@@ -17,7 +16,7 @@ def energy_at(h, f, s, t: float, X, W, x_star) -> float:
     Nonincreasing along ideally scaled variational flows.
     """
     z = h.dual_gradient(np.asarray(W, dtype=np.float64))
-    return h.bregman(x_star, z) + math.exp(s.beta(t)) * f.gap(X)
+    return h.bregman(x_star, z) + exp_weight(s.beta(t), "e^beta", t) * f.gap(X)
 
 
 def fit_rate(times, gaps, window) -> float:

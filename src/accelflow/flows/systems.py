@@ -13,15 +13,13 @@ Euclidean map). Four builders make a FlowSystem: the (X, W) flow, its
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from ..core.mirrors import MirrorMap
-from ..core.numerics import LOG_FLOAT_MAX, norm
+from ..core.numerics import norm
 from ..core.oracles import ObjectiveOracle
 from ..core.points import as_point
-from ..core.scalings import ScalingTriple, ideal_scaling_check
+from ..core.scalings import ScalingTriple, exp_weight, ideal_scaling_check
 from ..errors import CapabilityError, InputError, NumericalError
 from .energy import energy_at
 
@@ -103,21 +101,6 @@ def _dimension(f: ObjectiveOracle, h: MirrorMap) -> int | None:
     return dims.pop() if dims else None
 
 
-def _el_weights(s: ScalingTriple):
-    """weights(t) = (e^alpha, -e^{alpha+beta}) of s by math.exp; InputError
-    on overflow."""
-
-    def weights(t):
-        a, b = s.alpha_beta(t)
-        ab = a + b
-        if ab > LOG_FLOAT_MAX:
-            raise InputError(f"the flow's weight e^(alpha + beta) = e^{ab:.6g} "
-                             f"overflows a float at t = {t:.6g}; end the flow earlier")
-        return math.exp(a), -math.exp(ab)
-
-    return weights
-
-
 def build_el_system(h: MirrorMap, f: ObjectiveOracle, s) -> FlowSystem:
     """The variational flow in (X, W) form.
 
@@ -126,10 +109,9 @@ def build_el_system(h: MirrorMap, f: ObjectiveOracle, s) -> FlowSystem:
     -e^{alpha+beta} grad f(X). Requires the damping condition
     gamma_dot = e^{alpha}, which is what collapses the second-order equation
     to this pair. Initial state (x0, grad h(x0)): zero initial velocity.
-    The field at a time t where the weight e^{alpha+beta} overflows a float
-    (alpha + beta > LOG_FLOAT_MAX, past t = 709 for the exponential triple
-    with c = 1) raises InputError: the horizon lies beyond what the triple
-    can represent.
+    The field's weights are s.el_weights(t), so at a time t where one
+    overflows a float (past t = 709 for the exponential triple with c = 1)
+    it raises InputError by the triple's one rule, scalings.exp_weight.
 
     s may also be a sequence of R triples: their flows from one x0 as a
     family for integrate_family, its state the X rows and then the W rows
@@ -158,7 +140,7 @@ def build_el_system(h: MirrorMap, f: ObjectiveOracle, s) -> FlowSystem:
         rows = tuple(build_el_system(h, f, one) for one in triples)
         if not rows:
             raise InputError("a family of flows needs at least one scaling triple")
-        row_weights = [_el_weights(one) for one in triples]
+        row_weights = [one.el_weights for one in triples]
 
         def weights(t):
             ea, neg_eab = np.empty((len(rows), 1)), np.empty((len(rows), 1))
@@ -175,7 +157,7 @@ def build_el_system(h: MirrorMap, f: ObjectiveOracle, s) -> FlowSystem:
                           dimension=dimension, rows=rows)
 
     _require_ideal_damping(s, "(X, W) reduction")
-    weights = _el_weights(s)
+    weights = s.el_weights
 
     def init(x0, t0):
         x0 = as_point(x0)
@@ -212,14 +194,14 @@ def build_hamiltonian_system(h: MirrorMap, f: ObjectiveOracle,
         d = y.size // 2
         x, pp = y[:d], y[d:]
         a, b, g = s.alpha(t), s.beta(t), s.gamma(t)
-        ea = math.exp(a)
-        z = h.dual_gradient(h.gradient(x) + math.exp(-g) * pp)
+        ea = exp_weight(a, "e^alpha", t)
+        z = h.dual_gradient(h.gradient(x) + exp_weight(-g, "e^-gamma", t) * pp)
         vel = z - x
         dx = ea * vel
         dp = (
-            -math.exp(a + g) * (h.hessian_dense(x) @ vel)
+            -exp_weight(a + g, "e^(alpha + gamma)", t) * (h.hessian_dense(x) @ vel)
             + ea * pp
-            - math.exp(a + b + g) * f.gradient(x)
+            - exp_weight(a + b + g, "e^(alpha + beta + gamma)", t) * f.gradient(x)
         )
         return np.concatenate([dx, dp])
 
@@ -234,7 +216,7 @@ def build_hamiltonian_system(h: MirrorMap, f: ObjectiveOracle,
         def energy(t, y):
             d = y.size // 2
             x, pp = y[:d], y[d:]
-            w = h.gradient(x) + math.exp(-s.gamma(t)) * pp
+            w = h.gradient(x) + exp_weight(-s.gamma(t), "e^-gamma", t) * pp
             return energy_at(h, f, s, t, x, w, x_star)
 
     return FlowSystem("hamiltonian", ("X", "P"), field, init, valid_from=s.valid_from,

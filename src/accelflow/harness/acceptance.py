@@ -821,8 +821,9 @@ if len(set(_names)) != len(_names):  # pragma: no cover - registry typo guard
 # runs share a task, so each cached run is computed once per task; the first
 # six tasks hold the slowest checks at either scale and start first
 # (seconds under taskset -c 0 on a shared 2-CPU host; quick, two runs:
-# 17.8-18.2, 2.7-3.1, 2.7-2.8, 0.8-0.9, 0.7-0.8, 0.9-1.3; full: 17, 33,
-# 4.9, 2.4, 2.3, 0.9; every later task under 1.1 s at either scale).
+# 16.7-17.0, 2.6-2.7, 2.5, 0.8-1.1, 0.7-0.8, 0.9-1.1; full: 17, 33,
+# 4.9, 2.4, 2.3, 0.9; every later task under 1.1 s at either scale). The
+# last three overlap at quick scale, so they keep full scale's order.
 # Every other check runs as a task of its own after these, in registry
 # order, so the short checks fill in around the long ones: the wall time
 # stays near the suite's CPU time over the worker count, and no long check

@@ -108,15 +108,19 @@ def smoothness_epsilon(f, p: int) -> float:
     return math.factorial(p - 1) / f.smoothness_constant(p - 1)
 
 
-def _model_gradient(f, x: Point, g: Point, H, u: Point, cfg: StepConfig) -> Point:
+def _model_gradient(f, x: Point, g: Point, H, u: Point, cfg: StepConfig,
+                    third=None) -> Point:
     """Gradient of the regularized Taylor model at displacement u; g = grad f(x)
-    and H = its Hessian (None at p = 2)."""
+    and H = its Hessian (None at p = 2); at p = 4, third is
+    f.third_apply(x, u, u) when the caller has it."""
     s = cfg.N / cfg.epsilon
     if cfg.p == 2:
         return g + s * u
     if cfg.p == 3:
         return g + H @ u + s * norm(u) * u
-    return g + H @ u + 0.5 * f.third_apply(x, u, u) + s * float(u @ u) * u
+    if third is None:
+        third = f.third_apply(x, u, u)
+    return g + H @ u + 0.5 * third + s * float(u @ u) * u
 
 
 def _secular_root(lam, coords, scale: float, power: int):
@@ -214,27 +218,29 @@ def _eigh(H):
 
 
 def _newton_polish_p4(f, x, g, H, u0, cfg: StepConfig, target: float):
-    """Damped Newton on the order-3 model with quartic regularization."""
+    """Damped Newton on the order-3 model with quartic regularization. Each
+    trial point's third_apply(x, u, u) serves its model value and, once
+    accepted, its model gradient."""
     scale = cfg.N / cfg.epsilon
     d = x.size
 
-    def model_value(u):
+    def model_value(u, third):
         r2 = float(u @ u)
         return (
             float(g @ u)
             + 0.5 * float(u @ (H @ u))
-            + float(u @ f.third_apply(x, u, u)) / 6.0
+            + float(u @ third) / 6.0
             + 0.25 * scale * r2 * r2
         )
 
-    u = u0
+    u, third = u0, f.third_apply(x, u0, u0)
     for i in range(100):
-        gm = _model_gradient(f, x, g, H, u, cfg)
+        gm = _model_gradient(f, x, g, H, u, cfg, third)
         if norm(gm) <= target:
             break
         if i == 0:  # most polishes end at the test above, before these
             eye = np.eye(d)
-            val = model_value(u)
+            val = model_value(u, third)
         third_cols = np.column_stack(
             [f.third_apply(x, u, eye[:, j]) for j in range(d)]
         )
@@ -250,13 +256,14 @@ def _newton_polish_p4(f, x, g, H, u0, cfg: StepConfig, target: float):
         alpha = 1.0
         while alpha > 1e-13:
             cand = u + alpha * step
-            cand_val = model_value(cand)
+            cand_third = f.third_apply(x, cand, cand)
+            cand_val = model_value(cand, cand_third)
             if cand_val <= val + 1e-4 * alpha * slope:
                 break
             alpha *= 0.5
         else:
             break  # line search stalled; report the best iterate found
-        u, val = cand, cand_val
+        u, val, third = cand, cand_val, cand_third
     return u
 
 

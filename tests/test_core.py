@@ -473,6 +473,22 @@ def test_log_sum_exp_symmetric_minimizer():
         assert f.value(rng.normal(size=4)) >= f.min_value - 1e-12
 
 
+def test_log_sum_exp_keeps_one_point_by_its_values():
+    # the softmax is kept for the last point by x's bytes, not its identity:
+    # an array changed in place is a new point
+    f, fresh = builtin_problems()["log_sum_exp"], builtin_problems()["log_sum_exp"]
+    x = np.array([0.3, -0.2, 0.1, 0.4])
+    u = np.array([1.0, 0.5, -0.5, 0.0])
+    for _ in range(2):
+        got = (f.value(x), f.gradient(x), f.hessian_dense(x), f.third_apply(x, u, u))
+        want = (fresh.value(x.copy()), fresh.gradient(x.copy()),
+                fresh.hessian_dense(x.copy()), fresh.third_apply(x.copy(), u, u))
+        for a, b in zip(got, want):
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+        x *= -2.0
+    assert f.gradient(x).flags.writeable
+
+
 def test_catalogs_are_deterministic():
     a = builtin_problems()["least_squares"]
     b = builtin_problems()["least_squares"]

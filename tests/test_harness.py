@@ -762,11 +762,18 @@ def test_cli_flow_out_of_float_range_is_exit_two(tmp_path, capsys, doc, message)
                     "method": {"p": 3, "K": 20}},
      "D_h(x*, x0) overflows a float"),
     ("flow", {"method": {"family": "polynomial", "p": 1e308, "C": 7}},
-     "e^alpha = p / t overflows a float at t = 0.1"),
-], ids=["accelerated_far_x0", "naive_demo_far_x0", "polynomial_flow_huge_p"])
+     "the flow's weight e^alpha = p / t = e^711.499 overflows a float at t = 0.1"),
+    ("flow", {"method": {"family": "massless", "m": 1e-310}, "integration": {"steps": 100}},
+     "the flow's weight e^alpha = 1 / m = e^713.801 overflows a float at t = 0"),
+    # e^beta = e^{0.5 t} overflows past t = 1419.57, e^{alpha + beta} only past 1420.96
+    ("flow", {"x0": [0.0, 0.0], "method": {"family": "exponential", "c": 0.5},
+              "integration": {"t0": 1418.0, "t_end": 1420.0}},
+     "the flow's weight e^beta = e^710 overflows a float at t = 1420"),
+], ids=["accelerated_far_x0", "naive_demo_far_x0", "polynomial_flow_huge_p",
+        "massless_flow_tiny_m", "exponential_flow_energy_overflow"])
 def test_cli_inputs_that_overflow_are_exit_two(tmp_path, capsys, command, doc, message):
-    # each overflowed a Python float (exit 3); now it is rejected before any
-    # run, so no file is written
+    # each overflowed a Python float (exit 3); now it is a config error that
+    # names the weight, raised before any file is written
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(doc))
     out = tmp_path / "out"

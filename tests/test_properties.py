@@ -87,7 +87,14 @@ from accelflow.core.numerics import (  # noqa: E402
 )
 from accelflow.core.points import as_real  # noqa: E402
 from accelflow.errors import DivergenceError, InputError, SolverError  # noqa: E402
-from accelflow.flows import build_el_system, integrate, integrate_family  # noqa: E402
+from accelflow.flows import (  # noqa: E402
+    TimeDilation,
+    build_el_system,
+    dilate_triple,
+    energy_at,
+    integrate,
+    integrate_family,
+)
 from accelflow.flows.integrate import DIVERGENCE_THRESHOLD, METHOD_CONTROLS  # noqa: E402
 from accelflow.harness.cli import main  # noqa: E402
 from accelflow.harness.config import METHOD_KEYS  # noqa: E402
@@ -580,6 +587,57 @@ def test_el_field_is_bit_equal_to_separate_alpha_beta(case):
     f = DiagonalQuadratic(tuple(float(i + 1) for i in range(y.size // 2)))
     field = build_el_system(h, f, s).vector_field
     assert _bits(field(t, y)) == _bits(_el_field_formula(h, f, s, t, y))
+
+
+# ---------------------------------------------------------------------------
+# a triple's weights fit a float or raise InputError, never OverflowError
+
+
+_TRIPLE_PARAM = st.floats(5e-324, 1e300)
+_TRIPLE_MAKERS = (
+    st.tuples(st.just(polynomial_triple), st.tuples(_TRIPLE_PARAM, _TRIPLE_PARAM, _TRIPLE_PARAM))
+    | st.tuples(st.just(exponential_triple), st.tuples(_TRIPLE_PARAM))
+    | st.tuples(st.just(massless_triple), st.tuples(_TRIPLE_PARAM))
+    | st.tuples(st.just(r_damped_triple),
+                st.tuples(_TRIPLE_PARAM | _TRIPLE_PARAM.map(lambda q: 1.0 + q)))
+)
+
+
+@st.composite
+def _weight_cases(draw):
+    """A catalog triple, or one dilated by t^a for a in [0.5, 2] (the suite
+    relabels by t^{p/2}, p = 3, 4), and a time drawn up to 1e6 that the test
+    raises to the triple's valid_from."""
+    make, args = draw(_TRIPLE_MAKERS)
+    a = draw(st.none() | st.floats(0.5, 2.0))
+    return make, args, a, draw(st.floats(0.0, 1e6))
+
+
+@PROPERTY_SETTINGS
+@given(_weight_cases())
+@example((massless_triple, (1e-310,), None, 0.0))
+@example((exponential_triple, (0.5,), None, 1420.0))
+@example((exponential_triple, (1.0,), 2.0, 0.0))
+@example((massless_triple, (1.0,), 0.5, 0.0))
+def test_triple_weights_are_finite_or_input_error(case):
+    make, args, a, t = case
+    h, f = EuclideanMap(), DiagonalQuadratic((1.0, 2.0))
+    x_star = f.minimizer
+    try:
+        s = make(*args)
+        if a is not None:
+            s = dilate_triple(s, TimeDilation.power(a))
+    except InputError:
+        return
+    t = max(t, s.valid_from)
+    weights = (s.exp_alpha, s.el_weights,
+               lambda t: energy_at(h, f, s, t, x_star, h.gradient(x_star), x_star))
+    for weight in weights:
+        try:
+            value = weight(t)
+        except InputError:
+            continue
+        assert np.isfinite(value).all(), (make.__name__, args, a, t, value)
 
 
 # ---------------------------------------------------------------------------
